@@ -37,33 +37,19 @@ def int_nth_root(value: int, n: int):
     """Exact integer n-th root of value >= 0, or None if not a perfect power."""
     if value < 0:
         raise ValueError("value must be nonnegative")
-    if value in (0, 1):
-        return value
-    if n == 1:
+    if value < 2 or n == 1:
         return value
     if n == 2:
         r = math.isqrt(value)
         return r if r * r == value else None
-    # Newton iteration on integers; n is tiny in practice.
-    r = int(round(value ** (1.0 / n)))
-    for cand in range(max(r - 2, 1), r + 3):
-        p = cand ** n
-        if p == value:
-            return cand
-        if p > value:
+    # integer Newton iteration, descending from 2^ceil(bits/n) >= the root
+    r = 1 << -(-value.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + value // r ** (n - 1)) // n
+        if s >= r:
             break
-    # fall back for values too large for float precision
-    lo, hi = 1, 1 << (value.bit_length() // n + 2)
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        p = mid ** n
-        if p == value:
-            return mid
-        if p < value:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
+        r = s
+    return r if r ** n == value else None
 
 
 def rational_nth_root(x: Fraction, n: int):

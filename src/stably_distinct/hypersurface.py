@@ -25,7 +25,7 @@ import json
 
 from .certificate import Certificate
 from .errors import DimensionMismatch
-from .exactfield import rational
+from .exactfield import parse_scalar, rational
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
                        difference_quotient, rewrite_single_rule,
@@ -69,7 +69,7 @@ class PqSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PqSpec":
-        q = UnivariatePoly([rational(text) for text in data["q"]])
+        q = UnivariatePoly([parse_scalar(text) for text in data["q"]])
         return cls(int(data["n"]), q, rational(data["c"]))
 
     @classmethod

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stably_distinct.errors import (MixedDiscriminant, NotASquare, ParseError)
-from stably_distinct.exactfield import (QuadExt, is_rational_square,
-                                        parse_scalar, quadext, rational,
-                                        rational_nth_root, scalar_to_text,
-                                        sqrt_in_field)
+from stably_distinct.exactfield import (QuadExt, int_nth_root,
+                                        is_rational_square, parse_scalar,
+                                        quadext, rational, rational_nth_root,
+                                        scalar_to_text, sqrt_in_field)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
@@ -51,6 +51,14 @@ class TestRoots:
         base = 10 ** 6 + 3
         assert rational_nth_root(Fraction(base ** 5), 5) == base
         assert rational_nth_root(Fraction(base ** 5 + 1), 5) is None
+
+    @given(st.integers(min_value=2, max_value=10 ** 200 - 1),
+           st.integers(min_value=2, max_value=7))
+    def test_int_root_of_huge_powers(self, b, n):
+        # no float guess: these powers are far above 1e308
+        assert int_nth_root(b ** n, n) == b
+        assert int_nth_root(b ** n - 1, n) is None
+        assert int_nth_root(b ** n + 1, n) is None
 
     @given(rationals, st.integers(min_value=1, max_value=6))
     def test_root_roundtrip(self, x, n):

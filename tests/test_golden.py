@@ -50,13 +50,16 @@ CASES = {
     # mu = 2, eps = sqrt(1/2)
     "equiv-eps-sqrt-half": ["equiv", "--q1", "1,0,1", "--c1", "0",
                             "--q2", "1,0,4", "--c2", "0"],
-    # mu = sqrt(-1/4) and eps = -1 + 2*sqrt(-1/4), both irrational
+    # mu = sqrt(-1/4) and eps = 1 - 2*sqrt(-1/4), both irrational
     "equiv-mu-imaginary": ["equiv", "--q1", "1,0,1", "--c1", "0",
                            "--q2", "1,0,-1/4", "--c2", "0"],
     "equiv-not-decidable": ["equiv", "--q1", "0,1,0,1", "--c1", "0",
                             "--q2", "0,1,0,3", "--c2", "0"],
     "equiv-not-equivalent": ["equiv", "--q1", "-1,1", "--c1", "1",
                              "--q2", "-2,1", "--c2", "1"],
+    # a cube root test on an integer far above the float range
+    "equiv-huge-cube": ["equiv", "--q1", "1,0,0,1", "--c1", "0",
+                        "--q2", "1,0,0,%d" % 10 ** 400, "--c2", "0"],
     "equiv-bad-level": ["equiv", "--q1", "-1,1", "--c1", "1",
                         "--q2", "-2,1", "--c2", "x"],
 }

@@ -8,6 +8,7 @@ from conftest import spec_corpus
 
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.errors import DimensionMismatch
+from stably_distinct.exactfield import quadext
 from stably_distinct.hypersurface import (IsoClass, PqSpec, build_Pq,
                                           classify, constant_fiber_spec,
                                           fiber_isomorphism, isomorphic,
@@ -31,6 +32,10 @@ class TestPqSpec:
         again = PqSpec.from_json(spec.to_json())
         assert again == spec
         assert spec.to_json() == again.to_json()
+        surd = PqSpec(1, [quadext(0, 1, 2), 1], c=1)
+        again = PqSpec.from_json(surd.to_json())
+        assert again == surd
+        assert surd.to_json() == again.to_json()
 
 
 class TestBuildPq:

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_polynomial
 
 from stably_distinct.errors import SignatureMismatch, UnknownVariable
+from stably_distinct.exactfield import quadext
 from stably_distinct.morphisms import Derivation, RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       parse_polynomial)
@@ -114,6 +115,10 @@ class TestEndomorphism:
                                  "w": parse_polynomial(s, "w - x1*x2")})
         again = RingEndomorphism.from_json(e.to_json())
         assert again == e and again.sig == s
+        surd = RingEndomorphism(s, {"z": Polynomial.variable(s, "z")
+                                    * quadext(1, 1, 2)})
+        again = RingEndomorphism.from_json(surd.to_json())
+        assert again == surd and again.to_json() == surd.to_json()
 
     def test_json_roundtrip_is_deterministic(self):
         s = sig1()
@@ -163,6 +168,10 @@ class TestDerivation:
                            "y": parse_polynomial(s, "-2*z")})
         again = Derivation.from_json(d.to_json())
         assert again == d
+        surd = Derivation(s, {"y": Polynomial.variable(s, "z")
+                              * quadext(0, -3, 2)})
+        again = Derivation.from_json(surd.to_json())
+        assert again == surd and again.to_json() == surd.to_json()
 
     def test_signature_guard(self):
         d = Derivation(sig1(), {"z": 1})
