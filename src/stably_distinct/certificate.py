@@ -19,41 +19,14 @@ import json
 import random
 from typing import Callable, Sequence
 
-from fractions import Fraction
-
 from .errors import VerificationFailed
-from .polyring import Polynomial
+from .polyring import Polynomial, random_point
 
 SzFn = Callable[[random.Random, int, int], tuple[bool, str]]
 
 
 def _point_text(point) -> str:
     return ", ".join(f"{name}={value}" for name, value in point.items())
-
-
-def random_point(sig, rng: random.Random, bound: int = 10 ** 4) -> dict:
-    """A random integer-valued rational point, one value per generator.
-
-    Integer values keep the exact arithmetic cheap on high-degree
-    identities (no denominator bookkeeping) while the sample set stays
-    large: a nonzero polynomial of total degree d vanishes on at most a
-    d/(2*bound+1) share of each coordinate line.
-    """
-    return {name: Fraction(rng.randint(-bound, bound))
-            for name in sig.names}
-
-
-def pair_sz(lhs: Polynomial, rhs: Polynomial) -> SzFn:
-    """Numeric check that lhs and rhs agree at random rational points."""
-
-    def run(rng: random.Random, points: int, bound: int) -> tuple[bool, str]:
-        for _ in range(points):
-            pt = random_point(lhs.sig, rng, bound)
-            if lhs.evaluate(pt) != rhs.evaluate(pt):
-                return False, f"mismatch at {_point_text(pt)}"
-        return True, f"agreed at {points} random points"
-
-    return run
 
 
 def composition_sz(maps: Sequence, source: Polynomial,
@@ -63,14 +36,15 @@ def composition_sz(maps: Sequence, source: Polynomial,
     ``maps`` is given in ring-composition order: ``[f, g]`` means the map
     sending p to f(g(p)).  A random point is pushed through the generator
     images of f, then of g; ``source`` evaluated at the transported point
-    must equal ``expected`` at the original point.  Only the stored
-    generator images are ever evaluated, never a symbolic composite, so
-    this stays cheap even when the expanded composite would be enormous.
+    must equal ``expected`` at the original point; with no maps the two
+    are compared at the same point.  Only the stored generator images are
+    ever evaluated, never a symbolic composite, so this stays cheap even
+    when the expanded composite would be enormous.
     """
     maps = list(maps)
 
     def run(rng: random.Random, points: int, bound: int) -> tuple[bool, str]:
-        sig = maps[0].sig
+        sig = source.sig
         for _ in range(points):
             pt = random_point(sig, rng, bound)
             cur = dict(pt)
@@ -124,13 +98,9 @@ class Certificate:
     def record(self, name: str, lhs: Polynomial,
                rhs: Polynomial | None = None) -> CheckResult:
         """Check that lhs equals rhs (or is zero) as a polynomial."""
-        residual = lhs if rhs is None else lhs - rhs
-        check = CheckResult(
-            name, residual.is_zero(), residual=str(residual),
-            sz_fn=pair_sz(lhs, Polynomial.zero(lhs.sig) if rhs is None
-                          else rhs))
-        self.checks.append(check)
-        return check
+        if rhs is None:
+            rhs = Polynomial.zero(lhs.sig)
+        return self.record_composition(name, [], lhs, lhs, rhs)
 
     def record_bool(self, name: str, ok: bool,
                     details: str = "") -> CheckResult:

@@ -29,8 +29,8 @@ from fractions import Fraction
 from .certificate import Certificate
 from .errors import (DimensionMismatch, InvalidWitness, NotASquare,
                      NotDecidableInField)
-from .exactfield import (QuadExt, quadext, rational, rational_nth_root,
-                         sqrt_in_field)
+from .exactfield import (QuadExt, as_scalar, quadext, rational,
+                         rational_nth_root, sqrt_in_field)
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
@@ -51,6 +51,7 @@ class PolyEquivWitness:
     __slots__ = ("lam",)
 
     def __init__(self, lam):
+        lam = as_scalar(lam)
         if not lam:
             raise InvalidWitness("lambda must be nonzero")
         self.lam = lam
@@ -88,11 +89,9 @@ def build_poly_equiv_automorphism(witness: PolyEquivWitness, n: int,
     """
     sig = RingSignature(n, has_w=has_w)
     lam = witness.lam
-    inv_sq = 1 / (lam * lam) if isinstance(lam, QuadExt) \
-        else Fraction(1) / (lam * lam)
     return RingEndomorphism(sig, {
         "x1": Polynomial.variable(sig, "x1") * lam,
-        "y": Polynomial.variable(sig, "y") * inv_sq,
+        "y": Polynomial.variable(sig, "y") * (1 / (lam * lam)),
     })
 
 
@@ -107,6 +106,7 @@ class HyperEquivWitness:
     __slots__ = ("lam", "mu", "eps")
 
     def __init__(self, lam, mu, eps):
+        lam, mu, eps = as_scalar(lam), as_scalar(mu), as_scalar(eps)
         if not lam or not mu:
             raise InvalidWitness("lambda and mu must be nonzero")
         if eps * eps * mu != 1:
@@ -125,12 +125,6 @@ class HyperEquivWitness:
                 "epsilon": str(self.eps)}
 
 
-def _invert_scalar(value):
-    if isinstance(value, QuadExt):
-        return value.inverse()
-    return Fraction(1) / value
-
-
 def _sqrt_allowing_one_extension(value):
     """Square root of value in its own field, extending Q at most once."""
     if isinstance(value, QuadExt):
@@ -147,8 +141,7 @@ def _sqrt_allowing_one_extension(value):
 
 
 def _attach_eps(lam, mu) -> HyperEquivWitness:
-    return HyperEquivWitness(lam, mu, _sqrt_allowing_one_extension(
-        _invert_scalar(mu)))
+    return HyperEquivWitness(lam, mu, _sqrt_allowing_one_extension(1 / mu))
 
 
 def _relations_hold(q1: UnivariatePoly, q2: UnivariatePoly, lam, mu) -> bool:
@@ -298,9 +291,8 @@ def build_hyper_equiv_automorphism(witness: HyperEquivWitness,
     lam, mu, eps = witness.lam, witness.mu, witness.eps
     return RingEndomorphism(sig, {
         "x1": Polynomial.variable(sig, "x1") * (lam * mu),
-        "y": Polynomial.variable(sig, "y")
-        * _invert_scalar(lam * lam * mu),
-        "z": Polynomial.variable(sig, "z") * _invert_scalar(eps),
+        "y": Polynomial.variable(sig, "y") * (1 / (lam * lam * mu)),
+        "z": Polynomial.variable(sig, "z") * (1 / eps),
     })
 
 
@@ -654,7 +646,7 @@ def theorem_certificate(n: int, k_max: int, c_samples=None) -> Certificate:
 
     scale = build_poly_equiv_automorphism(link, n, has_w=True)
     scale_back = build_poly_equiv_automorphism(
-        PolyEquivWitness(_invert_scalar(link.lam)), n, has_w=True)
+        PolyEquivWitness(1 / link.lam), n, has_w=True)
 
     chain = pair_b.psi.compose(scale).compose(pair_a.phi)
     chain_back = pair_a.psi.compose(scale_back).compose(pair_b.phi)

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
 from .errors import NonzeroConstantTerm, SignatureMismatch
-from .exactfield import as_scalar
 from .polyring import Polynomial, RingSignature, x_power_bracket
 
 
@@ -54,8 +53,7 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, sig: RingSignature, order: int,
                  value) -> "TruncatedSeries":
-        value = as_scalar(value)
-        return cls(sig, order, {(0,) * sig.nvars: value} if value else {})
+        return cls.from_polynomial(Polynomial.constant(sig, value), order)
 
     @classmethod
     def from_polynomial(cls, p: Polynomial,
@@ -102,51 +100,37 @@ class TruncatedSeries:
                 f"series truncation orders differ: {self.order} vs "
                 f"{other.order}")
 
-    def _coerce(self, other):
+    def _lift(self, other) -> Polynomial:
+        """A series, polynomial or scalar operand as a polynomial."""
         if isinstance(other, TruncatedSeries):
             self._require_compatible(other)
-            return other
+            return Polynomial(other.sig, other.terms)
         if isinstance(other, Polynomial):
             if other.sig != self.sig:
                 raise SignatureMismatch(
                     "polynomial signature differs from series signature")
-            return TruncatedSeries.from_polynomial(other, self.order)
-        return TruncatedSeries.constant(self.sig, self.order, other)
+            return other
+        return Polynomial.constant(self.sig, other)
+
+    def _capped(self, p: Polynomial) -> "TruncatedSeries":
+        return TruncatedSeries(self.sig, self.order, p.terms)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return TruncatedSeries(self.sig, self.order, terms)
+        return self._capped(self.to_polynomial() + self._lift(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.sig, self.order,
-                               {e: -c for e, c in self.terms.items()})
+        return self._capped(-self.to_polynomial())
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._capped(self.to_polynomial() - self._lift(other))
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._capped(self._lift(other) - self.to_polynomial())
 
     def __mul__(self, other):
-        if isinstance(other, (TruncatedSeries, Polynomial)):
-            other = self._coerce(other)
-            out: dict = {}
-            for e1, c1 in self.terms.items():
-                d1 = _x_degree(self.sig, e1)
-                for e2, c2 in other.terms.items():
-                    if d1 + _x_degree(self.sig, e2) > self.order:
-                        continue
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return TruncatedSeries(self.sig, self.order, out)
-        scalar = as_scalar(other)
-        return TruncatedSeries(self.sig, self.order,
-                               {e: c * scalar for e, c in self.terms.items()})
+        return self._capped(self.to_polynomial() * self._lift(other))
 
     __rmul__ = __mul__
 
@@ -235,6 +219,28 @@ def _record_series(cert: Certificate, name: str, lhs: TruncatedSeries,
     return check
 
 
+def _series_generators(sig: RingSignature, order: int):
+    """y, z and u = x^[1] as series truncated at ``order``."""
+    return tuple(TruncatedSeries.from_polynomial(p, order) for p in (
+        Polynomial.variable(sig, "y"), Polynomial.variable(sig, "z"),
+        x_power_bracket(sig, 1)))
+
+
+def _coordinate_change(sig: RingSignature,
+                       order: int) -> dict[str, TruncatedSeries]:
+    """The series of the coordinate change y -> E*y - T, z -> gamma*z.
+
+    E = exp(-u) is the y-scaling, gamma = exp(-u/2) the z-scaling and T
+    the degree-two tail, all truncated at ``order``.
+    """
+    y, z, u = _series_generators(sig, order)
+    e_fwd = exp_series(-u, order)
+    gamma_fwd = exp_series(u * Fraction(-1, 2), order)
+    tail = second_tail_series(u, order)
+    return {"y-scaling": e_fwd, "z-scaling": gamma_fwd, "tail": tail,
+            "y-image": e_fwd * y - tail, "z-image": gamma_fwd * z}
+
+
 def verify_biholomorphism(n: int, order: int) -> Certificate:
     """Certify the exponential coordinate change order by order.
 
@@ -254,23 +260,15 @@ def verify_biholomorphism(n: int, order: int) -> Certificate:
             f"order must be at least 2 to see the first corrections, "
             f"got {order}")
     sig = RingSignature(n)
-    u_poly = x_power_bracket(sig, 1)
-    y = TruncatedSeries.from_polynomial(
-        Polynomial.variable(sig, "y"), order)
-    z = TruncatedSeries.from_polynomial(
-        Polynomial.variable(sig, "z"), order)
-    u = TruncatedSeries.from_polynomial(u_poly, order)
+    y, z, u = _series_generators(sig, order)
     s2 = TruncatedSeries.from_polynomial(x_power_bracket(sig, 2), order)
     one = TruncatedSeries.constant(sig, order, 1)
 
-    e_fwd = exp_series(-u, order)
+    change = _coordinate_change(sig, order)
+    e_fwd, gamma_fwd = change["y-scaling"], change["z-scaling"]
+    tail, psi_y, psi_z = change["tail"], change["y-image"], change["z-image"]
     e_bwd = exp_series(u, order)
-    gamma_fwd = exp_series(u * Fraction(-1, 2), order)
     gamma_bwd = exp_series(u * Fraction(1, 2), order)
-    tail = second_tail_series(u, order)
-
-    psi_y = e_fwd * y - tail
-    psi_z = gamma_fwd * z
 
     cert = Certificate(
         "an exponential (non-polynomial) change of coordinates carries "
@@ -309,26 +307,8 @@ def truncation_coherence(n: int, high_order: int,
             f"need 2 <= low < high, got low={low_order} "
             f"high={high_order}")
     sig = RingSignature(n)
-    u_poly = x_power_bracket(sig, 1)
-    y_poly = Polynomial.variable(sig, "y")
-    z_poly = Polynomial.variable(sig, "z")
-
-    def build(order: int) -> dict[str, TruncatedSeries]:
-        u = TruncatedSeries.from_polynomial(u_poly, order)
-        y = TruncatedSeries.from_polynomial(y_poly, order)
-        z = TruncatedSeries.from_polynomial(z_poly, order)
-        e_fwd = exp_series(-u, order)
-        tail = second_tail_series(u, order)
-        return {
-            "y-scaling": e_fwd,
-            "z-scaling": exp_series(u * Fraction(-1, 2), order),
-            "tail": tail,
-            "y-image": e_fwd * y - tail,
-            "z-image": exp_series(u * Fraction(-1, 2), order) * z,
-        }
-
-    high = build(high_order)
-    low = build(low_order)
+    high = _coordinate_change(sig, high_order)
+    low = _coordinate_change(sig, low_order)
     cert = Certificate(
         "coefficients of the exponential coordinate change are stable "
         "under truncation-order refinement",

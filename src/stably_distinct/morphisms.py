@@ -50,35 +50,87 @@ def _infer_signature(keys) -> RingSignature:
     return sig
 
 
-class RingEndomorphism:
-    """A ring map determined by where it sends each generator."""
+class _GeneratorMap:
+    """A map of the ring stored by its images on the generators.
+
+    Generators without a stored image take the class's default image:
+    themselves for an endomorphism, zero for a derivation.
+    """
 
     __slots__ = ("sig", "images")
+    _unmoved = ""
 
     def __init__(self, sig: RingSignature,
                  images: Mapping[str, PolyLike] | None = None):
         self.sig = sig
         self.images = _normalize_images(sig, images or {})
 
-    @classmethod
-    def identity(cls, sig: RingSignature) -> "RingEndomorphism":
-        return cls(sig)
+    def _default_image(self, name: str) -> Polynomial:
+        raise NotImplementedError
 
     def image(self, name: str) -> Polynomial:
         got = self.images.get(name)
         if got is None:
             self.sig.index(name)
-            return Polynomial.variable(self.sig, name)
+            return self._default_image(name)
         return got
 
-    def apply(self, p: Polynomial) -> Polynomial:
+    def _check_argument(self, p: Polynomial) -> None:
         if p.sig != self.sig:
             raise SignatureMismatch(
                 f"argument lives in {p.sig.names}, expected {self.sig.names}")
-        return p.substitute(self.images)
 
     def __call__(self, p: Polynomial) -> Polynomial:
         return self.apply(p)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.sig == other.sig and all(
+            self.image(name) == other.image(name) for name in self.sig.names)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def to_dict(self) -> dict[str, str]:
+        return {name: str(self.image(name)) for name in self.sig.names}
+
+    def to_json(self, **kwargs) -> str:
+        kwargs.setdefault("sort_keys", True)
+        return json.dumps(self.to_dict(), **kwargs)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, str]):
+        sig = _infer_signature(data.keys())
+        images = {name: parse_polynomial(sig, text)
+                  for name, text in data.items()}
+        return cls(sig, images)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+    def __repr__(self) -> str:
+        moved = {name: str(img) for name, img in self.images.items()
+                 if img != self._default_image(name)}
+        return f"{type(self).__name__}({moved or self._unmoved})"
+
+
+class RingEndomorphism(_GeneratorMap):
+    """A ring map determined by where it sends each generator."""
+
+    __slots__ = ()
+    _unmoved = "identity"
+
+    def _default_image(self, name: str) -> Polynomial:
+        return Polynomial.variable(self.sig, name)
+
+    @classmethod
+    def identity(cls, sig: RingSignature) -> "RingEndomorphism":
+        return cls(sig)
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        self._check_argument(p)
+        return p.substitute(self.images)
 
     def compose(self, other: "RingEndomorphism") -> "RingEndomorphism":
         """Return self after other: the map sending v to self(other(v))."""
@@ -92,63 +144,22 @@ class RingEndomorphism:
         return all(self.image(name) == Polynomial.variable(self.sig, name)
                    for name in self.sig.names)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RingEndomorphism):
-            return NotImplemented
-        return self.sig == other.sig and all(
-            self.image(name) == other.image(name) for name in self.sig.names)
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def to_dict(self) -> dict[str, str]:
-        return {name: str(self.image(name)) for name in self.sig.names}
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, str]) -> "RingEndomorphism":
-        sig = _infer_signature(data.keys())
-        images = {name: parse_polynomial(sig, text)
-                  for name, text in data.items()}
-        return cls(sig, images)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RingEndomorphism":
-        return cls.from_dict(json.loads(text))
-
-    def __repr__(self) -> str:
-        moved = {name: str(img) for name, img in self.images.items()
-                 if img != Polynomial.variable(self.sig, name)}
-        return f"RingEndomorphism({moved or 'identity'})"
-
-
-class Derivation:
+class Derivation(_GeneratorMap):
     """A derivation determined by its values on the generators.
 
     Extended to arbitrary polynomials by linearity and the Leibniz rule:
     delta(p) = sum over generators v of (dp/dv) * delta(v).
     """
 
-    __slots__ = ("sig", "images")
+    __slots__ = ()
+    _unmoved = "zero"
 
-    def __init__(self, sig: RingSignature,
-                 images: Mapping[str, PolyLike] | None = None):
-        self.sig = sig
-        self.images = _normalize_images(sig, images or {})
-
-    def image(self, name: str) -> Polynomial:
-        got = self.images.get(name)
-        if got is None:
-            self.sig.index(name)
-            return Polynomial.zero(self.sig)
-        return got
+    def _default_image(self, name: str) -> Polynomial:
+        return Polynomial.zero(self.sig)
 
     def apply(self, p: Polynomial) -> Polynomial:
-        if p.sig != self.sig:
-            raise SignatureMismatch(
-                f"argument lives in {p.sig.names}, expected {self.sig.names}")
+        self._check_argument(p)
         total = Polynomial.zero(self.sig)
         for name, value in self.images.items():
             if value.is_zero():
@@ -156,39 +167,5 @@ class Derivation:
             total = total + p.partial_derivative(name) * value
         return total
 
-    def __call__(self, p: Polynomial) -> Polynomial:
-        return self.apply(p)
-
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.images.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.sig == other.sig and all(
-            self.image(name) == other.image(name) for name in self.sig.names)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def to_dict(self) -> dict[str, str]:
-        return {name: str(self.image(name)) for name in self.sig.names}
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, str]) -> "Derivation":
-        sig = _infer_signature(data.keys())
-        images = {name: parse_polynomial(sig, text)
-                  for name, text in data.items()}
-        return cls(sig, images)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Derivation":
-        return cls.from_dict(json.loads(text))
-
-    def __repr__(self) -> str:
-        moved = {name: str(img) for name, img in self.images.items()
-                 if not img.is_zero()}
-        return f"Derivation({moved or 'zero'})"

@@ -230,8 +230,7 @@ class Polynomial:
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
         if isinstance(scalar, (Fraction, QuadExt)):
-            return self * (1 / scalar if isinstance(scalar, Fraction)
-                           else scalar ** -1)
+            return self * (1 / scalar)
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -465,7 +464,7 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
         qexps = tuple(a - b for a, b in zip(exps, lead_exps))
         if any(e < 0 for e in qexps):
             raise NotDivisible("remainder has leading term %s"
-                               % _monomial_text(p.sig, exps, coeff))
+                               % _monomial_text(p.sig.names, exps, coeff))
         qcoeff = coeff / lead_coeff
         quotient[qexps] = qcoeff
         _sub_into(remaining, _mul_terms({qexps: qcoeff}, d.terms))
@@ -506,22 +505,16 @@ def rewrite_single_rule(p: Polynomial, lhs_exps, rhs: Polynomial):
 
 # -- random evaluation (Schwartz-Zippel support) --------------------------
 
-def random_rational(rng, bound: int = 10 ** 4) -> Fraction:
-    """Random rational with numerator and denominator bounded by ``bound``."""
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
 def random_point(sig: RingSignature, rng, bound: int = 10 ** 4) -> dict:
-    return {name: random_rational(rng, bound) for name in sig.names}
+    """A random integer-valued rational point, one value per generator.
 
-
-def random_evaluate(p: Polynomial, rng, bound: int = 10 ** 4):
-    """Value of p at a fresh random rational point drawn from rng.
-
-    Two polynomials evaluated with identically-seeded generators see the
-    same point, which makes this usable as an identity spot check.
+    Integer values keep the exact arithmetic cheap on high-degree
+    identities (no denominator bookkeeping) while the sample set stays
+    large: a nonzero polynomial of total degree d vanishes on at most a
+    d/(2*bound+1) share of each coordinate line.  Two identically seeded
+    generators draw the same point.
     """
-    return p.evaluate(random_point(p.sig, rng, bound))
+    return {name: Fraction(rng.randint(-bound, bound)) for name in sig.names}
 
 
 # -- canonical text form --------------------------------------------------
@@ -532,9 +525,9 @@ def _coeff_text(coeff) -> str:
     return scalar_to_text(coeff)
 
 
-def _monomial_text(sig, exps, coeff) -> str:
+def _monomial_text(names, exps, coeff) -> str:
     factors = []
-    for name, e in zip(sig.names, exps):
+    for name, e in zip(names, exps):
         if e == 1:
             factors.append(name)
         elif e > 1:
@@ -549,23 +542,25 @@ def _monomial_text(sig, exps, coeff) -> str:
     return "%s*%s" % (_coeff_text(coeff), body)
 
 
+def _signed_sum(names, terms) -> str:
+    """Join (exponents, coefficient) pairs as 'a - b + c'.
+
+    The sign of a negative rational coefficient is pulled out in front of
+    its monomial; coefficients in Q(sqrt(d)) keep theirs in parentheses.
+    """
+    out = []
+    for exps, coeff in terms:
+        negative = isinstance(coeff, Fraction) and coeff < 0
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(_monomial_text(names, exps, -coeff if negative else coeff))
+    return "".join(out) or "0"
+
+
 def poly_to_text(p: Polynomial) -> str:
-    if not p.terms:
-        return "0"
-    pieces = []
-    for exps, coeff in p.sorted_terms():
-        if isinstance(coeff, Fraction) and coeff < 0:
-            sign = "-"
-            body = _monomial_text(p.sig, exps, -coeff)
-        else:
-            sign = "+"
-            body = _monomial_text(p.sig, exps, coeff)
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = [first_body if first_sign == "+" else "-" + first_body]
-    for sign, body in pieces[1:]:
-        out.append(" %s %s" % (sign, body))
-    return "".join(out)
+    return _signed_sum(p.sig.names, p.sorted_terms())
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>x\d+|y|z|w)|"
@@ -607,11 +602,6 @@ class _Parser:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
-
-    def expect_op(self, op):
-        kind, value, pos = self.take()
-        if kind != "op" or value != op:
-            raise ParseError("expected %r" % op, pos)
 
     def parse(self) -> Polynomial:
         terms = {}
@@ -834,29 +824,8 @@ class UnivariatePoly:
         return [scalar_to_text(c) for c in self.coeffs]
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mono = "" if i == 0 else ("t" if i == 1 else "t^%d" % i)
-            if isinstance(c, Fraction) and c < 0:
-                sign, mag = "-", -c
-            else:
-                sign, mag = "+", c
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = "%s*%s" % (_coeff_text(mag), mono)
-            else:
-                body = _coeff_text(mag)
-            pieces.append((sign, body))
-        out = [pieces[0][1] if pieces[0][0] == "+" else "-" + pieces[0][1]]
-        for sign, body in pieces[1:]:
-            out.append(" %s %s" % (sign, body))
-        return "".join(out)
+        terms = [((i,), c) for i, c in enumerate(self.coeffs) if c]
+        return _signed_sum(("t",), terms[::-1])
 
     def __repr__(self):
         return "UnivariatePoly(%s)" % (self.coeffs,)

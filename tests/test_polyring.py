@@ -14,9 +14,8 @@ from stably_distinct.exactfield import quadext
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, difference_quotient,
                                       exact_divide, half_t_quotient,
-                                      parse_polynomial, random_evaluate,
-                                      random_point, rewrite_single_rule,
-                                      x_power_bracket)
+                                      parse_polynomial, random_point,
+                                      rewrite_single_rule, x_power_bracket)
 
 
 def sig1():
@@ -248,8 +247,8 @@ class TestRandomEvaluate:
     def test_same_seed_same_point(self):
         s = sig2()
         p = parse_polynomial(s, "x1*x2*y - z^2")
-        v1 = random_evaluate(p, random.Random(11))
-        v2 = random_evaluate(p, random.Random(11))
+        v1 = p.evaluate(random_point(s, random.Random(11)))
+        v2 = p.evaluate(random_point(s, random.Random(11)))
         assert v1 == v2
 
     def test_point_bounds(self):
@@ -262,8 +261,8 @@ class TestRandomEvaluate:
         lhs = parse_polynomial(s, "x1^2*y + z^2") ** 2
         rhs = parse_polynomial(s, "x1^4*y^2 + 2*x1^2*y*z^2 + z^4")
         for seed in range(5):
-            assert random_evaluate(lhs, random.Random(seed)) == \
-                random_evaluate(rhs, random.Random(seed))
+            assert lhs.evaluate(random_point(s, random.Random(seed))) == \
+                rhs.evaluate(random_point(s, random.Random(seed)))
 
 
 class TestTermLimit:
