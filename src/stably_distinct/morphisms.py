@@ -141,8 +141,7 @@ class RingEndomorphism(_GeneratorMap):
         return RingEndomorphism(self.sig, images)
 
     def is_identity(self) -> bool:
-        return all(self.image(name) == Polynomial.variable(self.sig, name)
-                   for name in self.sig.names)
+        return self == RingEndomorphism.identity(self.sig)
 
 
 class Derivation(_GeneratorMap):
