@@ -29,6 +29,14 @@ CASES = {
     "classify": ["classify", "--n", "2", "--q", "-1,1", "--c", "1"],
     "stable-equiv": ["stable-equiv", "--n", "1", "--q", "1,-2,1",
                      "--show-maps"],
+    # denominators in q put the product kernel on Fraction coefficients
+    "stable-equiv-frac": ["--sz-points", "5", "--seed", "3", "stable-equiv",
+                          "--n", "1", "--q", "1/2,-3,3/4,-1",
+                          "--show-maps"],
+    # a coefficient in Q(sqrt(2)) keeps the generic product path in use
+    "stable-equiv-sqrt2": ["--sz-points", "5", "--seed", "3",
+                           "stable-equiv", "--n", "1",
+                           "--q", "0+1*sqrt(2),1,-1/3", "--show-maps"],
     "fiber-iso": ["fiber-iso", "--n", "2", "--q", "1,-2,1", "--c", "1/2",
                   "--show-maps"],
     "series-check": ["series-check", "--n", "1", "--order", "6",
