@@ -30,6 +30,8 @@ def rational(num, den=1) -> Fraction:
     """Build a Fraction, accepting ints, Fractions or 'p/q' text."""
     if isinstance(num, str):
         return _parse_rational_text(num)
+    if type(num) is Fraction and den == 1:
+        return num  # already canonical; rebuilding costs about 2 us
     return Fraction(num, den)
 
 

@@ -19,6 +19,9 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import add
 
 from .errors import (DivisionByZeroPolynomial, NotDivisible, ParseError,
                      ResourceLimit, SignatureMismatch, UnknownVariable)
@@ -85,6 +88,11 @@ class RingSignature:
 
 def _grlex_key(exps):
     return (sum(exps), exps)
+
+
+def _heap_key(exps):
+    """Key whose ascending order is descending graded-lex order."""
+    return (-sum(exps), tuple(-e for e in exps))
 
 
 def _check_sig(a, b):
@@ -397,11 +405,28 @@ def _sub_into(acc: dict, terms: dict):
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
+    """Term dict of the product, by the path that fits the operands.
+
+    A one-term operand shifts and scales the other side.  All-Fraction
+    operands multiply as integers over one common denominator, with each
+    exponent tuple packed into one int (after Monagan and Pearce, CASC
+    2007).  Anything else (coefficients in Q(sqrt(d))) takes the generic
+    loop.  The term limit counts nonzero terms after each row of the
+    smaller operand on every path.
+    """
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
     limit = term_limit()
+    if len(a) == 1:
+        if len(b) > limit:
+            raise _product_limit(a, b, limit)
+        ((ea, ca),) = a.items()
+        return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+    if all(type(c) is Fraction for c in a.values()) and \
+            all(type(c) is Fraction for c in b.values()):
+        return _mul_fraction_terms(a, b, limit)
     result = {}
     b_items = list(b.items())
     for ea, ca in a.items():
@@ -418,8 +443,53 @@ def _mul_terms(a: dict, b: dict) -> dict:
                 else:
                     del result[key]
         if len(result) > limit:
-            raise ResourceLimit("product exceeded %d terms" % limit)
+            raise _product_limit(a, b, limit)
     return result
+
+
+def _product_limit(a: dict, b: dict, limit: int) -> ResourceLimit:
+    return ResourceLimit("product of %d and %d terms exceeded %d terms"
+                         % (len(a), len(b), limit))
+
+
+def _mul_fraction_terms(a: dict, b: dict, limit: int) -> dict:
+    """Product of two all-Fraction term dicts in packed integer form.
+
+    Each variable gets a bit field wide enough for the largest exponent
+    sum it can reach in the product, so packed exponents add without
+    carrying from one field into the next.
+    """
+    shifts = []
+    masks = []
+    offset = 0
+    for top_a, top_b in zip(map(max, zip(*a)), map(max, zip(*b))):
+        width = (top_a + top_b).bit_length()
+        shifts.append(offset)
+        masks.append((1 << width) - 1)
+        offset += width
+    den_a = lcm(*(c.denominator for c in a.values()))
+    den_b = lcm(*(c.denominator for c in b.values()))
+    packed_b = [(sum(e << s for e, s in zip(exps, shifts)),
+                 c.numerator * (den_b // c.denominator))
+                for exps, c in b.items()]
+    acc = {}
+    get = acc.get
+    for exps, c in a.items():
+        pa = sum(e << s for e, s in zip(exps, shifts))
+        na = c.numerator * (den_a // c.denominator)
+        for pb, nb in packed_b:
+            key = pa + pb
+            acc[key] = get(key, 0) + na * nb
+        if len(acc) > limit:
+            # cancelled terms stay in acc as zeros; only nonzero ones count
+            acc = {key: num for key, num in acc.items() if num}
+            get = acc.get
+            if len(acc) > limit:
+                raise _product_limit(a, b, limit)
+    den = den_a * den_b
+    fields = list(zip(shifts, masks))
+    return {tuple((key >> s) & m for s, m in fields): Fraction(num, den)
+            for key, num in acc.items() if num}
 
 
 def _cached_power(cache: dict, poly: Polynomial, e: int) -> dict:
@@ -450,24 +520,37 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
 
     Single-divisor graded-lex division: on exact multiples the leading
     term is always divisible, so this terminates with zero remainder
-    precisely on multiples.
+    precisely on multiples.  Leading terms come off a heap (after
+    Monagan and Pearce, JSC 2011) instead of a scan of the remainder.
     """
     if d.is_zero():
         raise DivisionByZeroPolynomial("division by zero polynomial")
     _check_sig(p, d)
     lead_exps, lead_coeff = d.leading_term()
     remaining = dict(p.terms)
+    # a min-heap on negated graded-lex keys yields the largest remaining
+    # exponent first; entries whose term has since cancelled are skipped
+    heap = [(_heap_key(exps), exps) for exps in remaining]
+    heapify(heap)
     quotient = {}
-    while remaining:
-        exps = max(remaining, key=_grlex_key)
-        coeff = remaining[exps]
+    while heap:
+        exps = heappop(heap)[1]
+        coeff = remaining.get(exps)
+        if coeff is None:
+            continue
         qexps = tuple(a - b for a, b in zip(exps, lead_exps))
         if any(e < 0 for e in qexps):
             raise NotDivisible("remainder has leading term %s"
                                % _monomial_text(p.sig.names, exps, coeff))
         qcoeff = coeff / lead_coeff
         quotient[qexps] = qcoeff
-        _sub_into(remaining, _mul_terms({qexps: qcoeff}, d.terms))
+        step = _mul_terms({qexps: qcoeff}, d.terms)
+        # every term of step sorts at or below exps, so only the exponents
+        # new to the remainder need a heap entry
+        new = [e for e in step if e not in remaining]
+        _sub_into(remaining, step)
+        for e in new:
+            heappush(heap, (_heap_key(e), e))
     return Polynomial(p.sig, quotient)
 
 
@@ -709,13 +792,14 @@ def parse_polynomial(sig: RingSignature, text: str) -> Polynomial:
 class UnivariatePoly:
     """Dense univariate polynomial q(t), constant coefficient first."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_support")
 
     def __init__(self, coeffs=()):
         cs = [as_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._support = tuple(i for i, c in enumerate(cs) if c)
 
     @classmethod
     def zero(cls):
@@ -750,7 +834,8 @@ class UnivariatePoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
     def support(self):
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
+        """Degrees of the nonzero coefficients, ascending."""
+        return self._support
 
     def __call__(self, value):
         acc = Fraction(0)

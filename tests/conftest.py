@@ -3,6 +3,9 @@
 The dense univariate routines here are an independent reference
 implementation (plain coefficient lists, no library code) used to
 derive expected values for division- and quotient-style operations.
+The sparse reference kernel is the plain term-pair product loop and the
+leading-term-scan division that the library's fast kernel replaced; the
+property tests compare the two.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from stably_distinct.errors import NotDivisible
 from stably_distinct.polyring import Polynomial, RingSignature, UnivariatePoly
 
 
@@ -61,6 +65,53 @@ def dense_eval(a, x):
     for c in reversed(a):
         acc = acc * x + Fraction(c)
     return acc
+
+
+# -- sparse reference kernel on exponent-tuple -> scalar dicts -----------
+
+def reference_mul(a: dict, b: dict) -> dict:
+    """Product of two term dicts, one term pair at a time."""
+    result = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(sum, zip(ea, eb)))
+            s = result.get(key, 0) + ca * cb
+            if s:
+                result[key] = s
+            else:
+                result.pop(key, None)
+    return result
+
+
+def _grlex(exps):
+    return (sum(exps), exps)
+
+
+def reference_divide(sig: RingSignature, p: dict, d: dict) -> dict:
+    """Quotient term dict of p / d by rescanning for each leading term.
+
+    Raises NotDivisible naming the remainder's leading term, in the
+    library's message format, when d does not divide p.
+    """
+    lead = max(d, key=_grlex)
+    remaining = dict(p)
+    quotient = {}
+    while remaining:
+        exps = max(remaining, key=_grlex)
+        coeff = remaining[exps]
+        qexps = tuple(a - b for a, b in zip(exps, lead))
+        if any(e < 0 for e in qexps):
+            raise NotDivisible("remainder has leading term %s"
+                               % Polynomial.monomial(sig, exps, coeff))
+        qcoeff = coeff / d[lead]
+        quotient[qexps] = qcoeff
+        for e, c in reference_mul({qexps: qcoeff}, d).items():
+            s = remaining.get(e, 0) - c
+            if s:
+                remaining[e] = s
+            else:
+                remaining.pop(e, None)
+    return quotient
 
 
 # -- random object builders ----------------------------------------------

@@ -172,7 +172,7 @@ def test_criterion_1_theorem_via_cli(capsys):
         for n in (1, 2, 3):
             code = cli_main(["--format", "json", "--sz-points", "0",
                              "verify-theorem", "--n", str(n),
-                             "--k-max", "3"])
+                             "--k-max", "4"])
             out = capsys.readouterr().out
             assert code == 0
             report = json.loads(out)
@@ -181,7 +181,7 @@ def test_criterion_1_theorem_via_cli(capsys):
                 assert check["pass"] is True
         elapsed = time.time() - start
         assert elapsed < 60, f"theorem runs took {elapsed:.1f}s"
-        box["text"] = (f"verify-theorem n=1,2,3 k-max=3 all exact "
+        box["text"] = (f"verify-theorem n=1,2,3 k-max=4 all exact "
                        f"in {elapsed:.2f}s (budget 60s)")
 
 

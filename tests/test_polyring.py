@@ -193,12 +193,15 @@ class TestExactDivide:
 
     def test_not_divisible(self):
         s = sig1()
-        with pytest.raises(NotDivisible):
+        with pytest.raises(NotDivisible, match="leading term 2$"):
             exact_divide(parse_polynomial(s, "z^2 + 1"),
                          parse_polynomial(s, "z - 1"))
-        with pytest.raises(NotDivisible):
+        with pytest.raises(NotDivisible, match="leading term 1$"):
             exact_divide(parse_polynomial(s, "x1*z + 1"),
                          parse_polynomial(s, "x1"))
+        with pytest.raises(NotDivisible, match=r"leading term -1/2\*z\^3$"):
+            exact_divide(parse_polynomial(s, "x1^2*y - 1/2*z^3"),
+                         parse_polynomial(s, "x1^2"))
 
     def test_zero_divisor(self):
         s = sig1()
@@ -272,6 +275,29 @@ class TestTermLimit:
         p = parse_polynomial(s, "1 + x1 + y + z")
         with pytest.raises(ResourceLimit):
             p ** 4
+
+    def test_limit_counts_nonzero_terms(self, monkeypatch):
+        # the cross terms cancel, so no row leaves more than 2 terms
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "2")
+        s = sig1()
+        p = parse_polynomial(s, "y + z") * parse_polynomial(s, "y - z")
+        assert str(p) == "y^2 - z^2"
+        y = Polynomial.variable(s, "y")
+        z = Polynomial.variable(s, "z") * quadext(0, 1, 2)
+        assert str((y + z) * (y - z)) == "y^2 - 2*z^2"
+
+    @pytest.mark.parametrize("left, right, message", [
+        ("x1", "1 + z + z^2 + z^3", "product of 1 and 4 terms exceeded 3"),
+        ("x1 + y", "1 + z + z^2 + z^3", "product of 2 and 4 terms exceeded 3"),
+        ("x1 + (0+1*sqrt(2))*y", "1 + z + z^2 + z^3",
+         "product of 2 and 4 terms exceeded 3"),
+    ])
+    def test_limit_message_names_operand_sizes(self, monkeypatch, left,
+                                               right, message):
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "3")
+        s = sig1()
+        with pytest.raises(ResourceLimit, match=message):
+            parse_polynomial(s, left) * parse_polynomial(s, right)
 
     def test_default_allows_normal_work(self, monkeypatch):
         monkeypatch.delenv("STABLY_DISTINCT_TERM_LIMIT", raising=False)
