@@ -31,7 +31,7 @@ def rational(num, den=1) -> Fraction:
     if isinstance(num, str):
         return _parse_rational_text(num)
     if type(num) is Fraction and den == 1:
-        return num  # already canonical; rebuilding costs about 2 us
+        return num  # already canonical; Fraction(num) would rebuild it
     return Fraction(num, den)
 
 

@@ -57,14 +57,17 @@ def outcome(divide):
 
 
 class TestProductMatchesReference:
+    @settings(deadline=None)
     @given(term_dicts(rationals), term_dicts(rationals))
     def test_rational_coefficients(self, a, b):
         assert_product(a, b)
 
+    @settings(deadline=None)
     @given(term_dicts(sqrt2_scalars), term_dicts(sqrt2_scalars))
     def test_sqrt2_coefficients(self, a, b):
         assert_product(a, b)
 
+    @settings(deadline=None)
     @given(term_dicts(sqrt2_scalars, 1, 1), term_dicts(sqrt2_scalars))
     def test_one_term_operand(self, a, b):
         assert_product(a, b)
@@ -72,6 +75,7 @@ class TestProductMatchesReference:
 
     @pytest.mark.parametrize("coeffs", [rationals, sqrt2_scalars],
                              ids=["rational", "sqrt2"])
+    @settings(deadline=None)
     @given(data=st.data())
     def test_cancelling_product(self, coeffs, data):
         a = data.draw(term_dicts(coeffs))
