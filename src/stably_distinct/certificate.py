@@ -6,31 +6,232 @@ either passed or failed with the exact (symbolic) residual recorded.  Nothing
 is rounded: a check passes only when its residual is identically zero.
 
 Checks built from a pair of polynomials also carry an optional numeric
-re-verification hook: the same identity evaluated at random rational points
-through plain scalar arithmetic, independent of the symbolic equality code
-path.  For composed ring maps the hook pushes the random point through the
-generator images of each map in turn, so the identity can be confirmed
-numerically even when the fully expanded composite would be enormous.
+re-verification hook: the same identity evaluated at random points modulo a
+prime p (2^61 - 1 unless p divides a coefficient's denominator), independent
+of the symbolic equality code path.  For composed ring maps the hook pushes
+the random point through the generator images of each map in turn, so the
+identity can be confirmed numerically even when the fully expanded composite
+would be enormous.  Coefficients in Q(sqrt(d)) map to F_p[s]/(s^2 - d) while
+the points stay in F_p.
+
+By Schwartz (1980) and Zippel (1979), a residual of total degree deg whose
+image mod p is nonzero vanishes at a uniform point of F_p with probability
+at most deg/p, about 2^-54 per point for the degrees met here.  A residual
+all of whose coefficients are divisible by p maps to zero and would pass
+every point; the exact symbolic check, which decides every verdict, rules
+that case out.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Callable, Sequence
+from math import prod
+from typing import Sequence
 
-from .errors import VerificationFailed
+from .errors import MixedDiscriminant, StablyDistinctError, VerificationFailed
+from .exactfield import QuadExt
 from .polyring import Polynomial, random_point
 
-SzFn = Callable[[random.Random, int, int], tuple[bool, str]]
+# 2^61 - 1 first; each later one is the largest prime below its power of two,
+# taken only when every earlier one divides some coefficient's denominator
+MODULI = (2 ** 61 - 1, 2 ** 62 - 57, 2 ** 63 - 25, 2 ** 64 - 59)
+
+_getitem = list.__getitem__
+
+
+class _BadModulus(Exception):
+    """The modulus divides a denominator, so the residue map is undefined."""
 
 
 def _point_text(point) -> str:
     return ", ".join(f"{name}={value}" for name, value in point.items())
 
 
+def _residue(value, p: int, inverses: dict):
+    """value mod p: an int, or an (a, b) pair for a + b*s in F_p[s]/(s^2 - d)."""
+    if isinstance(value, QuadExt):
+        return (_residue(value.a, p, inverses),
+                _residue(value.b, p, inverses))
+    den = value.denominator
+    inv = inverses.get(den)
+    if inv is None:
+        if den % p == 0:
+            raise _BadModulus
+        inv = inverses[den] = pow(den, -1, p)
+    return value.numerator * inv % p
+
+
+class _Residues:
+    """A polynomial's terms with coefficients reduced mod p, its degree in
+    each variable, and the discriminant d of its Q(sqrt(d)) coefficients
+    (with d mod p), or None for both when every coefficient is rational."""
+
+    __slots__ = ("terms", "degrees", "d", "d_mod")
+
+    def __init__(self, terms, degrees, d, d_mod):
+        self.terms = terms
+        self.degrees = degrees
+        self.d = d
+        self.d_mod = d_mod
+
+
+def _residue_table(poly: Polynomial, p: int, inverses: dict) -> _Residues:
+    d = d_mod = None
+    terms = []
+    for exps, coeff in poly.terms.items():
+        if isinstance(coeff, QuadExt) and coeff.d != d:
+            if d is not None:
+                raise MixedDiscriminant(
+                    "cannot mix sqrt(%s) with sqrt(%s)" % (d, coeff.d))
+            d, d_mod = coeff.d, _residue(coeff.d, p, inverses)
+        terms.append((_residue(coeff, p, inverses), exps))
+    degrees = [max(column) for column in zip(*poly.terms)]
+    return _Residues(terms, degrees, d, d_mod)
+
+
+def _powers(values: list, degrees: list, p: int, d_mod) -> list:
+    """For each variable, the powers 0..degree of its value."""
+    out = []
+    for v, top in zip(values, degrees):
+        if d_mod is None:
+            pw = [1, v]
+            for _ in range(top - 1):
+                pw.append(pw[-1] * v % p)
+        else:
+            x, y = v
+            pw = [(1, 0), v]
+            for _ in range(top - 1):
+                a, b = pw[-1]
+                pw.append(((a * x + d_mod * b * y) % p, (a * y + b * x) % p))
+        out.append(pw)
+    return out
+
+
+def _evaluate_mod(table: _Residues, values: list, p: int, d_mod=None):
+    """The table's polynomial at ``values``: ints in F_p, or (a, b) pairs
+    in F_p[s]/(s^2 - d) when ``d_mod`` (d mod p) is given."""
+    powers = _powers(values, table.degrees, p, d_mod)
+    if d_mod is None:
+        return sum(prod(map(_getitem, powers, exps), start=c)
+                   for c, exps in table.terms) % p
+    total_a = total_b = 0
+    for c, exps in table.terms:
+        a, b = (c, 0) if type(c) is int else c
+        for pw, e in zip(powers, exps):
+            if e:
+                x, y = pw[e]
+                a, b = (a * x + d_mod * b * y) % p, (a * y + b * x) % p
+        total_a += a
+        total_b += b
+    return total_a % p, total_b % p
+
+
+class _Recheck:
+    """What one call of the numeric re-check shares between its checks.
+
+    The residue table of every polynomial the hooks evaluate is built once,
+    modulo the first prime in ``MODULI`` that divides no denominator.  One
+    set of points is drawn per ring signature, and each point is pushed
+    through each prefix of a map chain once, keyed by the map objects and
+    the point's index, so checks that share a chain share that work.  All
+    of it goes when the object does, at the end of the call.
+    """
+
+    def __init__(self, hooks: Sequence["_CompositionSz"],
+                 rng: random.Random, points: int):
+        self.rng = rng
+        self.points = points
+        for p in MODULI:
+            try:
+                self._reduce(hooks, p)
+            except _BadModulus:
+                continue
+            break
+        else:
+            raise StablyDistinctError(
+                "every re-check modulus divides a coefficient denominator")
+        self.samples: dict = {}
+        self.moved: dict = {}
+
+    def _reduce(self, hooks, p: int) -> None:
+        inverses: dict = {}
+        # keyed by id; each value keeps its object alive, so ids stay unique
+        self.tables: dict = {}
+        self.images: dict = {}
+        self.p = p
+        for hook in hooks:
+            for m in hook.maps:
+                if id(m) not in self.images:
+                    self.images[id(m)] = (m, [
+                        self._table(m.image(name), inverses)
+                        for name in m.sig.names])
+            self._table(hook.source, inverses)
+            self._table(hook.expected, inverses)
+
+    def _table(self, poly: Polynomial, inverses=None) -> _Residues:
+        got = self.tables.get(id(poly))
+        if got is None:
+            got = self.tables[id(poly)] = (
+                poly, _residue_table(poly, self.p, inverses))
+        return got[1]
+
+    def _moved(self, sig, maps: tuple, index: int, d_mod) -> list:
+        """The values at sample ``index`` pushed through ``maps``."""
+        key = (sig, d_mod, tuple(map(id, maps)), index)
+        got = self.moved.get(key)
+        if got is None:
+            if maps:
+                before = self._moved(sig, maps[:-1], index, d_mod)
+                got = [_evaluate_mod(t, before, self.p, d_mod)
+                       for t in self.images[id(maps[-1])][1]]
+            else:
+                got = list(self.samples[sig][index].values())
+                if d_mod is not None:
+                    got = [(v, 0) for v in got]
+            self.moved[key] = got
+        return got
+
+    def run(self, hook: "_CompositionSz") -> tuple[bool, str]:
+        source = self._table(hook.source)
+        expected = self._table(hook.expected)
+        maps = tuple(hook.maps)
+        tables = [source, expected] + [t for m in maps
+                                       for t in self.images[id(m)][1]]
+        found = {(t.d, t.d_mod) for t in tables if t.d is not None}
+        if len(found) > 1:
+            raise MixedDiscriminant("cannot mix %s" % " with ".join(
+                "sqrt(%s)" % d for d, _ in found))
+        d_mod = found.pop()[1] if found else None
+        sig = hook.source.sig
+        if sig not in self.samples:
+            self.samples[sig] = [random_point(sig, self.rng, self.p)
+                                 for _ in range(self.points)]
+        for index, point in enumerate(self.samples[sig]):
+            if _evaluate_mod(source, self._moved(sig, maps, index, d_mod),
+                             self.p, d_mod) != \
+                    _evaluate_mod(expected, self._moved(sig, (), index, d_mod),
+                                  self.p, d_mod):
+                return False, f"mismatch at {_point_text(point)}"
+        return True, f"agreed at {self.points} random points"
+
+
+class _CompositionSz:
+    """The re-check hook built by :func:`composition_sz`."""
+
+    __slots__ = ("maps", "source", "expected")
+
+    def __init__(self, maps, source, expected):
+        self.maps = list(maps)
+        self.source = source
+        self.expected = expected
+
+    def __call__(self, rng: random.Random, points: int) -> tuple[bool, str]:
+        return _Recheck([self], rng, points).run(self)
+
+
 def composition_sz(maps: Sequence, source: Polynomial,
-                   expected: Polynomial) -> SzFn:
+                   expected: Polynomial) -> _CompositionSz:
     """Numeric check of a composite ring map applied to one polynomial.
 
     ``maps`` is given in ring-composition order: ``[f, g]`` means the map
@@ -39,23 +240,12 @@ def composition_sz(maps: Sequence, source: Polynomial,
     must equal ``expected`` at the original point; with no maps the two
     are compared at the same point.  Only the stored generator images are
     ever evaluated, never a symbolic composite, so this stays cheap even
-    when the expanded composite would be enormous.
+    when the expanded composite would be enormous.  The hook runs as
+    ``hook(rng, points)``, giving ``(ok, details)``, or inside
+    :func:`run_schwartz_zippel`, which shares points and transport
+    between the hooks of one certificate.
     """
-    maps = list(maps)
-
-    def run(rng: random.Random, points: int, bound: int) -> tuple[bool, str]:
-        sig = source.sig
-        for _ in range(points):
-            pt = random_point(sig, rng, bound)
-            cur = dict(pt)
-            for m in maps:
-                cur = {name: m.image(name).evaluate(cur)
-                       for name in sig.names}
-            if source.evaluate(cur) != expected.evaluate(pt):
-                return False, f"mismatch at {_point_text(pt)}"
-        return True, f"agreed at {points} random points"
-
-    return run
+    return _CompositionSz(maps, source, expected)
 
 
 class CheckResult:
@@ -64,7 +254,7 @@ class CheckResult:
     __slots__ = ("name", "passed", "residual", "details", "sz_fn")
 
     def __init__(self, name: str, passed: bool, residual: str = "0",
-                 details: str = "", sz_fn: SzFn | None = None):
+                 details: str = "", sz_fn: _CompositionSz | None = None):
         self.name = name
         self.passed = passed
         self.residual = residual
@@ -193,25 +383,30 @@ class Certificate:
 
 
 def run_schwartz_zippel(cert: Certificate, rng: random.Random,
-                        points: int = 100, bound: int = 10 ** 4) -> int:
+                        points: int = 100) -> int:
     """Append a numeric re-check for every check that carries one.
 
     Each eligible check gains a sibling named ``<name>/sz`` that evaluates
-    the same identity at ``points`` random integer-valued rational points
-    with absolute value bounded by ``bound``.  Returns the number of
-    checks added.  A nonzero polynomial of total degree d vanishes at a fraction
-    of points that shrinks with d over a large sample space, so agreement
-    at many independent points gives strong, independent evidence that the
-    symbolic comparison was not spuriously reported.
+    the same identity at ``points`` points drawn uniformly from F_p, with
+    p = 2^61 - 1 unless p divides a coefficient's denominator (then the
+    next prime in ``MODULI``).  Returns the number of checks added.  A
+    residual of total degree deg that is nonzero mod p vanishes at one
+    point with probability at most deg/p, so agreement at every point
+    gives strong evidence, independent of the symbolic comparison, that
+    the identity holds.  A residual whose coefficients are all divisible
+    by p would pass; the exact symbolic check rules that out.  The points,
+    the reduced coefficients and the transported points are shared by all
+    checks of the call and dropped when it returns.
     """
-    added = 0
-    for check in list(cert.checks):
-        if check.sz_fn is None or check.name.endswith("/sz"):
-            continue
-        ok, details = check.sz_fn(rng, points, bound)
+    targets = [check for check in cert.checks
+               if check.sz_fn is not None and not check.name.endswith("/sz")]
+    if not targets:
+        return 0
+    recheck = _Recheck([check.sz_fn for check in targets], rng, points)
+    for check in targets:
+        ok, details = recheck.run(check.sz_fn)
         cert.checks.append(CheckResult(
             f"{check.name}/sz", ok,
             residual="0" if ok else "nonzero at sampled point",
             details=details))
-        added += 1
-    return added
+    return len(targets)

@@ -29,6 +29,10 @@ from .exactfield import QuadExt, as_scalar, parse_scalar, scalar_to_text
 
 _DEFAULT_TERM_LIMIT = 10 ** 6
 
+# below this many term pairs the packed product's set-up (field widths,
+# common denominators, packing) costs more than the generic loop saves
+_PACKED_MIN_PAIRS = 32
+
 
 def term_limit() -> int:
     value = os.environ.get("STABLY_DISTINCT_TERM_LIMIT")
@@ -408,9 +412,10 @@ def _mul_terms(a: dict, b: dict) -> dict:
     """Term dict of the product, by the path that fits the operands.
 
     A one-term operand shifts and scales the other side.  All-Fraction
-    operands multiply as integers over one common denominator, with each
-    exponent tuple packed into one int (after Monagan and Pearce, CASC
-    2007).  Anything else (coefficients in Q(sqrt(d))) takes the generic
+    operands with at least ``_PACKED_MIN_PAIRS`` term pairs multiply as
+    integers over one common denominator, with each exponent tuple packed
+    into one int (after Monagan and Pearce, CASC 2007).  Anything else
+    (smaller products, coefficients in Q(sqrt(d))) takes the generic
     loop.  The term limit counts nonzero terms after each row of the
     smaller operand on every path.
     """
@@ -424,7 +429,8 @@ def _mul_terms(a: dict, b: dict) -> dict:
             raise _product_limit(a, b, limit)
         ((ea, ca),) = a.items()
         return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
-    if all(type(c) is Fraction for c in a.values()) and \
+    if len(a) * len(b) >= _PACKED_MIN_PAIRS and \
+            all(type(c) is Fraction for c in a.values()) and \
             all(type(c) is Fraction for c in b.values()):
         return _mul_fraction_terms(a, b, limit)
     result = {}
@@ -588,16 +594,16 @@ def rewrite_single_rule(p: Polynomial, lhs_exps, rhs: Polynomial):
 
 # -- random evaluation (Schwartz-Zippel support) --------------------------
 
-def random_point(sig: RingSignature, rng, bound: int = 10 ** 4) -> dict:
-    """A random integer-valued rational point, one value per generator.
+def random_point(sig: RingSignature, rng, modulus: int = 2 ** 61 - 1) -> dict:
+    """A point drawn uniformly from F_p, p = ``modulus``: one int in
+    [0, p) per generator.
 
-    Integer values keep the exact arithmetic cheap on high-degree
-    identities (no denominator bookkeeping) while the sample set stays
-    large: a nonzero polynomial of total degree d vanishes on at most a
-    d/(2*bound+1) share of each coordinate line.  Two identically seeded
-    generators draw the same point.
+    A polynomial of total degree d that is nonzero mod p vanishes at such a
+    point with probability at most d/p (Schwartz 1980, Zippel 1979).  The
+    values are plain ints, so ``Polynomial.evaluate`` also takes the point,
+    exactly over Q.  Two identically seeded generators draw the same point.
     """
-    return {name: Fraction(rng.randint(-bound, bound)) for name in sig.names}
+    return {name: rng.randrange(modulus) for name in sig.names}
 
 
 # -- canonical text form --------------------------------------------------

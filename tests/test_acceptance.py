@@ -90,7 +90,7 @@ def _power(k: int) -> UnivariatePoly:
 @lru_cache(maxsize=None)
 def stable_artifacts():
     out = {}
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         for n in (1, 2):
             pair = build_stable_equivalence(_power(k), n)
             out[(k, n)] = verify_stable_equivalence(pair)
@@ -229,7 +229,7 @@ def test_criterion_3_stable_pairs_and_negative_control(capsys):
 
         elapsed = time.time() - start
         assert elapsed < 30, f"stable runs took {elapsed:.1f}s"
-        box["text"] = (f"(t-1)^k pairs for k <= 3, n <= 2 exact, "
+        box["text"] = (f"(t-1)^k pairs for k <= 4, n <= 2 exact, "
                        f"corrupted control rejected, in {elapsed:.2f}s "
                        f"(budget 30s)")
 
@@ -347,12 +347,12 @@ def test_criterion_7_numeric_recheck_of_all_identities(capsys):
                  + list(series_artifacts()) + [lnd_artifact()])
         start = time.time()
         for cert in certs:
-            # bound 1000 gives a sample line of 2001 values against
-            # identities of degree < 100: a false pass at one point has
-            # probability < 5%, so 100 independent points push the
-            # overall false-pass chance below 10^-130
-            added = run_schwartz_zippel(cert, rng, points=100,
-                                        bound=1000)
+            # points are uniform in F_p with p >= 2^61 - 1, and every
+            # identity here has degree < 10^4 (source degree times the map
+            # degrees along its chain): a residual that is nonzero mod p
+            # vanishes at one point with probability deg/p < 2^-47, so 100
+            # independent points push the false-pass chance below 10^-1400
+            added = run_schwartz_zippel(cert, rng, points=100)
             assert cert.passed, [c.name for c in cert.failed_checks()]
             total_added += added
         elapsed = time.time() - start

@@ -141,7 +141,7 @@ class TestSchwartzZippel:
         g = RingEndomorphism(s, {"z": parse_polynomial(s, "z - y^2")})
         fn = composition_sz([f, g], Polynomial.variable(s, "z"),
                             Polynomial.variable(s, "z"))
-        ok, details = fn(random.Random(3), 30, 100)
+        ok, details = fn(random.Random(3), 30)
         assert ok and "30 random points" in details
 
     def test_composition_hook_detects_mismatch(self):
@@ -149,5 +149,5 @@ class TestSchwartzZippel:
         f = RingEndomorphism(s, {"z": parse_polynomial(s, "z + 1")})
         fn = composition_sz([f, f], Polynomial.variable(s, "z"),
                             Polynomial.variable(s, "z"))
-        ok, details = fn(random.Random(4), 10, 100)
+        ok, details = fn(random.Random(4), 10)
         assert not ok and "mismatch" in details

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from stably_distinct.errors import NotDivisible
 from stably_distinct.exactfield import QuadExt, quadext
-from stably_distinct.polyring import Polynomial, RingSignature, exact_divide
+from stably_distinct.polyring import (_PACKED_MIN_PAIRS, Polynomial,
+                                      RingSignature, exact_divide)
 
 SIG = RingSignature(2, has_w=True)
 
@@ -26,6 +27,10 @@ exponents = st.tuples(*[st.integers(0, 4)] * SIG.nvars)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 # b = 0 makes quadext return a Fraction, so these mix both kinds
 sqrt2_scalars = st.builds(lambda a, b: quadext(a, b, 2), rationals, rationals)
+
+
+# term counts just below, and at or above, the packed path's cutoff
+CUTOFF_SIZES = [(2, 15), (2, 16), (4, 7), (4, 8), (5, 6), (6, 6)]
 
 
 def term_dicts(coeffs, min_size=0, max_size=8):
@@ -83,9 +88,26 @@ class TestProductMatchesReference:
         # in (a + b) * (a - b) the cross terms cancel
         assert_product((poly(a) + poly(b)).terms, (poly(a) - poly(b)).terms)
 
+    @pytest.mark.parametrize("sizes", CUTOFF_SIZES)
+    @settings(deadline=None, max_examples=30)
+    @given(data=st.data())
+    def test_sizes_around_packed_cutoff(self, sizes, data):
+        a, b = (data.draw(st.dictionaries(exponents, rationals.filter(bool),
+                                          min_size=size, max_size=size))
+                for size in sizes)
+        assert_product(a, b)
+
+    def test_cutoff_sizes_straddle(self):
+        pairs = [a * b for a, b in CUTOFF_SIZES]
+        assert min(pairs) < _PACKED_MIN_PAIRS <= max(pairs)
+
     def test_large_exponents_do_not_carry(self):
+        # 8 x 4 term pairs, so the packed path multiplies these
         a = {(200, 0, 1, 0, 0): Fraction(1, 3), (0, 255, 0, 0, 9): Fraction(2)}
-        b = {(56, 1, 0, 0, 0): Fraction(-3, 7), (0, 1, 0, 0, 0): Fraction(5)}
+        a.update({(k, 0, 0, k, 0): Fraction(1, k + 2) for k in range(1, 7)})
+        b = {(56, 1, 0, 0, 0): Fraction(-3, 7), (0, 1, 0, 0, 0): Fraction(5),
+             (0, 0, 0, 1, 0): Fraction(7), (1, 1, 1, 1, 1): Fraction(-1, 5)}
+        assert len(a) * len(b) >= _PACKED_MIN_PAIRS
         assert_product(a, b)
 
 

@@ -257,7 +257,7 @@ class TestRandomEvaluate:
     def test_point_bounds(self):
         pt = random_point(sig2(), random.Random(5))
         for v in pt.values():
-            assert abs(v.numerator) <= 10 ** 4 and v.denominator <= 10 ** 4
+            assert 0 <= v < 2 ** 61 - 1
 
     def test_identity_spot_check(self):
         s = sig1()
@@ -285,12 +285,20 @@ class TestTermLimit:
         y = Polynomial.variable(s, "y")
         z = Polynomial.variable(s, "z") * quadext(0, 1, 2)
         assert str((y + z) * (y - z)) == "y^2 - 2*z^2"
+        # 2 x 16 term pairs take the packed path: 16 terms after the first
+        # row, 2 nonzero of 17 after the second
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "16")
+        geometric = parse_polynomial(
+            s, " + ".join(f"y^{i}" for i in range(1, 16)) + " + 1")
+        assert str(parse_polynomial(s, "1 - y") * geometric) == "-y^16 + 1"
 
     @pytest.mark.parametrize("left, right, message", [
         ("x1", "1 + z + z^2 + z^3", "product of 1 and 4 terms exceeded 3"),
         ("x1 + y", "1 + z + z^2 + z^3", "product of 2 and 4 terms exceeded 3"),
         ("x1 + (0+1*sqrt(2))*y", "1 + z + z^2 + z^3",
          "product of 2 and 4 terms exceeded 3"),
+        ("x1 + y + z + x1*y", "1 + z + z^2 + z^3 + z^4 + z^5 + z^6 + z^7",
+         "product of 4 and 8 terms exceeded 3"),
     ])
     def test_limit_message_names_operand_sizes(self, monkeypatch, left,
                                                right, message):
