@@ -16,7 +16,7 @@ the points stay in F_p.
 
 By Schwartz (1980) and Zippel (1979), a residual of total degree deg whose
 image mod p is nonzero vanishes at a uniform point of F_p with probability
-at most deg/p, about 2^-54 per point for the degrees met here.  A residual
+at most deg/p, below 2^-47 per point for any degree under 10^4.  A residual
 all of whose coefficients are divisible by p maps to zero and would pass
 every point; the exact symbolic check, which decides every verdict, rules
 that case out.
@@ -157,24 +157,22 @@ class _Recheck:
     def _reduce(self, hooks, p: int) -> None:
         inverses: dict = {}
         # keyed by id; each value keeps its object alive, so ids stay unique
-        self.tables: dict = {}
-        self.images: dict = {}
-        self.p = p
+        tables: dict = {}
+        images: dict = {}
+
+        def table(poly):
+            if id(poly) not in tables:
+                tables[id(poly)] = (poly, _residue_table(poly, p, inverses))
+            return tables[id(poly)][1]
+
         for hook in hooks:
             for m in hook.maps:
-                if id(m) not in self.images:
-                    self.images[id(m)] = (m, [
-                        self._table(m.image(name), inverses)
-                        for name in m.sig.names])
-            self._table(hook.source, inverses)
-            self._table(hook.expected, inverses)
-
-    def _table(self, poly: Polynomial, inverses=None) -> _Residues:
-        got = self.tables.get(id(poly))
-        if got is None:
-            got = self.tables[id(poly)] = (
-                poly, _residue_table(poly, self.p, inverses))
-        return got[1]
+                if id(m) not in images:
+                    images[id(m)] = (m, [table(m.image(name))
+                                         for name in m.sig.names])
+            table(hook.source)
+            table(hook.expected)
+        self.p, self.tables, self.images = p, tables, images
 
     def _moved(self, sig, maps: tuple, index: int, d_mod) -> list:
         """The values at sample ``index`` pushed through ``maps``."""
@@ -193,8 +191,8 @@ class _Recheck:
         return got
 
     def run(self, hook: "_CompositionSz") -> tuple[bool, str]:
-        source = self._table(hook.source)
-        expected = self._table(hook.expected)
+        source = self.tables[id(hook.source)][1]
+        expected = self.tables[id(hook.expected)][1]
         maps = tuple(hook.maps)
         tables = [source, expected] + [t for m in maps
                                        for t in self.images[id(m)][1]]
@@ -400,8 +398,6 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
     """
     targets = [check for check in cert.checks
                if check.sz_fn is not None and not check.name.endswith("/sz")]
-    if not targets:
-        return 0
     recheck = _Recheck([check.sz_fn for check in targets], rng, points)
     for check in targets:
         ok, details = recheck.run(check.sz_fn)

@@ -3,15 +3,17 @@
 Residue-table evaluation must agree with ``Polynomial.evaluate`` reduced
 mod p, on rational coefficients with denominators and on coefficients in
 Q(sqrt(2)) and Q(sqrt(1/2)).  Re-checks must still run when 2^61 - 1
-divides a denominator, must fail exactly the corrupted one of two checks
-sharing a map chain, must push each point through a shared chain once,
-and must stay out of the symbolic construction and verification.
+divides a denominator (and raise when every modulus divides one), must
+fail exactly the corrupted one of two checks sharing a map chain, must
+push each point through a shared chain once, and must stay out of the
+symbolic construction and verification.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from stably_distinct.certificate import (MODULI, Certificate, _evaluate_mod,
 from stably_distinct.equivalence import (StableEquivPair,
                                          build_stable_equivalence,
                                          verify_stable_equivalence)
+from stably_distinct.errors import StablyDistinctError
 from stably_distinct.exactfield import quadext
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
@@ -115,6 +118,12 @@ class TestModuli:
         # the corrupted twin applies f twice: z -> z + 2*y/p
         ok, details = recheck_fixes_z([f, f])
         assert not ok and details.startswith("mismatch at ")
+
+    def test_no_modulus_left(self):
+        s = sig1()
+        f, g = shift_maps(s, Fraction(1, prod(MODULI)))
+        with pytest.raises(StablyDistinctError, match="every re-check modulus"):
+            recheck_fixes_z([f, g])
 
     def test_quadratic_maps(self):
         s = sig1()
