@@ -231,7 +231,7 @@ def _cmd_equiv(args) -> int:
         return 0
     payload["verdict"] = "equivalent"
     payload["witness"] = witness.inputs_dict()
-    cert = verify_hyper_equivalence(q1, c1, q2, c2, witness)
+    cert = verify_hyper_equivalence(q1, c1, q2, c2, witness, args.n)
     header = ", ".join(f"{k} = {v}"
                        for k, v in sorted(witness.inputs_dict().items()))
     return _finish_certificate(args, cert, payload,

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .certificate import Certificate
 from .errors import (DimensionMismatch, InvalidWitness, NotASquare,
-                     NotDecidableInField)
+                     NotDecidableInField, StablyDistinctError)
 from .exactfield import (QuadExt, as_scalar, quadext, rational,
                          rational_nth_root, sqrt_in_field)
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic
@@ -125,23 +125,31 @@ class HyperEquivWitness:
                 "epsilon": str(self.eps)}
 
 
-def _sqrt_allowing_one_extension(value):
-    """Square root of value in its own field, extending Q at most once."""
+def _sqrt_allowing_one_extension(value, d=None):
+    """Square root of value, extending Q at most once.
+
+    ``d`` is the discriminant the coefficients already use, if any; the
+    root must then lie in Q(sqrt(d)), as must the root of a value that is
+    itself irrational.
+    """
     if isinstance(value, QuadExt):
-        try:
-            return sqrt_in_field(value)
-        except NotASquare:
-            raise NotDecidableInField(
-                f"eps^2 = {value} has no root in its quadratic extension; "
-                f"a second extension would be required") from None
-    root = rational_nth_root(value, 2)
-    if root is not None:
-        return root
-    return quadext(0, 1, value)
+        field = "its quadratic extension"
+    elif d is not None:
+        field = f"Q(sqrt({d}))"
+    else:
+        root = rational_nth_root(value, 2)
+        return quadext(0, 1, value) if root is None else root
+    try:
+        return sqrt_in_field(value, d)
+    except NotASquare:
+        raise NotDecidableInField(
+            f"eps^2 = {value} has no root in {field}; "
+            f"a second extension would be required") from None
 
 
-def _attach_eps(lam, mu) -> HyperEquivWitness:
-    return HyperEquivWitness(lam, mu, _sqrt_allowing_one_extension(1 / mu))
+def _attach_eps(lam, mu, d=None) -> HyperEquivWitness:
+    return HyperEquivWitness(lam, mu,
+                             _sqrt_allowing_one_extension(1 / mu, d))
 
 
 def _relations_hold(q1: UnivariatePoly, q2: UnivariatePoly, lam, mu) -> bool:
@@ -178,13 +186,19 @@ def _bezout_pair(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _mu_candidates(rho: Fraction, g: int):
+def _mu_candidates(rho, g: int, d):
     """In-field solutions of mu^g = rho: a rational or single-sqrt value.
 
-    Writes g = 2^e * odd.  The odd-degree part must have a rational root
-    (a higher odd-degree irrationality never fits in a quadratic
-    extension); each of the e halvings takes a square root, extending the
-    field at most once.  Returns the +/- candidate list.
+    Writes g = 2^e * odd.  For rational rho the odd-degree part must have
+    a rational root (a higher odd-degree irrationality never fits in a
+    quadratic extension); each of the e halvings takes a square root,
+    extending the field at most once, to Q(sqrt(d)) when d is given.
+    Returns the +/- candidate list.
+
+    For irrational rho, an odd root in a quadratic field lies in rho's
+    own field, and its norm is a rational odd root of rho's norm; without
+    one no quadratic field holds mu.  Odd roots inside Q(sqrt(d)) are not
+    searched, so the remaining case is an error, not a verdict.
     """
     e = 0
     odd = g
@@ -193,13 +207,21 @@ def _mu_candidates(rho: Fraction, g: int):
         odd //= 2
     current = rho
     if odd > 1:
+        if isinstance(rho, QuadExt):
+            norm = rho.a * rho.a - rho.b * rho.b * rho.d
+            if rational_nth_root(norm, odd) is None:
+                raise NotDecidableInField(
+                    f"mu^{odd} = {rho} has no root in any quadratic field")
+            raise StablyDistinctError(
+                f"mu^{odd} = {rho}: odd roots in Q(sqrt({rho.d})) are not "
+                f"searched")
         root = rational_nth_root(rho, odd)
         if root is None:
             raise NotDecidableInField(
                 f"mu^{odd} = {rho} has no rational solution")
         current = root
     for _ in range(e):
-        current = _sqrt_allowing_one_extension(current)
+        current = _sqrt_allowing_one_extension(current, d)
     if g % 2 == 0:
         return [current, -current]
     return [current]
@@ -224,6 +246,10 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
       possible — otherwise :class:`NotDecidableInField` reports the
       missing relation.  A verdict of None is only returned when no
       complex witness exists at all.
+
+    When the coefficients lie in Q(sqrt(d)), that is the one extension
+    allowed.  An odd root of an irrational rho that may exist in it is not
+    searched for; that case raises a plain :class:`StablyDistinctError`.
     """
     q1, q2 = _as_q(q1), _as_q(q2)
     c1, c2 = rational(c1), rational(c2)
@@ -237,6 +263,9 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
             return HyperEquivWitness(Fraction(1), Fraction(1), Fraction(1))
         return _attach_eps(Fraction(1), c1 / c2)
 
+    # the d of Q(sqrt(d)) when the coefficients live there, else None
+    d = next((c.d for c in q1.coeffs + q2.coeffs
+              if isinstance(c, QuadExt)), None)
     j0 = q1.support()[0]
     base = q2[j0] / q1[j0]          # equals lambda * mu^j0
 
@@ -245,7 +274,7 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
         lam = base / mu ** j0
         if not _relations_hold(q1, q2, lam, mu):
             return None
-        return _attach_eps(lam, mu)
+        return _attach_eps(lam, mu, d)
 
     gaps = [j - j0 for j in q1.support() if j != j0]
     if not gaps:
@@ -260,7 +289,7 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
 
     last_obstruction: NotDecidableInField | None = None
     try:
-        candidates = _mu_candidates(rho_g, g)
+        candidates = _mu_candidates(rho_g, g, d)
     except NotDecidableInField as err:
         raise NotDecidableInField(
             f"mu^{g} = {rho_g} ({err.relation})") from None
@@ -269,7 +298,7 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
         if not _relations_hold(q1, q2, lam, mu):
             continue
         try:
-            return _attach_eps(lam, mu)
+            return _attach_eps(lam, mu, d)
         except NotDecidableInField as err:
             last_obstruction = err
     if last_obstruction is not None:
@@ -296,12 +325,12 @@ def build_hyper_equiv_automorphism(witness: HyperEquivWitness,
     })
 
 
-def verify_hyper_equivalence(q1, c1, q2, c2,
-                             witness: HyperEquivWitness) -> Certificate:
-    """Certify a hypersurface-equivalence witness by the exact identity."""
+def verify_hyper_equivalence(q1, c1, q2, c2, witness: HyperEquivWitness,
+                             n: int = 1) -> Certificate:
+    """Certify a hypersurface-equivalence witness by the exact identity
+    in the ring with n x-variables."""
     q1, q2 = _as_q(q1), _as_q(q2)
     c1, c2 = rational(c1), rational(c2)
-    n = 1
     theta = build_hyper_equiv_automorphism(witness, n)
     sig = RingSignature(n)
     fiber1 = build_Pq(PqSpec(n, q1, c1)) - c1
@@ -343,6 +372,31 @@ class StableEquivPair:
         self.p_zero = p_zero
 
 
+def _cylinder_images(sign: int, rho: Polynomial, z: Polynomial,
+                     w: Polynomial, target: Polynomial, q: UnivariatePoly):
+    """The (y, z, w) images of one map of the cylinder pair.
+
+    With s = x^[1] and sigma = ``sign``:
+
+        z' = (1 - sigma*s*rho)z + sigma*x^[2]w
+        w' = (1 + sigma*s*rho)w - sigma*rho^2 z
+        y' = (target - z'^2 - s*q(z'^2)) / x^[2]
+
+    so the map sends P_q (with this q) to ``target``; the division is
+    exact by construction (NotDivisible here would mean a genuine bug).
+    Given another map's images of z and w, and that map's images of rho
+    and of the target, the same formulas give the images of the composite.
+    """
+    s1 = x_power_bracket(z.sig, 1)
+    s2 = x_power_bracket(z.sig, 2)
+    twist = s1 * rho * sign
+    z_img = (1 - twist) * z + s2 * sign * w
+    w_img = (1 + twist) * w - rho * rho * sign * z
+    zsq = z_img * z_img
+    y_img = exact_divide(target - zsq - s1 * q.subs_into(zsq), s2)
+    return y_img, z_img, w_img
+
+
 def build_stable_equivalence(q, n: int) -> StableEquivPair:
     """Construct the automorphism pair linking P_q with P_(q(0)).
 
@@ -355,8 +409,7 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
         psi(w) = (1 - s*r(Pq))w + r(Pq)^2 z
 
     and the y-images are the unique solutions of phi(P_q) = P0 and
-    psi(P0) = P_q, found by exact division by x^[2] (divisibility is part
-    of the construction; NotDivisible here would mean a genuine bug).
+    psi(P0) = P_q; all six come from :func:`_cylinder_images`.
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
@@ -371,23 +424,10 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
 
     z = Polynomial.variable(sig, "z")
     w = Polynomial.variable(sig, "w")
-    one = Polynomial.constant(sig, 1)
-    s1 = x_power_bracket(sig, 1)
-    s2 = x_power_bracket(sig, 2)
-
-    rho0 = r.subs_into(p_zero)
-    rhoq = r.subs_into(p_q)
-
-    phi_z = (one - s1 * rho0) * z + s2 * w
-    phi_w = (one + s1 * rho0) * w - rho0 * rho0 * z
-    phi_y = exact_divide(
-        p_zero - phi_z * phi_z - s1 * q.subs_into(phi_z * phi_z), s2)
-
-    psi_z = (one + s1 * rhoq) * z - s2 * w
-    psi_w = (one - s1 * rhoq) * w + rhoq * rhoq * z
-    psi_y = exact_divide(
-        p_q - psi_z * psi_z - s1 * q(Fraction(0)), s2)
-
+    phi_y, phi_z, phi_w = _cylinder_images(1, r.subs_into(p_zero), z, w,
+                                           p_zero, q)
+    psi_y, psi_z, psi_w = _cylinder_images(-1, r.subs_into(p_q), z, w, p_q,
+                                           UnivariatePoly([q(Fraction(0))]))
     phi = RingEndomorphism(sig, {"y": phi_y, "z": phi_z, "w": phi_w})
     psi = RingEndomorphism(sig, {"y": psi_y, "z": psi_z, "w": psi_w})
     return StableEquivPair(n, q, r, phi, psi, p_q, p_zero)
@@ -409,14 +449,15 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
     """Certify the pair: exact images and identity round trips.
 
     The two image identities phi(P_q) = P0 and psi(P0) = P_q are checked
-    by direct substitution.  The round-trip identities are assembled in
-    stages that mirror how the maps were built: the composite image of
-    each generator is expressed through the already-computed images and
-    the substitution homomorphism property (for instance phi(psi(z)) =
-    (1 + s*r(phi(P_q)))*phi(z) - x^[2]*phi(w)), which keeps every
-    intermediate object small while remaining an exact computation of the
-    same polynomial.  Each composite check also carries a numeric hook
-    that re-verifies it from the generator images alone.
+    by direct substitution.  The round trips go through the builder of
+    the pair, by the substitution homomorphism property: phi(psi(v)) is
+    psi's formula with z, w, r(P_q) and P_q replaced by phi(z), phi(w),
+    r(phi(P_q)) and the already-computed phi(P_q), and symmetrically for
+    psi(phi(v)).  Every intermediate object stays small (when the pair is
+    right, the y-image dividend is the single term x^[2]y), while the
+    result is an exact computation of the same polynomial as blind
+    composition.  Each composite check also carries a numeric hook that
+    re-verifies it from the generator images alone.
     """
     if q is not None and _as_q(q) != pair.q:
         raise InvalidWitness("pair was built for a different q")
@@ -425,77 +466,46 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
             f"pair was built for n={pair.n}, asked to verify n={n}")
 
     sig = pair.phi.sig
+    phi, psi = pair.phi, pair.psi
     q_poly = pair.q
     r = pair.r
-    y = Polynomial.variable(sig, "y")
-    z = Polynomial.variable(sig, "z")
-    w = Polynomial.variable(sig, "w")
-    one = Polynomial.constant(sig, 1)
-    s1 = x_power_bracket(sig, 1)
-    s2 = x_power_bracket(sig, 2)
-    q0 = q_poly(Fraction(0))
 
     cert = Certificate(
         "P_q and the constant member P_(q(0)) are equivalent after adding "
         "one cylinder variable",
         {"n": str(pair.n), "q": str(q_poly)})
 
-    phi_of_pq = pair.phi.apply(pair.p_q)
-    psi_of_p0 = pair.psi.apply(pair.p_zero)
-    cert.record_composition("phi-sends-family-to-constant", [pair.phi],
+    phi_of_pq = phi.apply(pair.p_q)
+    psi_of_p0 = psi.apply(pair.p_zero)
+    cert.record_composition("phi-sends-family-to-constant", [phi],
                             pair.p_q, phi_of_pq, pair.p_zero)
-    cert.record_composition("psi-sends-constant-to-family", [pair.psi],
+    cert.record_composition("psi-sends-constant-to-family", [psi],
                             pair.p_zero, psi_of_p0, pair.p_q)
 
     if q_poly.degree() <= 0:
         # constant q: the pair is the identity and composition is cheap
-        fwd = pair.phi.compose(pair.psi)
-        bwd = pair.psi.compose(pair.phi)
+        fwd = phi.compose(psi)
+        bwd = psi.compose(phi)
         for name in ("z", "w", "y"):
             var = Polynomial.variable(sig, name)
             cert.record_composition(f"phi-after-psi-fixes-{name}",
-                                    [pair.phi, pair.psi], var,
-                                    fwd.image(name), var)
+                                    [phi, psi], var, fwd.image(name), var)
             cert.record_composition(f"psi-after-phi-fixes-{name}",
-                                    [pair.psi, pair.phi], var,
-                                    bwd.image(name), var)
+                                    [psi, phi], var, bwd.image(name), var)
         return _finish_stable_certificate(cert, pair, sig)
 
-    # phi after psi: psi's images are rewritten through phi generator by
-    # generator; r passes through the substitution homomorphism, so
-    # phi(r(P_q)) is r evaluated at the already-computed phi(P_q)
-    rho_f = r.subs_into(phi_of_pq)
-    phi_psi_z = (one + s1 * rho_f) * pair.phi.image("z") \
-        - s2 * pair.phi.image("w")
-    phi_psi_w = (one - s1 * rho_f) * pair.phi.image("w") \
-        + rho_f * rho_f * pair.phi.image("z")
-    cert.record_composition("phi-after-psi-fixes-z",
-                            [pair.phi, pair.psi], z, phi_psi_z, z)
-    cert.record_composition("phi-after-psi-fixes-w",
-                            [pair.phi, pair.psi], w, phi_psi_w, w)
-    phi_y = pair.phi.image("y")
-    numerator = phi_of_pq - phi_psi_z * phi_psi_z \
-        - s1 * q0 - s2 * phi_y
-    phi_psi_y = phi_y + exact_divide(numerator, s2)
-    cert.record_composition("phi-after-psi-fixes-y",
-                            [pair.phi, pair.psi], y, phi_psi_y, y)
-
-    # psi after phi, symmetrically
-    rho_b = r.subs_into(psi_of_p0)
-    psi_phi_z = (one - s1 * rho_b) * pair.psi.image("z") \
-        + s2 * pair.psi.image("w")
-    psi_phi_w = (one + s1 * rho_b) * pair.psi.image("w") \
-        - rho_b * rho_b * pair.psi.image("z")
-    cert.record_composition("psi-after-phi-fixes-z",
-                            [pair.psi, pair.phi], z, psi_phi_z, z)
-    cert.record_composition("psi-after-phi-fixes-w",
-                            [pair.psi, pair.phi], w, psi_phi_w, w)
-    psi_y = pair.psi.image("y")
-    zsq = psi_phi_z * psi_phi_z
-    numerator = psi_of_p0 - zsq - s1 * q_poly.subs_into(zsq) - s2 * psi_y
-    psi_phi_y = psi_y + exact_divide(numerator, s2)
-    cert.record_composition("psi-after-phi-fixes-y",
-                            [pair.psi, pair.phi], y, psi_phi_y, y)
+    round_trips = (
+        ("phi-after-psi", [phi, psi], _cylinder_images(
+            -1, r.subs_into(phi_of_pq), phi.image("z"), phi.image("w"),
+            phi_of_pq, UnivariatePoly([q_poly(Fraction(0))]))),
+        ("psi-after-phi", [psi, phi], _cylinder_images(
+            1, r.subs_into(psi_of_p0), psi.image("z"), psi.image("w"),
+            psi_of_p0, q_poly)))
+    for stem, maps, (y_img, z_img, w_img) in round_trips:
+        for name, image in (("z", z_img), ("w", w_img), ("y", y_img)):
+            var = Polynomial.variable(sig, name)
+            cert.record_composition(f"{stem}-fixes-{name}", maps, var,
+                                    image, var)
     return _finish_stable_certificate(cert, pair, sig)
 
 

@@ -292,11 +292,10 @@ def parse_scalar(text: str):
     m = _QUADEXT_RE.match(t)
     if not m:
         raise ParseError("not a scalar: %r" % text)
-    a = Fraction(m.group("a"))
-    b = Fraction(m.group("b"))
+    a, b, d = (_parse_rational_text(m.group(key)) for key in "abd")
     if m.group("sign") == "-":
         b = -b
-    return quadext(a, b, Fraction(m.group("d")))
+    return quadext(a, b, d)
 
 
 def scalar_to_text(value) -> str:

@@ -24,11 +24,11 @@ import enum
 import json
 
 from .certificate import Certificate
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError
 from .exactfield import parse_scalar, rational
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
-                       difference_quotient, rewrite_single_rule,
+                       difference_quotient, parse_json, rewrite_single_rule,
                        x_power_bracket)
 
 
@@ -69,12 +69,19 @@ class PqSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PqSpec":
+        if not (isinstance(data, dict) and isinstance(data.get("n"), int)
+                and data["n"] >= 1 and isinstance(data.get("q"), list)
+                and all(isinstance(text, str) for text in data["q"])
+                and isinstance(data.get("c"), (int, str))):
+            raise ParseError("a PqSpec is an object with an integer n >= 1, "
+                             f"a list q of scalar texts and a level c, "
+                             f"got {data!r}")
         q = UnivariatePoly([parse_scalar(text) for text in data["q"]])
-        return cls(int(data["n"]), q, rational(data["c"]))
+        return cls(data["n"], q, rational(data["c"]))
 
     @classmethod
     def from_json(cls, text: str) -> "PqSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_json(text))
 
 
 def build_Pq(spec: PqSpec, has_w: bool = False) -> Polynomial:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from typing import Mapping, Union
 
-from .errors import SignatureMismatch, UnknownVariable
+from .errors import ParseError, SignatureMismatch, UnknownVariable
 from .exactfield import Scalar
-from .polyring import Polynomial, RingSignature, parse_polynomial
+from .polyring import Polynomial, RingSignature, parse_json, parse_polynomial
 
 PolyLike = Union[Polynomial, Scalar, int]
 
@@ -40,6 +40,8 @@ def _normalize_images(sig: RingSignature,
 def _infer_signature(keys) -> RingSignature:
     """Recover a ring signature from the set of generator names."""
     n = sum(1 for k in keys if k.startswith("x"))
+    if n == 0:
+        raise ParseError(f"no x generator among {sorted(keys)}")
     sig = RingSignature(n, has_w="w" in keys)
     missing = set(sig.names) - set(keys)
     extra = set(keys) - set(sig.names)
@@ -100,6 +102,10 @@ class _GeneratorMap:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, str]):
+        if not isinstance(data, Mapping) or not all(
+                isinstance(text, str) for text in data.values()):
+            raise ParseError("a map is an object from generator names to "
+                             f"polynomial text, got {data!r}")
         sig = _infer_signature(data.keys())
         images = {name: parse_polynomial(sig, text)
                   for name, text in data.items()}
@@ -107,7 +113,7 @@ class _GeneratorMap:
 
     @classmethod
     def from_json(cls, text: str):
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_json(text))
 
     def __repr__(self) -> str:
         moved = {name: str(img) for name, img in self.images.items()

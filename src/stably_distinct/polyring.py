@@ -16,6 +16,7 @@ STABLY_DISTINCT_TERM_LIMIT overrides the cap.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 from fractions import Fraction
@@ -726,7 +727,10 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "num":
                 self.take()
-                coeff = coeff * Fraction(value)
+                try:
+                    coeff = coeff * Fraction(value)
+                except ZeroDivisionError:
+                    raise ParseError("zero denominator", pos) from None
                 saw_element = True
             elif kind == "op" and value == "(":
                 coeff = coeff * self.parse_paren_scalar()
@@ -791,6 +795,14 @@ def parse_polynomial(sig: RingSignature, text: str) -> Polynomial:
     if tokens[0] == ("num", "0", 0) and tokens[1][0] == "end":
         return Polynomial.zero(sig)
     return _Parser(sig, tokens).parse()
+
+
+def parse_json(text: str):
+    """json.loads, with malformed text reported as ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"not JSON: {err}") from None
 
 
 # -- dense univariate polynomials in t ------------------------------------

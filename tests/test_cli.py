@@ -1,13 +1,18 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stably_distinct.certificate import Certificate
 from stably_distinct.cli import _merge_negative_values, main
+from stably_distinct.exactfield import quadext
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +101,49 @@ class TestEquiv:
         data = json.loads(out)
         assert data["witness"]["mu"] == "2"
         assert data["certificate"]["pass"] is True
+
+    def test_n_reaches_the_witness_check(self, capsys):
+        members = ("--q1", "-1,1", "--c1", "1", "--q2", "-1,4",
+                   "--c2", "1/4")
+        code, out, _ = run_cli(capsys, "--format", "json", "equiv",
+                               "--n", "2", *members)
+        assert code == 0
+        assert json.loads(out)["certificate"]["pass"] is True
+        code, _, err = run_cli(capsys, "equiv", "--n", "0", *members)
+        assert code == 2
+        assert "error:" in err
+
+
+_RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+_SURDS = st.tuples(_RATIONALS, _RATIONALS.filter(bool)).map(
+    lambda ab: quadext(ab[0], ab[1], 2))
+
+
+@st.composite
+def _equiv_argv(draw):
+    """equiv flags for two members whose q share a support of degree <= 4,
+    with coefficients in Q or Q(sqrt(2)), at levels 0 and 1."""
+    scalars = _RATIONALS.filter(bool)
+    if draw(st.booleans()):
+        scalars = st.one_of(scalars, _SURDS)
+    degree = draw(st.integers(0, 4))
+    support = draw(st.lists(st.booleans(), min_size=degree,
+                            max_size=degree)) + [True]
+    q1, q2 = ([str(draw(scalars)) if on else "0" for on in support]
+              for _ in range(2))
+    return ["equiv", "--kind", draw(st.sampled_from(["hypersurface",
+                                                     "poly"])),
+            "--n", str(draw(st.integers(1, 2))),
+            "--q1", ",".join(q1), "--c1", draw(st.sampled_from("01")),
+            "--q2", ",".join(q2), "--c2", draw(st.sampled_from("01"))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(_equiv_argv())
+def test_equiv_ends_in_an_answer_or_a_usage_error(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--sz-points", "3"] + argv) in (0, 2)
 
 
 class TestCertificateCommands:

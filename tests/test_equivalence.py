@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
     HyperEquivWitness, PolyEquivWitness, StableEquivPair,
     brute_force_hyper_equivalence, build_hyper_equiv_automorphism,
@@ -13,7 +14,7 @@ from stably_distinct.equivalence import (
     stable_equivalence_degree_bound, theorem_certificate,
     verify_hyper_equivalence, verify_stable_equivalence)
 from stably_distinct.errors import (DimensionMismatch, InvalidWitness,
-                                    NotDecidableInField)
+                                    NotDecidableInField, StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, build_Pq
 from stably_distinct.morphisms import RingEndomorphism
@@ -114,6 +115,43 @@ class TestHypersurfaceEquivalence:
         lhs = build_Pq(PqSpec(1, [-1, 1], 1)) - 1
         rhs = build_Pq(PqSpec(1, [-1, 4], Fraction(1, 4))) - Fraction(1, 4)
         assert theta.apply(lhs) == rhs * 4
+
+    def test_odd_root_of_a_surd_without_norm_root(self):
+        # the norm -2 of sqrt(2) has no rational cube root, so no
+        # quadratic field holds a mu with mu^3 = sqrt(2)
+        with pytest.raises(NotDecidableInField) as info:
+            decide_hypersurface_equivalence(
+                [1, 0, 0, 1], 0, [1, 0, 0, quadext(0, 1, 2)], 0)
+        assert info.value.relation.startswith("mu^3 = 0+1*sqrt(2)")
+
+    def test_odd_root_of_a_surd_with_norm_root_is_not_searched(self):
+        # 99 + 70*sqrt(2) = (3 + 2*sqrt(2))^3, a root the decider does not
+        # look for inside Q(sqrt(2)); it must not claim there is none
+        with pytest.raises(StablyDistinctError) as info:
+            decide_hypersurface_equivalence(
+                [1, 0, 0, 1], 0, [1, 0, 0, quadext(99, 70, 2)], 0)
+        assert not isinstance(info.value, NotDecidableInField)
+        assert "not searched" in str(info.value)
+
+    def test_square_roots_stay_in_the_coefficient_field(self):
+        # mu^2 = 1/3, but the coefficients live in Q(sqrt(2)), which
+        # holds no square root of 1/3
+        with pytest.raises(NotDecidableInField) as info:
+            decide_hypersurface_equivalence(
+                [0, Fraction(-1, 3), 0, quadext(-1, Fraction(1, 2), 2)], 0,
+                [0, quadext(2, 1, 2), 0, 1], 0)
+        assert info.value.relation.startswith("mu^2 = 1/3")
+
+    @pytest.mark.parametrize("c1, c2", [(0, 0), (1, Fraction(1, 2))])
+    def test_eps_taken_in_the_coefficient_field(self, c1, c2):
+        # mu = 2 and eps = sqrt(1/2), written as sqrt(2)/2 so that the
+        # witness map shares the coefficients' field
+        q1 = [quadext(0, 1, 2), 1]
+        q2 = [quadext(0, 1, 2), 2]
+        witness = decide_hypersurface_equivalence(q1, c1, q2, c2)
+        assert witness.mu == 2
+        assert witness.eps == quadext(0, Fraction(1, 2), 2)
+        assert verify_hyper_equivalence(q1, c1, q2, c2, witness).passed
 
     def test_support_mismatch(self):
         assert decide_hypersurface_equivalence([0, 1], 1, [1, 1], 1) is None
@@ -239,14 +277,29 @@ class TestHypersurfaceEquivalence:
                     assert isinstance(decided.mu, QuadExt)
 
 
-def _corrupt_phi_w(pair: StableEquivPair) -> StableEquivPair:
-    bad_phi = RingEndomorphism(pair.phi.sig, {
-        "y": pair.phi.image("y"),
-        "z": pair.phi.image("z"),
-        "w": -pair.phi.image("w"),
-    })
-    return StableEquivPair(pair.n, pair.q, pair.r, bad_phi, pair.psi,
+CORRUPTIONS = {
+    "negated": lambda image: -image,
+    "plus-1": lambda image: image + 1,
+    "plus-x1": lambda image: image + Polynomial.variable(image.sig, "x1"),
+    "plus-y": lambda image: image + Polynomial.variable(image.sig, "y"),
+}
+
+
+def _corrupt(pair: StableEquivPair, side: str, gen: str,
+             corruption: str) -> StableEquivPair:
+    """The pair with one stored image of phi or psi corrupted."""
+    maps = {"phi": pair.phi, "psi": pair.psi}
+    images = {name: maps[side].image(name) for name in ("y", "z", "w")}
+    images[gen] = CORRUPTIONS[corruption](images[gen])
+    maps[side] = RingEndomorphism(pair.phi.sig, images)
+    return StableEquivPair(pair.n, pair.q, pair.r, maps["phi"], maps["psi"],
                            pair.p_q, pair.p_zero)
+
+
+@pytest.fixture(scope="module")
+def small_pairs():
+    return [build_stable_equivalence([-1, 1], 1),
+            build_stable_equivalence([1, -2, 1], 2)]
 
 
 class TestStableEquivalence:
@@ -305,7 +358,8 @@ class TestStableEquivalence:
         assert pair.phi.compose(pair.psi).is_identity()
 
     def test_corrupted_pair_fails_round_trips(self):
-        bad = _corrupt_phi_w(build_stable_equivalence([-1, 1], 1))
+        bad = _corrupt(build_stable_equivalence([-1, 1], 1), "phi", "w",
+                       "negated")
         cert = verify_stable_equivalence(bad)
         assert not cert.passed
         failed = {c.name for c in cert.failed_checks()}
@@ -314,6 +368,31 @@ class TestStableEquivalence:
         assert "phi-sends-family-to-constant" not in failed
         assert "phi-after-psi-fixes-z" in failed
         assert "phi-after-psi-fixes-w" in failed
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("gen", ["y", "z", "w"])
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    def test_every_corrupted_image_fails_an_exact_check(
+            self, small_pairs, side, gen, corruption):
+        for pair in small_pairs:
+            cert = verify_stable_equivalence(
+                _corrupt(pair, side, gen, corruption))
+            run_schwartz_zippel(cert, random.Random(0), points=3)
+            exact = [c.name for c in cert.failed_checks()
+                     if not c.name.endswith("/sz")]
+            assert exact, (pair.q, pair.n)
+
+    def test_psi_z_sign_flip_is_caught_by_the_round_trips(self):
+        # psi(P0) sees psi(z) only through its square, so the image
+        # identity still holds and only the round trips can object
+        bad = _corrupt(build_stable_equivalence([1, -2, 1], 1), "psi", "z",
+                       "negated")
+        cert = verify_stable_equivalence(bad)
+        failed = {c.name for c in cert.failed_checks()}
+        assert "psi-sends-constant-to-family" not in failed
+        assert "phi-sends-family-to-constant" not in failed
+        assert {"psi-after-phi-fixes-z", "psi-after-phi-fixes-w",
+                "psi-after-phi-fixes-y"} <= failed
 
     def test_constant_q_gives_identity_pair(self):
         pair = build_stable_equivalence([7], 2)

@@ -68,6 +68,12 @@ CASES = {
     # a cube root test on an integer far above the float range
     "equiv-huge-cube": ["equiv", "--q1", "1,0,0,1", "--c1", "0",
                         "--q2", "1,0,0,%d" % 10 ** 400, "--c2", "0"],
+    # --n reaches the witness check: the certificate lives in x1, x2
+    "equiv-hyper-n2": ["equiv", "--n", "2", "--q1", "-1,1", "--c1", "1",
+                       "--q2", "-1,4", "--c2", "1/4"],
+    # mu^3 = sqrt(2): the norm -2 has no rational cube root
+    "equiv-odd-root-sqrt2": ["equiv", "--q1", "1,0,0,1", "--c1", "0",
+                             "--q2", "1,0,0,0+1*sqrt(2)", "--c2", "0"],
     "equiv-bad-level": ["equiv", "--q1", "-1,1", "--c1", "1",
                         "--q2", "-2,1", "--c2", "x"],
 }

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from conftest import random_polynomial
 
-from stably_distinct.errors import SignatureMismatch, UnknownVariable
-from stably_distinct.exactfield import quadext
+from stably_distinct.errors import (ParseError, SignatureMismatch,
+                                    UnknownVariable)
+from stably_distinct.exactfield import parse_scalar, quadext
+from stably_distinct.hypersurface import PqSpec
 from stably_distinct.morphisms import Derivation, RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       parse_polynomial)
@@ -177,3 +179,25 @@ class TestDerivation:
         d = Derivation(sig1(), {"z": 1})
         with pytest.raises(SignatureMismatch):
             d.apply(Polynomial.variable(sig2(), "z"))
+
+
+@pytest.mark.parametrize("read", [
+    lambda: RingEndomorphism.from_json('{"x1": 5, "y": "y", "z": "z"}'),
+    lambda: RingEndomorphism.from_json("[]"),
+    lambda: RingEndomorphism.from_json("{"),
+    lambda: RingEndomorphism.from_json("{}"),
+    lambda: Derivation.from_json('{"y": "z", "z": "y"}'),
+    lambda: PqSpec.from_json('{"n": 1}'),
+    lambda: PqSpec.from_json('{"n": 0, "q": ["1"], "c": "0"}'),
+    lambda: PqSpec.from_json('{"n": 1, "q": [1], "c": "0"}'),
+    lambda: PqSpec.from_json("[1]"),
+    lambda: parse_polynomial(sig1(), "1/0*y"),
+    lambda: parse_polynomial(sig1(), "(1+1*sqrt(1/0))*y"),
+    lambda: parse_scalar("1/0+1*sqrt(2)"),
+], ids=["non-text-image", "json-list", "broken-json", "no-generators",
+        "no-x-generator", "spec-missing-keys", "spec-n-zero",
+        "spec-q-not-text", "spec-not-object", "zero-denominator",
+        "zero-denominator-in-surd", "scalar-zero-denominator"])
+def test_malformed_input_raises_parse_error(read):
+    with pytest.raises(ParseError):
+        read()
