@@ -315,6 +315,22 @@ class Certificate:
         self.checks.append(check)
         return check
 
+    def record_not_built(self, name: str, maps: Sequence,
+                         source: Polynomial, expected: Polynomial,
+                         reason: str) -> CheckResult:
+        """Record a composite-map check as failed without computing it.
+
+        For a check whose symbolic side is known to be pointless or too
+        large to build because ``reason`` (another check) failed.  The
+        numeric hook is kept, so the re-check still evaluates the identity
+        from the stored generator images.
+        """
+        check = CheckResult(name, False, residual="not computed",
+                            details=f"not built: {reason}",
+                            sz_fn=composition_sz(maps, source, expected))
+        self.checks.append(check)
+        return check
+
     def note(self, text: str) -> None:
         self.notes.append(text)
 

@@ -251,14 +251,12 @@ def _cmd_stable_equiv(args) -> int:
                            for name in pair.psi.sig.names}}}
     lines = []
     if args.show_maps:
-        payload["maps"] = {"phi": pair.phi.to_dict(),
-                           "psi": pair.psi.to_dict()}
-        lines.append("phi:")
-        lines.extend(f"  {name} -> {image}"
-                     for name, image in sorted(pair.phi.to_dict().items()))
-        lines.append("psi:")
-        lines.extend(f"  {name} -> {image}"
-                     for name, image in sorted(pair.psi.to_dict().items()))
+        maps = {"phi": pair.phi.to_dict(), "psi": pair.psi.to_dict()}
+        payload["maps"] = maps
+        for label, images in maps.items():
+            lines.append(f"{label}:")
+            lines.extend(f"  {name} -> {image}"
+                         for name, image in sorted(images.items()))
     return _finish_certificate(args, cert, payload, lines)
 
 

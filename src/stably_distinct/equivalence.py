@@ -457,7 +457,9 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
     right, the y-image dividend is the single term x^[2]y), while the
     result is an exact computation of the same polynomial as blind
     composition.  Each composite check also carries a numeric hook that
-    re-verifies it from the generator images alone.
+    re-verifies it from the generator images alone.  A round trip whose
+    outer map fails its image identity is not built: its three checks are
+    recorded as failed, naming that identity.
     """
     if q is not None and _as_q(q) != pair.q:
         raise InvalidWitness("pair was built for a different q")
@@ -477,10 +479,12 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
 
     phi_of_pq = phi.apply(pair.p_q)
     psi_of_p0 = psi.apply(pair.p_zero)
-    cert.record_composition("phi-sends-family-to-constant", [phi],
-                            pair.p_q, phi_of_pq, pair.p_zero)
-    cert.record_composition("psi-sends-constant-to-family", [psi],
-                            pair.p_zero, psi_of_p0, pair.p_q)
+    phi_image = cert.record_composition("phi-sends-family-to-constant",
+                                        [phi], pair.p_q, phi_of_pq,
+                                        pair.p_zero)
+    psi_image = cert.record_composition("psi-sends-constant-to-family",
+                                        [psi], pair.p_zero, psi_of_p0,
+                                        pair.p_q)
 
     if q_poly.degree() <= 0:
         # constant q: the pair is the identity and composition is cheap
@@ -494,18 +498,28 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
                                     [psi, phi], var, bwd.image(name), var)
         return _finish_stable_certificate(cert, pair, sig)
 
+    # a round trip reads the outer map's image of the target; when that
+    # image identity fails, r of it is large and squaring it in the
+    # builder can take minutes, so the round trip is recorded as failed
     round_trips = (
-        ("phi-after-psi", [phi, psi], _cylinder_images(
-            -1, r.subs_into(phi_of_pq), phi.image("z"), phi.image("w"),
-            phi_of_pq, UnivariatePoly([q_poly(Fraction(0))]))),
-        ("psi-after-phi", [psi, phi], _cylinder_images(
-            1, r.subs_into(psi_of_p0), psi.image("z"), psi.image("w"),
-            psi_of_p0, q_poly)))
-    for stem, maps, (y_img, z_img, w_img) in round_trips:
-        for name, image in (("z", z_img), ("w", w_img), ("y", y_img)):
+        ("phi-after-psi", [phi, psi], phi_image, -1, phi_of_pq,
+         UnivariatePoly([q_poly(Fraction(0))])),
+        ("psi-after-phi", [psi, phi], psi_image, 1, psi_of_p0, q_poly))
+    for stem, maps, image_check, sign, target, inner_q in round_trips:
+        if image_check.passed:
+            outer = maps[0]
+            y_img, z_img, w_img = _cylinder_images(
+                sign, r.subs_into(target), outer.image("z"),
+                outer.image("w"), target, inner_q)
+            images = {"z": z_img, "w": w_img, "y": y_img}
+        for name in ("z", "w", "y"):
             var = Polynomial.variable(sig, name)
-            cert.record_composition(f"{stem}-fixes-{name}", maps, var,
-                                    image, var)
+            if image_check.passed:
+                cert.record_composition(f"{stem}-fixes-{name}", maps, var,
+                                        images[name], var)
+            else:
+                cert.record_not_built(f"{stem}-fixes-{name}", maps, var,
+                                      var, f"{image_check.name} failed")
     return _finish_stable_certificate(cert, pair, sig)
 
 
@@ -538,9 +552,14 @@ def brute_force_hyper_equivalence(q1, c1, q2, c2) \
     relations and the level relation.  Any valid rational mu necessarily
     appears among the candidates, so a None here means no rational-mu
     witness exists.  Used as a cross-check oracle for
-    :func:`decide_hypersurface_equivalence`.
+    :func:`decide_hypersurface_equivalence`.  Coefficients in Q(sqrt(d))
+    raise StablyDistinctError: the search covers rational mu only.
     """
     q1, q2 = _as_q(q1), _as_q(q2)
+    if any(isinstance(c, QuadExt) for c in q1.coeffs + q2.coeffs):
+        raise StablyDistinctError(
+            "the brute-force oracle searches rational mu only; q has a "
+            "coefficient in Q(sqrt(d))")
     c1, c2 = rational(c1), rational(c2)
     if q1.support() != q2.support():
         return None

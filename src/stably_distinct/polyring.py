@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
-from operator import add
+from operator import add, sub
 
 from .errors import (DivisionByZeroPolynomial, NotDivisible, ParseError,
                      ResourceLimit, SignatureMismatch, UnknownVariable)
@@ -412,13 +412,15 @@ def _sub_into(acc: dict, terms: dict):
 def _mul_terms(a: dict, b: dict) -> dict:
     """Term dict of the product, by the path that fits the operands.
 
-    A one-term operand shifts and scales the other side.  All-Fraction
-    operands with at least ``_PACKED_MIN_PAIRS`` term pairs multiply as
-    integers over one common denominator, with each exponent tuple packed
-    into one int (after Monagan and Pearce, CASC 2007).  Anything else
-    (smaller products, coefficients in Q(sqrt(d))) takes the generic
-    loop.  The term limit counts nonzero terms after each row of the
-    smaller operand on every path.
+    A one-term operand shifts the other side's exponents and scales its
+    coefficients; when that term's coefficient is 1 the other side's
+    coefficients are reused as they are.  All-Fraction operands with at
+    least ``_PACKED_MIN_PAIRS`` term pairs multiply as integers over one
+    common denominator, with each exponent tuple packed into one int
+    (after Monagan and Pearce, CASC 2007).  Anything else (smaller
+    products, coefficients in Q(sqrt(d))) takes the generic loop.  The
+    term limit counts nonzero terms after each row of the smaller operand
+    on every path.
     """
     if not a or not b:
         return {}
@@ -429,6 +431,8 @@ def _mul_terms(a: dict, b: dict) -> dict:
         if len(b) > limit:
             raise _product_limit(a, b, limit)
         ((ea, ca),) = a.items()
+        if ca == 1:
+            return {tuple(map(add, ea, eb)): cb for eb, cb in b.items()}
         return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
     if len(a) * len(b) >= _PACKED_MIN_PAIRS and \
             all(type(c) is Fraction for c in a.values()) and \
@@ -525,14 +529,22 @@ def x_power_bracket(sig: RingSignature, k: int) -> Polynomial:
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Quotient p/d when d divides p exactly; otherwise NotDivisible.
 
-    Single-divisor graded-lex division: on exact multiples the leading
-    term is always divisible, so this terminates with zero remainder
-    precisely on multiples.  Leading terms come off a heap (after
-    Monagan and Pearce, JSC 2011) instead of a scan of the remainder.
+    A one-term d shifts every exponent of p down by d's in one pass, and
+    divides the coefficients only when d's coefficient is not 1.  Any
+    other d takes single-divisor graded-lex division: on exact multiples
+    the leading term is always divisible, so this terminates with zero
+    remainder precisely on multiples.  Leading terms come off a heap
+    (after Monagan and Pearce, JSC 2011) instead of a scan of the
+    remainder.  Both paths name the same term in NotDivisible: on a
+    one-term d each division step cancels only the term it took, so the
+    first term found not divisible is the graded-lex largest such term
+    of p, with its coefficient in p.
     """
     if d.is_zero():
         raise DivisionByZeroPolynomial("division by zero polynomial")
     _check_sig(p, d)
+    if len(d.terms) == 1:
+        return _divide_by_monomial(p, d)
     lead_exps, lead_coeff = d.leading_term()
     remaining = dict(p.terms)
     # a min-heap on negated graded-lex keys yields the largest remaining
@@ -558,6 +570,22 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
         _sub_into(remaining, step)
         for e in new:
             heappush(heap, (_heap_key(e), e))
+    return Polynomial(p.sig, quotient)
+
+
+def _divide_by_monomial(p: Polynomial, d: Polynomial) -> Polynomial:
+    ((lead_exps, lead_coeff),) = d.terms.items()
+    quotient = {tuple(map(sub, exps, lead_exps)): coeff
+                for exps, coeff in p.terms.items()}
+    # shifting every exponent by one tuple keeps the graded-lex order
+    bad = [qexps for qexps in quotient if min(qexps) < 0]
+    if bad:
+        qexps = max(bad, key=_grlex_key)
+        raise NotDivisible("remainder has leading term %s" % _monomial_text(
+            p.sig.names, tuple(map(add, qexps, lead_exps)), quotient[qexps]))
+    if lead_coeff != 1:
+        quotient = {exps: coeff / lead_coeff
+                    for exps, coeff in quotient.items()}
     return Polynomial(p.sig, quotient)
 
 

@@ -1,6 +1,7 @@
 """Tests for the equivalence deciders, witness maps, and stable pairs."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,11 @@ class TestHypersurfaceEquivalence:
                     # decider may exceed the oracle only via irrational mu
                     assert isinstance(decided.mu, QuadExt)
 
+    def test_oracle_rejects_sqrt_coefficients(self):
+        with pytest.raises(StablyDistinctError, match="rational mu only"):
+            brute_force_hyper_equivalence([1, 0, 0, 1], 0,
+                                          [1, 0, 0, quadext(0, 1, 2)], 0)
+
 
 CORRUPTIONS = {
     "negated": lambda image: -image,
@@ -393,6 +399,31 @@ class TestStableEquivalence:
         assert "phi-sends-family-to-constant" not in failed
         assert {"psi-after-phi-fixes-z", "psi-after-phi-fixes-w",
                 "psi-after-phi-fixes-y"} <= failed
+
+    @pytest.mark.parametrize("side, identity, stem", [
+        ("phi", "phi-sends-family-to-constant", "phi-after-psi"),
+        ("psi", "psi-sends-constant-to-family", "psi-after-phi")])
+    def test_failed_image_identity_skips_its_round_trip(self, side,
+                                                        identity, stem):
+        # with the image identity false, r of the outer image is large and
+        # building the round trip ran for minutes at (t - 1)^3
+        bad = _corrupt(build_stable_equivalence([-1, 3, -3, 1], 1), side,
+                       "y", "negated")
+        start = time.perf_counter()
+        cert = verify_stable_equivalence(bad)
+        run_schwartz_zippel(cert, random.Random(0), points=3)
+        assert time.perf_counter() - start < 10
+        failed = {c.name: c for c in cert.failed_checks()}
+        assert identity in failed
+        names = [f"{stem}-fixes-{gen}" for gen in ("z", "w", "y")]
+        for name in names:
+            assert failed[name].details == f"not built: {identity} failed"
+        # the names and order of a passing pair's checks are kept
+        good = verify_stable_equivalence(build_stable_equivalence([-1, 1], 1))
+        assert [c.name for c in cert.checks if not c.name.endswith("/sz")] \
+            == [c.name for c in good.checks]
+        # the numeric hooks still run from the stored images
+        assert f"{names[0]}/sz" in {c.name for c in cert.checks}
 
     def test_constant_q_gives_identity_pair(self):
         pair = build_stable_equivalence([7], 2)

@@ -128,3 +128,57 @@ class TestDivisionMatchesReference:
         expected = outcome(lambda: reference_divide(SIG, dividend.terms, d))
         got = outcome(lambda: exact_divide(dividend, poly(d)).terms)
         assert got == expected
+
+
+# one-term divisors and factors: unit, -1, rational with a denominator,
+# Q(sqrt(2)), at any exponent or at the all-zero exponent (a constant)
+one_term_coeffs = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(3, 7),
+                     Fraction(-5, 2)]),
+    sqrt2_scalars.filter(bool))
+one_terms = st.builds(lambda exps, coeff: {exps: coeff},
+                      st.one_of(st.just((0,) * SIG.nvars), exponents),
+                      one_term_coeffs)
+
+
+class TestOneTermPaths:
+    @settings(deadline=None)
+    @given(term_dicts(sqrt2_scalars), one_terms)
+    def test_exact_multiple(self, p, m):
+        product = poly(p) * poly(m)
+        got = exact_divide(product, poly(m)).terms
+        assert got == p
+        assert got == reference_divide(SIG, product.terms, m)
+
+    @settings(deadline=None)
+    @given(term_dicts(sqrt2_scalars), one_terms,
+           term_dicts(sqrt2_scalars, max_size=4))
+    def test_same_outcome_on_perturbed_multiples(self, p, m, r):
+        dividend = poly(p) * poly(m) + poly(r)
+        expected = outcome(lambda: reference_divide(SIG, dividend.terms, m))
+        got = outcome(lambda: exact_divide(dividend, poly(m)).terms)
+        assert got == expected
+
+    def test_not_divisible_names_the_largest_bad_term(self):
+        # x1^3*z and 3*z^2 are not multiples of 2*x1*y; the graded-lex
+        # larger one is named, with its coefficient in the dividend
+        m = {(1, 0, 1, 0, 0): Fraction(2)}
+        dividend = {(0, 0, 0, 2, 0): Fraction(3), (2, 0, 3, 0, 0): Fraction(4),
+                    (3, 0, 0, 1, 0): Fraction(-1, 2)}
+        message = "remainder has leading term -1/2*x1^3*z"
+        assert outcome(lambda: reference_divide(SIG, dividend, m)) == \
+            ("not divisible", message)
+        assert outcome(lambda: exact_divide(poly(dividend), poly(m))) == \
+            ("not divisible", message)
+
+    @settings(deadline=None)
+    @given(exponents, st.sampled_from([Fraction(1), Fraction(-1)]),
+           term_dicts(sqrt2_scalars))
+    def test_unit_and_minus_unit_products(self, exps, coeff, b):
+        a = {exps: coeff}
+        assert_product(a, b)
+        assert_product(b, a)
+        if coeff == 1:
+            # a unit factor reuses the other side's coefficients
+            got = (poly(a) * poly(b)).terms.values()
+            assert all(c is d for c, d in zip(got, b.values()))
