@@ -318,12 +318,9 @@ class Certificate:
     def record_not_built(self, name: str, maps: Sequence,
                          source: Polynomial, expected: Polynomial,
                          reason: str) -> CheckResult:
-        """Record a composite-map check as failed without computing it.
-
-        For a check whose symbolic side is known to be pointless or too
-        large to build because ``reason`` (another check) failed.  The
-        numeric hook is kept, so the re-check still evaluates the identity
-        from the stored generator images.
+        """Record a composite-map check as failed, because of ``reason``,
+        without building its symbolic side.  The numeric hook is kept, so
+        the re-check still evaluates the identity from the stored images.
         """
         check = CheckResult(name, False, residual="not computed",
                             details=f"not built: {reason}",

@@ -506,13 +506,12 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
          UnivariatePoly([q_poly(Fraction(0))])),
         ("psi-after-phi", [psi, phi], psi_image, 1, psi_of_p0, q_poly))
     for stem, maps, image_check, sign, target, inner_q in round_trips:
+        outer = maps[0]
         if image_check.passed:
-            outer = maps[0]
-            y_img, z_img, w_img = _cylinder_images(
+            images = dict(zip("yzw", _cylinder_images(
                 sign, r.subs_into(target), outer.image("z"),
-                outer.image("w"), target, inner_q)
-            images = {"z": z_img, "w": w_img, "y": y_img}
-        for name in ("z", "w", "y"):
+                outer.image("w"), target, inner_q)))
+        for name in "zwy":
             var = Polynomial.variable(sig, name)
             if image_check.passed:
                 cert.record_composition(f"{stem}-fixes-{name}", maps, var,
