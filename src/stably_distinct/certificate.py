@@ -237,7 +237,7 @@ def composition_sz(maps: Sequence, source: Polynomial,
     images of f, then of g; ``source`` evaluated at the transported point
     must equal ``expected`` at the original point; with no maps the two
     are compared at the same point.  Only the stored generator images are
-    ever evaluated, never a symbolic composite, so this stays cheap even
+    ever evaluated, never a symbolic composite, so this stays fast even
     when the expanded composite would be enormous.  The hook runs as
     ``hook(rng, points)``, giving ``(ok, details)``, or inside
     :func:`run_schwartz_zippel`, which shares points and transport

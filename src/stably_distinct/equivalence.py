@@ -23,7 +23,6 @@ carrying the algebraic relation a richer field would have to satisfy.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .certificate import Certificate
@@ -156,34 +155,18 @@ def _relations_hold(q1: UnivariatePoly, q2: UnivariatePoly, lam, mu) -> bool:
     return all(q2[j] == lam * mu ** j * q1[j] for j in q1.support())
 
 
-def _bezout_root(rhos: dict[int, Fraction]) -> tuple[int, Fraction]:
-    """Given mu^m = rho_m for each gap m, derive (g, rho_g) with g the gcd.
+def _euclid_root(rhos: dict[int, Fraction]) -> tuple[int, Fraction]:
+    """Given mu^m = rho_m for each gap m, derive (g, mu^g) with g the gcd.
 
-    Combines the relations with the extended Euclidean algorithm so that
-    rho_g is an explicit product of integer powers of the given rho_m.
+    Euclid on (gap, ratio) pairs: mu^g = v and mu^m = r give
+    mu^(g - k*m) = v / r^k, so the ratio follows the gaps down to g.
     """
-    gaps = sorted(rhos)
-    g = gaps[0]
-    value = rhos[g]
-    for m in gaps[1:]:
-        new_g = math.gcd(g, m)
-        # a, b with a*g + b*m = new_g
-        a, b = _bezout_pair(g, m)
-        value = value ** a * rhos[m] ** b
-        g = new_g
+    pairs = iter(sorted(rhos.items()))
+    g, value = next(pairs)
+    for m, r in pairs:
+        while m:
+            g, value, m, r = m, r, g % m, value / r ** (g // m)
     return g, value
-
-
-def _bezout_pair(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    return old_s, old_t
 
 
 def _mu_candidates(rho, g: int, d):
@@ -239,8 +222,8 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
       coefficient, every other coefficient is checked;
     * exactly one c zero: impossible;
     * both c zero: mu is constrained only by coefficient ratios
-      mu^(j-j0) = rho_j; the gcd of the gaps pins down mu^g via the
-      extended Euclidean algorithm, solvability over the complex numbers
+      mu^(j-j0) = rho_j; the gcd g of the gaps pins down mu^g by Euclid's
+      algorithm on (gap, ratio) pairs, solvability over the complex numbers
       is the exact condition rho_j = rho_g^((j-j0)/g), and the root is
       extracted in the rationals or one quadratic extension when
       possible — otherwise :class:`NotDecidableInField` reports the
@@ -282,7 +265,7 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
         return _attach_eps(base, Fraction(1))
 
     rhos = {m: (q2[j0 + m] / q1[j0 + m]) / base for m in gaps}
-    g, rho_g = _bezout_root(rhos)
+    g, rho_g = _euclid_root(rhos)
     for m in gaps:
         if rhos[m] != rho_g ** (m // g):
             return None                     # no complex solution either
@@ -332,7 +315,6 @@ def verify_hyper_equivalence(q1, c1, q2, c2, witness: HyperEquivWitness,
     q1, q2 = _as_q(q1), _as_q(q2)
     c1, c2 = rational(c1), rational(c2)
     theta = build_hyper_equiv_automorphism(witness, n)
-    sig = RingSignature(n)
     fiber1 = build_Pq(PqSpec(n, q1, c1)) - c1
     fiber2 = build_Pq(PqSpec(n, q2, c2)) - c2
     cert = Certificate(
@@ -460,6 +442,13 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
     re-verifies it from the generator images alone.  A round trip whose
     outer map fails its image identity is not built: its three checks are
     recorded as failed, naming that identity.
+
+    The exact round trips read only the outer map's stored images; the
+    inner map enters through its formula.  So ``phi-after-psi-fixes-v``
+    proves phi o psi_formula = id: phi is surjective, hence an
+    automorphism, and with ``phi-sends-family-to-constant`` that is the
+    certified claim.  The stored psi is checked exactly by the
+    ``psi-after-phi-*`` round trips and by its own image identity.
     """
     if q is not None and _as_q(q) != pair.q:
         raise InvalidWitness("pair was built for a different q")
@@ -487,7 +476,7 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
                                         pair.p_q)
 
     if q_poly.degree() <= 0:
-        # constant q: the pair is the identity and composition is cheap
+        # constant q: the pair is the identity and composing it costs little
         fwd = phi.compose(psi)
         bwd = psi.compose(phi)
         for name in ("z", "w", "y"):

@@ -27,11 +27,17 @@ Scalar = Union[Fraction, "QuadExt"]
 
 
 def rational(num, den=1) -> Fraction:
-    """Build a Fraction, accepting ints, Fractions or 'p/q' text."""
+    """Build a Fraction, accepting ints, Fractions or 'p/q' text.
+
+    Anything else, a float or a QuadExt included, raises ParseError.
+    """
     if isinstance(num, str):
         return _parse_rational_text(num)
     if type(num) is Fraction and den == 1:
         return num  # already canonical; Fraction(num) would rebuild it
+    for value in (num, den):
+        if not isinstance(value, (int, Fraction)):
+            raise ParseError("not a rational: %r" % (value,))
     return Fraction(num, den)
 
 

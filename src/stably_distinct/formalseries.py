@@ -170,22 +170,27 @@ def _series_argument(u, order: int) -> TruncatedSeries:
     return u
 
 
-def exp_series(u, order: int) -> TruncatedSeries:
-    """exp(u) truncated at the given total x-degree.
+def _power_series(u, order: int, coeff) -> TruncatedSeries:
+    """Sum_m coeff(m) * u^m truncated at the given total x-degree.
 
     Every monomial of ``u`` must have x-degree at least one: then u^m has
-    x-degree at least m, the sum Sum u^m / m! is finite at each retained
-    order, and the result is exact through x-degree ``order``.
+    x-degree at least m, the sum is finite at each retained order, and
+    the result is exact through x-degree ``order``.
     """
     u = _series_argument(u, order)
-    result = TruncatedSeries.constant(u.sig, order, 1)
+    result = TruncatedSeries.constant(u.sig, order, coeff(0))
     power = TruncatedSeries.constant(u.sig, order, 1)
     for m in range(1, order + 1):
         power = power * u
         if power.is_zero():
             break
-        result = result + power * Fraction(1, math.factorial(m))
+        result = result + power * coeff(m)
     return result
+
+
+def exp_series(u, order: int) -> TruncatedSeries:
+    """exp(u) = Sum_m u^m / m!, truncated as in :func:`_power_series`."""
+    return _power_series(u, order, lambda m: Fraction(1, math.factorial(m)))
 
 
 def second_tail_series(u, order: int) -> TruncatedSeries:
@@ -195,16 +200,8 @@ def second_tail_series(u, order: int) -> TruncatedSeries:
     the correction term making the transported y-coordinate polynomial
     in y.
     """
-    u = _series_argument(u, order)
-    result = TruncatedSeries.constant(u.sig, order, Fraction(1, 2))
-    power = TruncatedSeries.constant(u.sig, order, 1)
-    for m in range(1, order + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        sign = -1 if m % 2 else 1
-        result = result + power * Fraction(sign, math.factorial(m + 2))
-    return result
+    return _power_series(u, order, lambda m: Fraction(
+        (-1) ** m, math.factorial(m + 2)))
 
 
 def _record_series(cert: Certificate, name: str, lhs: TruncatedSeries,

@@ -20,12 +20,12 @@ import json
 import os
 import re
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import lcm
 from operator import add, sub
 
 from .errors import (DivisionByZeroPolynomial, NotDivisible, ParseError,
-                     ResourceLimit, SignatureMismatch, UnknownVariable)
+                     ResourceLimit, SignatureMismatch, StablyDistinctError,
+                     UnknownVariable)
 from .exactfield import QuadExt, as_scalar, parse_scalar, scalar_to_text
 
 _DEFAULT_TERM_LIMIT = 10 ** 6
@@ -93,11 +93,6 @@ class RingSignature:
 
 def _grlex_key(exps):
     return (sum(exps), exps)
-
-
-def _heap_key(exps):
-    """Key whose ascending order is descending graded-lex order."""
-    return (-sum(exps), tuple(-e for e in exps))
 
 
 def _check_sig(a, b):
@@ -182,12 +177,6 @@ class Polynomial:
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
                       reverse=True)
-
-    def leading_term(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -276,19 +265,11 @@ class Polynomial:
 
     def partial_derivative(self, name: str):
         idx = self.sig.index(name)
-        result = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e:
-                newexps = exps[:idx] + (e - 1,) + exps[idx + 1:]
-                c = coeff * e
-                prev = result.get(newexps)
-                c = c if prev is None else prev + c
-                if c:
-                    result[newexps] = c
-                elif prev is not None:
-                    del result[newexps]
-        return Polynomial(self.sig, result)
+        # lowering one exponent is injective and coeff*e != 0 in
+        # characteristic 0, so no two terms merge and none cancels
+        return Polynomial(self.sig, {
+            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: coeff * exps[idx]
+            for exps, coeff in self.terms.items() if exps[idx]})
 
     def substitute(self, images: dict):
         """Simultaneously replace variables by polynomials (or scalars).
@@ -527,53 +508,20 @@ def x_power_bracket(sig: RingSignature, k: int) -> Polynomial:
 
 
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient p/d when d divides p exactly; otherwise NotDivisible.
+    """Quotient p/d for a one-term d that divides p; otherwise NotDivisible.
 
-    A one-term d shifts every exponent of p down by d's in one pass, and
-    divides the coefficients only when d's coefficient is not 1.  Any
-    other d takes single-divisor graded-lex division: on exact multiples
-    the leading term is always divisible, so this terminates with zero
-    remainder precisely on multiples.  Leading terms come off a heap
-    (after Monagan and Pearce, JSC 2011) instead of a scan of the
-    remainder.  Both paths name the same term in NotDivisible: on a
-    one-term d each division step cancels only the term it took, so the
-    first term found not divisible is the graded-lex largest such term
-    of p, with its coefficient in p.
+    Every exponent of p shifts down by d's in one pass, and coefficients
+    are divided only when d's coefficient is not 1.  NotDivisible names
+    the graded-lex largest term of p that d does not divide, with its
+    coefficient in p.  A d with two or more terms is refused: every
+    division in the construction is by a power of x^[1].
     """
     if d.is_zero():
         raise DivisionByZeroPolynomial("division by zero polynomial")
     _check_sig(p, d)
-    if len(d.terms) == 1:
-        return _divide_by_monomial(p, d)
-    lead_exps, lead_coeff = d.leading_term()
-    remaining = dict(p.terms)
-    # a min-heap on negated graded-lex keys yields the largest remaining
-    # exponent first; entries whose term has since cancelled are skipped
-    heap = [(_heap_key(exps), exps) for exps in remaining]
-    heapify(heap)
-    quotient = {}
-    while heap:
-        exps = heappop(heap)[1]
-        coeff = remaining.get(exps)
-        if coeff is None:
-            continue
-        qexps = tuple(a - b for a, b in zip(exps, lead_exps))
-        if any(e < 0 for e in qexps):
-            raise NotDivisible("remainder has leading term %s"
-                               % _monomial_text(p.sig.names, exps, coeff))
-        qcoeff = coeff / lead_coeff
-        quotient[qexps] = qcoeff
-        step = _mul_terms({qexps: qcoeff}, d.terms)
-        # every term of step sorts at or below exps, so only the exponents
-        # new to the remainder need a heap entry
-        new = [e for e in step if e not in remaining]
-        _sub_into(remaining, step)
-        for e in new:
-            heappush(heap, (_heap_key(e), e))
-    return Polynomial(p.sig, quotient)
-
-
-def _divide_by_monomial(p: Polynomial, d: Polynomial) -> Polynomial:
+    if len(d.terms) != 1:
+        raise StablyDistinctError("exact_divide takes a one-term divisor, "
+                                  "not one with %d terms" % len(d.terms))
     ((lead_exps, lead_coeff),) = d.terms.items()
     quotient = {tuple(map(sub, exps, lead_exps)): coeff
                 for exps, coeff in p.terms.items()}

@@ -1,21 +1,25 @@
 """Tests for the equivalence deciders, witness maps, and stable pairs."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
-    HyperEquivWitness, PolyEquivWitness, StableEquivPair,
+    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _euclid_root,
     brute_force_hyper_equivalence, build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
     decide_hypersurface_equivalence, decide_poly_equivalence,
     stable_equivalence_degree_bound, theorem_certificate,
     verify_hyper_equivalence, verify_stable_equivalence)
 from stably_distinct.errors import (DimensionMismatch, InvalidWitness,
-                                    NotDecidableInField, StablyDistinctError)
+                                    NotDecidableInField, ParseError,
+                                    StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, build_Pq
 from stably_distinct.morphisms import RingEndomorphism
@@ -281,6 +285,31 @@ class TestHypersurfaceEquivalence:
         with pytest.raises(StablyDistinctError, match="rational mu only"):
             brute_force_hyper_equivalence([1, 0, 0, 1], 0,
                                           [1, 0, 0, quadext(0, 1, 2)], 0)
+
+    @pytest.mark.parametrize("entry", [
+        lambda c: decide_poly_equivalence([1, 0, 1], c, [1, 0, 1], 1),
+        lambda c: decide_hypersurface_equivalence([1, 0, 1], c, [1, 0, 1], 1),
+        lambda c: brute_force_hyper_equivalence([1, 0, 1], c, [1, 0, 1], 1),
+        lambda c: PqSpec(1, [1, 0, 1], c),
+    ], ids=["poly", "hypersurface", "oracle", "pq-spec"])
+    @pytest.mark.parametrize("level", [quadext(0, 1, 2), 1.5])
+    def test_non_rational_level_is_refused(self, entry, level):
+        with pytest.raises(ParseError, match="not a rational"):
+            entry(level)
+
+
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+nonzero_mus = st.one_of(
+    small_fractions,
+    st.builds(lambda a, b: quadext(a, b, 2), small_fractions, small_fractions),
+).filter(bool)
+
+
+@settings(deadline=None)
+@given(nonzero_mus, st.sets(st.integers(1, 12), min_size=1, max_size=4))
+def test_euclid_root_gives_mu_to_the_gcd(mu, gaps):
+    assert _euclid_root({m: mu ** m for m in gaps}) == \
+        (math.gcd(*gaps), mu ** math.gcd(*gaps))
 
 
 CORRUPTIONS = {

@@ -1,10 +1,12 @@
 """The polynomial kernel against the reference kernel in conftest.
 
-Products and exact divisions of random polynomials must give the same
-term dicts as the plain term-pair loop and the leading-term-scan
-division, on rational coefficients with denominators, on coefficients in
-Q(sqrt(2)), on one-term operands and on products whose terms cancel.
-On non-multiples both divisions raise NotDivisible with the same message.
+Products of random polynomials, and exact divisions by one-term
+divisors, must give the same term dicts as the plain term-pair loop and
+the leading-term-scan division, on rational coefficients with
+denominators, on coefficients in Q(sqrt(2)), on one-term operands and on
+products whose terms cancel.  On non-multiples both divisions raise
+NotDivisible with the same message.  A divisor with two or more terms is
+refused with a plain StablyDistinctError.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from fractions import Fraction
 
 import pytest
 from conftest import reference_divide, reference_mul
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stably_distinct.errors import NotDivisible
+from stably_distinct.errors import NotDivisible, StablyDistinctError
 from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.polyring import (_PACKED_MIN_PAIRS, Polynomial,
                                       RingSignature, exact_divide)
@@ -111,23 +113,21 @@ class TestProductMatchesReference:
         assert_product(a, b)
 
 
-class TestDivisionMatchesReference:
+class TestMultiTermDivisorRefused:
     @settings(deadline=None)
-    @given(term_dicts(rationals), nonzero(rationals))
-    def test_exact_multiple(self, p, d):
-        product = poly(p) * poly(d)
-        assert exact_divide(product, poly(d)) == poly(p)
-        assert exact_divide(product, poly(d)).terms == \
-            reference_divide(SIG, product.terms, d)
-
-    @settings(deadline=None)
-    @given(term_dicts(sqrt2_scalars), nonzero(sqrt2_scalars),
-           term_dicts(sqrt2_scalars, max_size=3))
-    def test_same_outcome_on_perturbed_multiples(self, p, d, r):
-        dividend = poly(p) * poly(d) + poly(r)
-        expected = outcome(lambda: reference_divide(SIG, dividend.terms, d))
-        got = outcome(lambda: exact_divide(dividend, poly(d)).terms)
-        assert got == expected
+    @given(st.sampled_from([rationals, sqrt2_scalars]).flatmap(
+        lambda coeffs: st.tuples(term_dicts(coeffs), nonzero(coeffs),
+                                 term_dicts(coeffs, max_size=3))),
+           st.booleans())
+    def test_plain_error_on_multiples_and_non_multiples(self, operands,
+                                                        perturb):
+        p, d, r = operands
+        assume(len(d) >= 2)
+        dividend = poly(p) * poly(d) + poly(r if perturb else {})
+        with pytest.raises(StablyDistinctError,
+                           match="not one with %d terms" % len(d)) as exc:
+            exact_divide(dividend, poly(d))
+        assert not isinstance(exc.value, NotDivisible)
 
 
 # one-term divisors and factors: unit, -1, rational with a denominator,
