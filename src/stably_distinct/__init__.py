@@ -51,9 +51,9 @@ from .exactfield import (
     sqrt_in_field,
 )
 from .formalseries import (
-    TruncatedSeries,
     exp_series,
     second_tail_series,
+    truncate,
     truncation_coherence,
     verify_biholomorphism,
 )
@@ -115,7 +115,6 @@ __all__ = [
     "SignatureMismatch",
     "StableEquivPair",
     "StablyDistinctError",
-    "TruncatedSeries",
     "UnivariatePoly",
     "VerificationFailed",
     "brute_force_hyper_equivalence",
@@ -151,6 +150,7 @@ __all__ = [
     "sqrt_in_field",
     "stable_equivalence_degree_bound",
     "theorem_certificate",
+    "truncate",
     "truncation_coherence",
     "verify_biholomorphism",
     "verify_fiber_isomorphism",

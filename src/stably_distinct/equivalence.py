@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certificate import Certificate
+from .certificate import Certificate, CheckResult
 from .errors import (DimensionMismatch, InvalidWitness, NotASquare,
                      NotDecidableInField, StablyDistinctError)
 from .exactfield import (QuadExt, as_scalar, quadext, rational,
@@ -354,29 +354,34 @@ class StableEquivPair:
         self.p_zero = p_zero
 
 
-def _cylinder_images(sign: int, rho: Polynomial, z: Polynomial,
-                     w: Polynomial, target: Polynomial, q: UnivariatePoly):
-    """The (y, z, w) images of one map of the cylinder pair.
+def _cylinder_zw(sign: int, rho: Polynomial, z: Polynomial, w: Polynomial):
+    """The (z, w) images of one map of the cylinder pair.
 
     With s = x^[1] and sigma = ``sign``:
 
         z' = (1 - sigma*s*rho)z + sigma*x^[2]w
         w' = (1 + sigma*s*rho)w - sigma*rho^2 z
-        y' = (target - z'^2 - s*q(z'^2)) / x^[2]
 
-    so the map sends P_q (with this q) to ``target``; the division is
-    exact by construction (NotDivisible here would mean a genuine bug).
-    Given another map's images of z and w, and that map's images of rho
-    and of the target, the same formulas give the images of the composite.
+    Given another map's images of z and w, and that map's image of rho,
+    the same formulas give the images of the composite.
     """
-    s1 = x_power_bracket(z.sig, 1)
-    s2 = x_power_bracket(z.sig, 2)
-    twist = s1 * rho * sign
-    z_img = (1 - twist) * z + s2 * sign * w
+    twist = x_power_bracket(z.sig, 1) * rho * sign
+    z_img = (1 - twist) * z + x_power_bracket(z.sig, 2) * sign * w
     w_img = (1 + twist) * w - rho * rho * sign * z
+    return z_img, w_img
+
+
+def _cylinder_y(z_img: Polynomial, target: Polynomial, q: UnivariatePoly):
+    """The y-image y' = (target - z'^2 - s*q(z'^2)) / x^[2], z' = ``z_img``.
+
+    It makes the map send P_q (with this q) to ``target``; the division is
+    exact by construction (NotDivisible here would mean a genuine bug).
+    Given another map's image of z and of the target, the same formula
+    gives the image of the composite.
+    """
     zsq = z_img * z_img
-    y_img = exact_divide(target - zsq - s1 * q.subs_into(zsq), s2)
-    return y_img, z_img, w_img
+    dividend = target - zsq - x_power_bracket(z_img.sig, 1) * q.subs_into(zsq)
+    return exact_divide(dividend, x_power_bracket(z_img.sig, 2))
 
 
 def build_stable_equivalence(q, n: int) -> StableEquivPair:
@@ -391,7 +396,8 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
         psi(w) = (1 - s*r(Pq))w + r(Pq)^2 z
 
     and the y-images are the unique solutions of phi(P_q) = P0 and
-    psi(P0) = P_q; all six come from :func:`_cylinder_images`.
+    psi(P0) = P_q; all six come from :func:`_cylinder_zw` and
+    :func:`_cylinder_y`.
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
@@ -406,10 +412,10 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
 
     z = Polynomial.variable(sig, "z")
     w = Polynomial.variable(sig, "w")
-    phi_y, phi_z, phi_w = _cylinder_images(1, r.subs_into(p_zero), z, w,
-                                           p_zero, q)
-    psi_y, psi_z, psi_w = _cylinder_images(-1, r.subs_into(p_q), z, w, p_q,
-                                           UnivariatePoly([q(Fraction(0))]))
+    phi_z, phi_w = _cylinder_zw(1, r.subs_into(p_zero), z, w)
+    phi_y = _cylinder_y(phi_z, p_zero, q)
+    psi_z, psi_w = _cylinder_zw(-1, r.subs_into(p_q), z, w)
+    psi_y = _cylinder_y(psi_z, p_q, UnivariatePoly([q(Fraction(0))]))
     phi = RingEndomorphism(sig, {"y": phi_y, "z": phi_z, "w": phi_w})
     psi = RingEndomorphism(sig, {"y": psi_y, "z": psi_z, "w": psi_w})
     return StableEquivPair(n, q, r, phi, psi, p_q, p_zero)
@@ -441,7 +447,8 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
     composition.  Each composite check also carries a numeric hook that
     re-verifies it from the generator images alone.  A round trip whose
     outer map fails its image identity is not built: its three checks are
-    recorded as failed, naming that identity.
+    recorded as failed, naming that identity.  Likewise its y-image is not
+    built when its z or w check fails.
 
     The exact round trips read only the outer map's stored images; the
     inner map enters through its formula.  So ``phi-after-psi-fixes-v``
@@ -495,20 +502,37 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
          UnivariatePoly([q_poly(Fraction(0))])),
         ("psi-after-phi", [psi, phi], psi_image, 1, psi_of_p0, q_poly))
     for stem, maps, image_check, sign, target, inner_q in round_trips:
+        if not image_check.passed:
+            for name in "zwy":
+                _record_fixes(cert, stem, maps, name, blocker=image_check)
+            continue
         outer = maps[0]
-        if image_check.passed:
-            images = dict(zip("yzw", _cylinder_images(
-                sign, r.subs_into(target), outer.image("z"),
-                outer.image("w"), target, inner_q)))
-        for name in "zwy":
-            var = Polynomial.variable(sig, name)
-            if image_check.passed:
-                cert.record_composition(f"{stem}-fixes-{name}", maps, var,
-                                        images[name], var)
-            else:
-                cert.record_not_built(f"{stem}-fixes-{name}", maps, var,
-                                      var, f"{image_check.name} failed")
+        z_img, w_img = _cylinder_zw(sign, r.subs_into(target),
+                                    outer.image("z"), outer.image("w"))
+        # psi(P0) sees psi(z) only through its square, so a wrong psi(z)
+        # can pass the image identity; squaring the wrong z' for y' then
+        # takes seconds, so y' is built only once z' and w' check out
+        zw = [_record_fixes(cert, stem, maps, "z", z_img),
+              _record_fixes(cert, stem, maps, "w", w_img)]
+        blocker = next((c for c in zw if not c.passed), None)
+        y_img = (_cylinder_y(z_img, target, inner_q) if blocker is None
+                 else None)
+        _record_fixes(cert, stem, maps, "y", y_img, blocker)
     return _finish_stable_certificate(cert, pair, sig)
+
+
+def _record_fixes(cert: Certificate, stem: str, maps: list, name: str,
+                  image: Polynomial | None = None,
+                  blocker: CheckResult | None = None) -> CheckResult:
+    """Record that the composite ``maps`` fixes generator ``name``: by its
+    built ``image``, or as failed, without building it, because the check
+    ``blocker`` failed."""
+    var = Polynomial.variable(maps[0].sig, name)
+    if blocker is not None:
+        return cert.record_not_built(f"{stem}-fixes-{name}", maps, var, var,
+                                     f"{blocker.name} failed")
+    return cert.record_composition(f"{stem}-fixes-{name}", maps, var, image,
+                                   var)
 
 
 def _finish_stable_certificate(cert: Certificate, pair: StableEquivPair,

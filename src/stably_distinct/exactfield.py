@@ -29,7 +29,8 @@ Scalar = Union[Fraction, "QuadExt"]
 def rational(num, den=1) -> Fraction:
     """Build a Fraction, accepting ints, Fractions or 'p/q' text.
 
-    Anything else, a float or a QuadExt included, raises ParseError.
+    Anything else, a float or a QuadExt included, raises ParseError, as
+    does text with a zero denominator; ``den`` = 0 raises DivisionByZero.
     """
     if isinstance(num, str):
         return _parse_rational_text(num)
@@ -38,6 +39,9 @@ def rational(num, den=1) -> Fraction:
     for value in (num, den):
         if not isinstance(value, (int, Fraction)):
             raise ParseError("not a rational: %r" % (value,))
+    if not den:
+        raise DivisionByZero("zero denominator in rational(%r, %r)"
+                             % (num, den))
     return Fraction(num, den)
 
 

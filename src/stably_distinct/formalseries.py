@@ -1,17 +1,19 @@
-"""Truncated power series and the analytic change of coordinates.
+"""Power series of the analytic change of coordinates, as kernel polynomials.
 
 Over the complex numbers the member with constant q = 1 can be carried
 onto the level set of the q = 0 member by scaling y and z with
 exponentials of the x-monomial u = x^[1] — a coordinate change that is
 holomorphic but not polynomial.  This module realizes those exponentials
-as formal power series truncated by total x-degree and verifies the
-defining identities hold at every retained order.
+as power series truncated by total x-degree and verifies the defining
+identities hold at every retained order.
 
-A :class:`TruncatedSeries` keeps polynomial coefficients exactly; only
-monomials whose total degree in the x-variables exceeds the truncation
-order are dropped.  Degrees in y and z are never truncated, so equality
-of two series at order N means the underlying identity holds through
-x-degree N with nothing rounded.
+A series is a plain :class:`Polynomial` with exact coefficients.  The
+monomials of total x-degree above N span an ideal, so :func:`truncate`,
+which drops them, is a ring homomorphism: truncating once, where two
+sides are compared, gives the same polynomial as truncating after every
+operation.  Degrees in y and z are never truncated, so equality of two
+sides at order N means the underlying identity holds through x-degree N
+with nothing rounded.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
-from .errors import NonzeroConstantTerm, SignatureMismatch
+from .errors import NonzeroConstantTerm
 from .polyring import Polynomial, RingSignature, x_power_bracket
 
 
@@ -28,172 +30,44 @@ def _x_degree(sig: RingSignature, exps) -> int:
     return sum(exps[:sig.n])
 
 
-class TruncatedSeries:
-    """A polynomial kept exactly up to a total x-degree cutoff."""
-
-    __slots__ = ("sig", "order", "terms")
-
-    def __init__(self, sig: RingSignature, order: int, terms=None):
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        self.sig = sig
-        self.order = order
-        kept = {}
-        for exps, coeff in (terms or {}).items():
-            if coeff and _x_degree(sig, exps) <= order:
-                kept[exps] = coeff
-        self.terms = kept
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, sig: RingSignature, order: int) -> "TruncatedSeries":
-        return cls(sig, order, {})
-
-    @classmethod
-    def constant(cls, sig: RingSignature, order: int,
-                 value) -> "TruncatedSeries":
-        return cls.from_polynomial(Polynomial.constant(sig, value), order)
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial,
-                        order: int) -> "TruncatedSeries":
-        return cls(p.sig, order, p.terms)
-
-    # -- views -------------------------------------------------------------
-
-    def to_polynomial(self) -> Polynomial:
-        return Polynomial(self.sig, dict(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def truncate(self, new_order: int) -> "TruncatedSeries":
-        if new_order > self.order:
-            raise ValueError(
-                f"cannot raise truncation order from {self.order} to "
-                f"{new_order}; the dropped coefficients are gone")
-        return TruncatedSeries(self.sig, new_order, self.terms)
-
-    def x_slice(self, degree: int) -> Polynomial:
-        """The part of the series with total x-degree exactly ``degree``."""
-        picked = {e: c for e, c in self.terms.items()
-                  if _x_degree(self.sig, e) == degree}
-        return Polynomial(self.sig, picked)
-
-    def first_mismatch_x_degree(self, other: "TruncatedSeries"):
-        """Smallest x-degree where the two series differ, or None."""
-        self._require_compatible(other)
-        diff = self - other
-        if diff.is_zero():
-            return None
-        return min(_x_degree(self.sig, e) for e in diff.terms)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _require_compatible(self, other: "TruncatedSeries"):
-        if self.sig != other.sig:
-            raise SignatureMismatch(
-                f"series signatures differ: {self.sig} vs {other.sig}")
-        if self.order != other.order:
-            raise ValueError(
-                f"series truncation orders differ: {self.order} vs "
-                f"{other.order}")
-
-    def _lift(self, other) -> Polynomial:
-        """A series, polynomial or scalar operand as a polynomial."""
-        if isinstance(other, TruncatedSeries):
-            self._require_compatible(other)
-            return Polynomial(other.sig, other.terms)
-        if isinstance(other, Polynomial):
-            if other.sig != self.sig:
-                raise SignatureMismatch(
-                    "polynomial signature differs from series signature")
-            return other
-        return Polynomial.constant(self.sig, other)
-
-    def _capped(self, p: Polynomial) -> "TruncatedSeries":
-        return TruncatedSeries(self.sig, self.order, p.terms)
-
-    def __add__(self, other):
-        return self._capped(self.to_polynomial() + self._lift(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._capped(-self.to_polynomial())
-
-    def __sub__(self, other):
-        return self._capped(self.to_polynomial() - self._lift(other))
-
-    def __rsub__(self, other):
-        return self._capped(self._lift(other) - self.to_polynomial())
-
-    def __mul__(self, other):
-        return self._capped(self.to_polynomial() * self._lift(other))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return (self.sig == other.sig and self.order == other.order
-                    and self.terms == other.terms)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sig, self.order,
-                     frozenset(self.terms.items())))
-
-    def __str__(self):
-        body = str(self.to_polynomial())
-        return f"{body} + O(x-degree {self.order + 1})"
-
-    def __repr__(self):
-        return f"TruncatedSeries(order={self.order}, {self.to_polynomial()!r})"
+def truncate(p: Polynomial, order: int) -> Polynomial:
+    """``p`` without its terms of total x-degree above ``order``."""
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return Polynomial(p.sig, {e: c for e, c in p.terms.items()
+                              if _x_degree(p.sig, e) <= order})
 
 
-def _series_argument(u, order: int) -> TruncatedSeries:
-    if isinstance(u, Polynomial):
-        u = TruncatedSeries.from_polynomial(u, order)
-    elif isinstance(u, TruncatedSeries):
-        u = u.truncate(order) if u.order > order else u
-        if u.order != order:
-            raise ValueError(
-                f"argument truncated at order {u.order}, need {order}")
-    else:
-        raise TypeError(f"expected a polynomial or series, got {type(u)}")
-    for exps in u.terms:
-        if _x_degree(u.sig, exps) == 0:
-            raise NonzeroConstantTerm(
-                "series argument has a term of x-degree zero; the "
-                "exponential sum would not terminate order by order")
-    return u
-
-
-def _power_series(u, order: int, coeff) -> TruncatedSeries:
+def _power_series(u, order: int, coeff) -> Polynomial:
     """Sum_m coeff(m) * u^m truncated at the given total x-degree.
 
     Every monomial of ``u`` must have x-degree at least one: then u^m has
     x-degree at least m, the sum is finite at each retained order, and
     the result is exact through x-degree ``order``.
     """
-    u = _series_argument(u, order)
-    result = TruncatedSeries.constant(u.sig, order, coeff(0))
-    power = TruncatedSeries.constant(u.sig, order, 1)
+    if not isinstance(u, Polynomial):
+        raise TypeError(f"expected a polynomial, got {type(u)}")
+    u = truncate(u, order)
+    if any(_x_degree(u.sig, exps) == 0 for exps in u.terms):
+        raise NonzeroConstantTerm(
+            "series argument has a term of x-degree zero; the "
+            "exponential sum would not terminate order by order")
+    result = Polynomial.constant(u.sig, coeff(0))
+    power = Polynomial.constant(u.sig, 1)
     for m in range(1, order + 1):
-        power = power * u
+        power = truncate(power * u, order)
         if power.is_zero():
             break
         result = result + power * coeff(m)
     return result
 
 
-def exp_series(u, order: int) -> TruncatedSeries:
+def exp_series(u: Polynomial, order: int) -> Polynomial:
     """exp(u) = Sum_m u^m / m!, truncated as in :func:`_power_series`."""
     return _power_series(u, order, lambda m: Fraction(1, math.factorial(m)))
 
 
-def second_tail_series(u, order: int) -> TruncatedSeries:
+def second_tail_series(u: Polynomial, order: int) -> Polynomial:
     """The series Sum_m (-1)^m u^m / (m+2)!, the degree-two tail of exp.
 
     Satisfies u^2 * tail = exp(-u) - 1 + u exactly at every order; it is
@@ -204,38 +78,34 @@ def second_tail_series(u, order: int) -> TruncatedSeries:
         (-1) ** m, math.factorial(m + 2)))
 
 
-def _record_series(cert: Certificate, name: str, lhs: TruncatedSeries,
-                   rhs: TruncatedSeries) -> CheckResult:
-    """Record series equality, reporting the first failing x-degree."""
-    check = cert.record(name, lhs.to_polynomial(), rhs.to_polynomial())
-    mismatch = lhs.first_mismatch_x_degree(rhs)
-    if mismatch is None:
-        check.details = (f"agrees through x-degree {lhs.order}")
+def _record_series(cert: Certificate, name: str, lhs: Polynomial,
+                   rhs: Polynomial, order: int) -> CheckResult:
+    """Record equality through x-degree ``order``, reporting the first
+    failing x-degree."""
+    lhs, rhs = truncate(lhs, order), truncate(rhs, order)
+    check = cert.record(name, lhs, rhs)
+    if check.passed:
+        check.details = f"agrees through x-degree {order}"
     else:
+        mismatch = min(_x_degree(lhs.sig, e) for e in (lhs - rhs).terms)
         check.details = f"first differing x-degree: {mismatch}"
     return check
 
 
-def _series_generators(sig: RingSignature, order: int):
-    """y, z and u = x^[1] as series truncated at ``order``."""
-    return tuple(TruncatedSeries.from_polynomial(p, order) for p in (
-        Polynomial.variable(sig, "y"), Polynomial.variable(sig, "z"),
-        x_power_bracket(sig, 1)))
-
-
 def _coordinate_change(sig: RingSignature,
-                       order: int) -> dict[str, TruncatedSeries]:
+                       order: int) -> dict[str, Polynomial]:
     """The series of the coordinate change y -> E*y - T, z -> gamma*z.
 
     E = exp(-u) is the y-scaling, gamma = exp(-u/2) the z-scaling and T
     the degree-two tail, all truncated at ``order``.
     """
-    y, z, u = _series_generators(sig, order)
+    u = x_power_bracket(sig, 1)
     e_fwd = exp_series(-u, order)
     gamma_fwd = exp_series(u * Fraction(-1, 2), order)
     tail = second_tail_series(u, order)
     return {"y-scaling": e_fwd, "z-scaling": gamma_fwd, "tail": tail,
-            "y-image": e_fwd * y - tail, "z-image": gamma_fwd * z}
+            "y-image": e_fwd * Polynomial.variable(sig, "y") - tail,
+            "z-image": gamma_fwd * Polynomial.variable(sig, "z")}
 
 
 def verify_biholomorphism(n: int, order: int) -> Certificate:
@@ -257,9 +127,9 @@ def verify_biholomorphism(n: int, order: int) -> Certificate:
             f"order must be at least 2 to see the first corrections, "
             f"got {order}")
     sig = RingSignature(n)
-    y, z, u = _series_generators(sig, order)
-    s2 = TruncatedSeries.from_polynomial(x_power_bracket(sig, 2), order)
-    one = TruncatedSeries.constant(sig, order, 1)
+    y, z = Polynomial.variable(sig, "y"), Polynomial.variable(sig, "z")
+    u, s2 = x_power_bracket(sig, 1), x_power_bracket(sig, 2)
+    one = Polynomial.constant(sig, 1)
 
     change = _coordinate_change(sig, order)
     e_fwd, gamma_fwd = change["y-scaling"], change["z-scaling"]
@@ -273,19 +143,20 @@ def verify_biholomorphism(n: int, order: int) -> Certificate:
         "exactly at every truncation order",
         {"n": str(n), "order": str(order)})
 
-    lhs = s2 * psi_y + psi_z * psi_z + u - one
-    rhs = e_fwd * (s2 * y + z * z - one)
-    _record_series(cert, "transported-member-factors", lhs, rhs)
-    _record_series(cert, "z-scaling-squares-to-y-scaling",
-                   gamma_fwd * gamma_fwd, e_fwd)
-    _record_series(cert, "tail-solves-functional-equation",
-                   u * u * tail, e_fwd - one + u)
-    _record_series(cert, "y-scaling-inverts", e_fwd * e_bwd, one)
-    _record_series(cert, "z-scaling-inverts", gamma_fwd * gamma_bwd, one)
+    def record(name, lhs, rhs):
+        _record_series(cert, name, lhs, rhs, order)
+
+    record("transported-member-factors",
+           s2 * psi_y + psi_z * psi_z + u - one,
+           e_fwd * (s2 * y + z * z - one))
+    record("z-scaling-squares-to-y-scaling", gamma_fwd * gamma_fwd, e_fwd)
+    record("tail-solves-functional-equation",
+           u * u * tail, e_fwd - one + u)
+    record("y-scaling-inverts", e_fwd * e_bwd, one)
+    record("z-scaling-inverts", gamma_fwd * gamma_bwd, one)
     # inverse map: y back via exp(u), z back via exp(u/2)
-    _record_series(cert, "round-trip-y",
-                   e_bwd * psi_y + e_bwd * tail, y)
-    _record_series(cert, "round-trip-z", gamma_bwd * psi_z, z)
+    record("round-trip-y", e_bwd * psi_y + e_bwd * tail, y)
+    record("round-trip-z", gamma_bwd * psi_z, z)
     return cert
 
 
@@ -312,6 +183,6 @@ def truncation_coherence(n: int, high_order: int,
         {"n": str(n), "high_order": str(high_order),
          "low_order": str(low_order)})
     for name in high:
-        _record_series(cert, f"stable-{name}",
-                       high[name].truncate(low_order), low[name])
+        _record_series(cert, f"stable-{name}", high[name], low[name],
+                       low_order)
     return cert

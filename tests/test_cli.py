@@ -146,6 +146,59 @@ def test_equiv_ends_in_an_answer_or_a_usage_error(argv):
         assert main(["--sz-points", "3"] + argv) in (0, 2)
 
 
+# scalar text in Q, in Q(sqrt(2)), or malformed
+_SCALAR_TEXT = st.one_of(
+    _RATIONALS.map(str), _SURDS.map(str),
+    st.sampled_from(["1/0", "1.5", "sqrt(2)", "0+1*sqrt(-1)", ""]))
+_CSV_TEXT = st.lists(_SCALAR_TEXT, max_size=3).map(",".join)
+
+
+def _int_text(high):
+    return st.sampled_from([str(i) for i in range(1, high + 1)]
+                           + ["0", "-1", "x"])
+
+
+# each subcommand's flags; None marks a flag that takes no value
+_SUBCOMMAND_FLAGS = {
+    "verify-theorem": {"--n": _int_text(3), "--k-max": _int_text(3),
+                       "--c-samples": _CSV_TEXT},
+    "classify": {"--n": _int_text(3), "--q": _CSV_TEXT,
+                 "--c": _SCALAR_TEXT},
+    "equiv": {"--kind": st.sampled_from(["poly", "hypersurface", "x"]),
+              "--n": _int_text(3), "--q1": _CSV_TEXT, "--c1": _SCALAR_TEXT,
+              "--q2": _CSV_TEXT, "--c2": _SCALAR_TEXT},
+    "stable-equiv": {"--n": _int_text(3), "--q": _CSV_TEXT,
+                     "--show-maps": None},
+    "fiber-iso": {"--n": _int_text(3), "--q": _CSV_TEXT,
+                  "--c": _SCALAR_TEXT, "--show-maps": None},
+    "series-check": {"--n": _int_text(3), "--order": _int_text(6),
+                     "--stability-low": _int_text(6)},
+}
+
+
+@st.composite
+def _any_argv(draw):
+    """argv for any subcommand, each flag present or not, valid or not."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMAND_FLAGS)))
+    argv = ["--format", draw(st.sampled_from(["text", "json"])),
+            "--seed", str(draw(st.integers(0, 3))),
+            "--sz-points", str(draw(st.integers(-1, 3))), command]
+    for flag, values in _SUBCOMMAND_FLAGS[command].items():
+        if draw(st.integers(0, 7)) < 7:
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    return argv
+
+
+@settings(deadline=None, max_examples=300)
+@given(_any_argv())
+def test_any_argv_ends_in_an_exit_status(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
+
+
 class TestCertificateCommands:
     def test_verify_theorem(self, capsys):
         code, out, _ = run_cli(capsys, "verify-theorem", "--n", "1",

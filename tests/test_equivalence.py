@@ -429,6 +429,24 @@ class TestStableEquivalence:
         assert {"psi-after-phi-fixes-z", "psi-after-phi-fixes-w",
                 "psi-after-phi-fixes-y"} <= failed
 
+    @pytest.mark.parametrize("gen", ["z", "w"])
+    def test_round_trip_y_waits_for_its_z_and_w_checks(self, gen):
+        # with psi(z) or psi(w) negated both image identities hold, and
+        # squaring the wrong z' for the y round trip took seconds
+        bad = _corrupt(build_stable_equivalence([-1, 3, -3, 1], 1), "psi",
+                       gen, "negated")
+        start = time.perf_counter()
+        cert = verify_stable_equivalence(bad)
+        assert time.perf_counter() - start < 2
+        checks = {c.name: c for c in cert.checks}
+        assert checks["psi-sends-constant-to-family"].passed
+        blockers = [f"psi-after-phi-fixes-{g}" for g in ("z", "w")
+                    if not checks[f"psi-after-phi-fixes-{g}"].passed]
+        assert blockers
+        y_check = checks["psi-after-phi-fixes-y"]
+        assert not y_check.passed
+        assert y_check.details == f"not built: {blockers[0]} failed"
+
     @pytest.mark.parametrize("side, identity, stem", [
         ("phi", "phi-sends-family-to-constant", "phi-after-psi"),
         ("psi", "psi-sends-constant-to-family", "psi-after-phi")])

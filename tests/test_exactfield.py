@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stably_distinct.errors import (MixedDiscriminant, NotASquare, ParseError)
+from stably_distinct.errors import (DivisionByZero, MixedDiscriminant,
+                                    NotASquare, ParseError)
 from stably_distinct.exactfield import (QuadExt, int_nth_root,
                                         is_rational_square, parse_scalar,
                                         quadext, rational, rational_nth_root,
@@ -33,6 +34,14 @@ class TestRational:
             rational("1.5")
         with pytest.raises(ParseError):
             rational("3/0")
+
+    @pytest.mark.parametrize("args, error", [
+        ((1, 0), DivisionByZero),
+        ((Fraction(1, 2), 0), DivisionByZero),
+        (("3/0",), ParseError)])
+    def test_zero_denominator(self, args, error):
+        with pytest.raises(error):
+            rational(*args)
 
     @given(nonzero_rationals)
     def test_inverse_law(self, a):

@@ -1,76 +1,65 @@
-"""Tests for truncated series arithmetic and the exponential change."""
+"""Tests for series truncation and the exponential change."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stably_distinct.errors import NonzeroConstantTerm, SignatureMismatch
-from stably_distinct.formalseries import (TruncatedSeries, exp_series,
-                                          second_tail_series,
+from stably_distinct.certificate import Certificate
+from stably_distinct.errors import NonzeroConstantTerm
+from stably_distinct.formalseries import (_record_series, exp_series,
+                                          second_tail_series, truncate,
                                           truncation_coherence,
                                           verify_biholomorphism)
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       parse_polynomial, x_power_bracket)
 
 
-def _series(sig, text, order):
-    return TruncatedSeries.from_polynomial(
-        parse_polynomial(sig, text), order)
-
-
-class TestTruncatedSeries:
+class TestTruncate:
     def setup_method(self):
         self.sig = RingSignature(1)
 
     def test_truncation_drops_high_x_degree_only(self):
-        s = _series(self.sig, "x1^3 + x1*y^5 + y^7", 2)
-        assert s.to_polynomial() == parse_polynomial(
-            self.sig, "x1*y^5 + y^7")
-
-    def test_multiplication_truncates(self):
-        a = _series(self.sig, "1 + x1", 3)
-        product = a * a * a * a
-        assert product.to_polynomial() == parse_polynomial(
-            self.sig, "1 + 4*x1 + 6*x1^2 + 4*x1^3")
+        p = parse_polynomial(self.sig, "x1^3 + x1*y^5 + y^7")
+        assert truncate(p, 2) == parse_polynomial(self.sig, "x1*y^5 + y^7")
 
     def test_y_and_z_degrees_are_exact(self):
-        s = _series(self.sig, "y^9*z^9", 0)
-        assert not s.is_zero()
+        assert truncate(parse_polynomial(self.sig, "y^9*z^9"), 0)
 
-    def test_mixed_polynomial_arithmetic(self):
-        s = _series(self.sig, "x1", 4)
-        p = parse_polynomial(self.sig, "y + 1")
-        assert (s + p).to_polynomial() == parse_polynomial(
-            self.sig, "x1 + y + 1")
-        assert (s * p).to_polynomial() == parse_polynomial(
-            self.sig, "x1*y + x1")
-
-    def test_order_mismatch_rejected(self):
+    def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            _series(self.sig, "x1", 3) + _series(self.sig, "x1", 4)
+            truncate(parse_polynomial(self.sig, "x1"), -1)
 
-    def test_signature_mismatch_rejected(self):
-        with pytest.raises(SignatureMismatch):
-            _series(self.sig, "x1", 3) + _series(RingSignature(2), "x1", 3)
 
-    def test_truncate_cannot_refine(self):
-        s = _series(self.sig, "x1", 3)
-        assert s.truncate(2).order == 2
-        with pytest.raises(ValueError):
-            s.truncate(4)
+_COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
-    def test_x_slice(self):
-        s = _series(self.sig, "x1^2*y + x1^2 + x1 + 3", 5)
-        assert s.x_slice(2) == parse_polynomial(self.sig, "x1^2*y + x1^2")
-        assert s.x_slice(4).is_zero()
 
-    def test_first_mismatch_x_degree(self):
-        a = _series(self.sig, "1 + x1 + x1^2", 4)
-        b = _series(self.sig, "1 + x1 + 2*x1^2 + x1^3", 4)
-        assert a.first_mismatch_x_degree(b) == 2
-        assert a.first_mismatch_x_degree(a) is None
+@st.composite
+def _polynomials_and_order(draw):
+    """Two polynomials in x1..xn, y, z (n in 1..3) and an order in 0..6."""
+    sig = RingSignature(draw(st.integers(1, 3)))
+    exps = st.tuples(*[st.integers(0, 4)] * sig.nvars)
+    a, b = (Polynomial.from_terms(sig, draw(st.dictionaries(
+        exps, _COEFFS, max_size=6))) for _ in range(2))
+    return a, b, draw(st.integers(0, 6))
+
+
+@settings(deadline=None)
+@given(_polynomials_and_order())
+def test_truncate_is_a_ring_homomorphism(case):
+    a, b, order = case
+    ta, tb = truncate(a, order), truncate(b, order)
+    assert truncate(a * b, order) == truncate(ta * tb, order)
+    assert truncate(a + b, order) == ta + tb
+    n = a.sig.n
+    # a term is cut by its x-degree alone, whatever its y and z degrees
+    assert ta.terms == {e: c for e, c in a.terms.items()
+                        if sum(e[:n]) <= order}
+    with pytest.raises(ValueError):
+        truncate(a, -1 - order)
 
 
 class TestExpSeries:
@@ -79,7 +68,7 @@ class TestExpSeries:
         e = exp_series(x_power_bracket(sig, 1), 6)
         for m in range(7):
             expected = Fraction(1, math.factorial(m))
-            assert e.to_polynomial().coefficient((m, 0, 0)) == expected
+            assert e.coefficient((m, 0, 0)) == expected
 
     def test_exp_sum_rule(self):
         # exp(u)*exp(v) = exp(u+v) for commuting arguments
@@ -87,13 +76,13 @@ class TestExpSeries:
         u = parse_polynomial(sig, "x1")
         v = parse_polynomial(sig, "x2*z")
         lhs = exp_series(u, 5) * exp_series(v, 5)
-        assert lhs == exp_series(u + v, 5)
+        assert truncate(lhs, 5) == exp_series(u + v, 5)
 
     def test_exp_of_negation_inverts(self):
         sig = RingSignature(2)
         u = parse_polynomial(sig, "x1*x2*y")
         product = exp_series(u, 6) * exp_series(-u, 6)
-        assert product == TruncatedSeries.constant(sig, 6, 1)
+        assert truncate(product, 6) == Polynomial.constant(sig, 1)
 
     def test_rejects_x_degree_zero_terms(self):
         sig = RingSignature(1)
@@ -103,17 +92,30 @@ class TestExpSeries:
             # no constant term, but the z term still has x-degree zero
             exp_series(parse_polynomial(sig, "x1 + z"), 4)
 
+    def test_rejects_a_non_polynomial_argument(self):
+        with pytest.raises(TypeError):
+            exp_series("x1", 4)
+
+    def test_rejects_a_negative_order(self):
+        with pytest.raises(ValueError):
+            exp_series(x_power_bracket(RingSignature(1), 1), -1)
+
+    def test_returns_a_polynomial(self):
+        u = x_power_bracket(RingSignature(2), 1)
+        assert isinstance(exp_series(u, 3), Polynomial)
+        assert isinstance(second_tail_series(u, 3), Polynomial)
+
     def test_second_tail_matches_exp_tail(self):
         sig = RingSignature(1)
-        u = TruncatedSeries.from_polynomial(x_power_bracket(sig, 1), 7)
+        u = x_power_bracket(sig, 1)
         tail = second_tail_series(u, 7)
-        assert u * u * tail == exp_series(-u, 7) - 1 + u
+        assert truncate(u * u * tail, 7) == exp_series(-u, 7) - 1 + u
 
     def test_second_tail_leading_coefficient(self):
         sig = RingSignature(1)
         tail = second_tail_series(x_power_bracket(sig, 1), 3)
-        assert tail.to_polynomial().coefficient((0, 0, 0)) == Fraction(1, 2)
-        assert tail.to_polynomial().coefficient((1, 0, 0)) == Fraction(-1, 6)
+        assert tail.coefficient((0, 0, 0)) == Fraction(1, 2)
+        assert tail.coefficient((1, 0, 0)) == Fraction(-1, 6)
 
 
 class TestVerifyBiholomorphism:
@@ -139,14 +141,27 @@ class TestVerifyBiholomorphism:
     def test_first_failing_degree_reported_on_mismatch(self):
         # corrupt one series by hand and confirm the reporting helper
         sig = RingSignature(1)
-        from stably_distinct.certificate import Certificate
-        from stably_distinct.formalseries import _record_series
         good = exp_series(x_power_bracket(sig, 1), 5)
-        bad = good + _series_bump(sig, 3, 5)
+        bad = good + parse_polynomial(sig, "x1^3")
         cert = Certificate("corruption probe", {})
-        check = _record_series(cert, "probe", good, bad)
+        check = _record_series(cert, "probe", good, bad, 5)
         assert not check.passed
         assert check.details == "first differing x-degree: 3"
+
+    def test_record_series_truncates_both_sides(self):
+        sig = RingSignature(1)
+        a = parse_polynomial(sig, "1 + x1 + x1^2")
+        b = parse_polynomial(sig, "1 + x1 + 2*x1^2 + x1^3")
+        cert = Certificate("truncation probe", {})
+        low = _record_series(cert, "low", a, b, 1)
+        assert low.passed
+        assert low.details == "agrees through x-degree 1"
+        high = _record_series(cert, "high", a, b, 4)
+        assert not high.passed
+        assert high.details == "first differing x-degree: 2"
+        # the recorded residual is that of the truncated sides
+        assert high.residual == str(truncate(a - b, 4))
+        assert [c.name for c in cert.checks] == ["low", "high"]
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -160,13 +175,6 @@ class TestVerifyBiholomorphism:
         added = run_schwartz_zippel(cert, random.Random(5), points=20)
         assert added == 7
         assert cert.passed
-
-
-def _series_bump(sig, degree, order):
-    exps = [0] * sig.nvars
-    exps[0] = degree
-    return TruncatedSeries.from_polynomial(
-        Polynomial.monomial(sig, tuple(exps), Fraction(1)), order)
 
 
 class TestTruncationCoherence:
