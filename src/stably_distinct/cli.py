@@ -30,6 +30,8 @@ import json
 import random
 import sys
 
+# run_schwartz_zippel stays a module attribute of cli: the theorem-recheck
+# benchmark workload replaces cli.run_schwartz_zippel to time the re-check.
 from .certificate import Certificate, run_schwartz_zippel
 from .equivalence import (build_poly_equiv_automorphism,
                           build_stable_equivalence,

@@ -109,6 +109,15 @@ def quadext(a, b, d):
     return QuadExt(a, b, d)
 
 
+def _same_field(a: Fraction, b: Fraction, d: Fraction):
+    """a + b*sqrt(d) for a d already known not to be a square.
+
+    The arithmetic of QuadExt builds its results here: only b == 0 can
+    make them rational, so the root test of ``quadext`` is skipped.
+    """
+    return QuadExt(a, b, d) if b else a
+
+
 class QuadExt:
     """Irrational element a + b*sqrt(d) of Q(sqrt(d)), b != 0.
 
@@ -143,7 +152,7 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return quadext(self.a + co[0], self.b + co[1], self.d)
+        return _same_field(self.a + co[0], self.b + co[1], self.d)
 
     __radd__ = __add__
 
@@ -154,29 +163,29 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return quadext(self.a - co[0], self.b - co[1], self.d)
+        return _same_field(self.a - co[0], self.b - co[1], self.d)
 
     def __rsub__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return quadext(co[0] - self.a, co[1] - self.b, self.d)
+        return _same_field(co[0] - self.a, co[1] - self.b, self.d)
 
     def __mul__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
         oa, ob = co
-        return quadext(self.a * oa + self.b * ob * self.d,
-                       self.a * ob + self.b * oa, self.d)
+        return _same_field(self.a * oa + self.b * ob * self.d,
+                           self.a * ob + self.b * oa, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
         n = self.a * self.a - self.b * self.b * self.d
         # n == 0 would mean sqrt(d) = +-a/b is rational, excluded by the
-        # factory invariant.
-        return quadext(self.a / n, -self.b / n, self.d)
+        # factory invariant; -b/n != 0, so the inverse is irrational too.
+        return QuadExt(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other):
         co = self._coerce(other)
@@ -186,14 +195,14 @@ class QuadExt:
         if oa == 0 and ob == 0:
             raise DivisionByZero("division by zero scalar")
         if ob == 0:
-            return quadext(self.a / oa, self.b / oa, self.d)
+            return QuadExt(self.a / oa, self.b / oa, self.d)
         return self * QuadExt(oa, ob, self.d).inverse()
 
     def __rtruediv__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return quadext(co[0], co[1], self.d) * self.inverse()
+        return co[0] * self.inverse()  # other is rational: co[1] == 0
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

@@ -72,7 +72,9 @@ class PqSpec:
         if not (isinstance(data, dict) and isinstance(data.get("n"), int)
                 and data["n"] >= 1 and isinstance(data.get("q"), list)
                 and all(isinstance(text, str) for text in data["q"])
-                and isinstance(data.get("c"), (int, str))):
+                and isinstance(data.get("c"), (int, str))
+                and not isinstance(data["n"], bool)
+                and not isinstance(data["c"], bool)):
             raise ParseError("a PqSpec is an object with an integer n >= 1, "
                              f"a list q of scalar texts and a level c, "
                              f"got {data!r}")

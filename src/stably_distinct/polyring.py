@@ -6,9 +6,15 @@ dict mapping exponent tuples to nonzero coefficients; the variable
 order is x1 < ... < xn < y < z < w and exponent tuples follow it.
 
 Canonical text form sorts terms graded-lexicographically, highest
-first, e.g. "x1^2*x2^2*y + z^2 - 1/2".  ``parse_polynomial`` accepts
-exactly that shape (plus flexible whitespace and parenthesized
-quadratic-extension coefficients) and round-trips with str().
+first, e.g. "x1^2*x2^2*y + z^2 - 1/2".  ``parse_polynomial`` reads it
+back: an optional sign, then terms joined by '+' or '-', each a product
+of factors joined by '*'.  A factor is a rational "p/q", a parenthesized
+scalar as ``exactfield.parse_scalar`` reads it ("(1-2*sqrt(3))"), or a
+generator name with an optional "^exponent"; whitespace may sit between
+tokens.  One regular expression matches a factor and another what
+follows it; names are looked up in the RingSignature, the only place
+that knows them.  Repeated monomials are merged, and str() is the exact
+inverse of the reader.
 
 Intermediate results are capped at 10^6 terms; the environment variable
 STABLY_DISTINCT_TERM_LIMIT overrides the cap.
@@ -23,7 +29,8 @@ from fractions import Fraction
 from math import lcm
 from operator import add, sub
 
-from .errors import (DivisionByZeroPolynomial, NotDivisible, ParseError,
+from .errors import (DivisionByZero, DivisionByZeroPolynomial,
+                     MixedDiscriminant, NotDivisible, ParseError,
                      ResourceLimit, SignatureMismatch, StablyDistinctError,
                      UnknownVariable)
 from .exactfield import QuadExt, as_scalar, parse_scalar, scalar_to_text
@@ -37,7 +44,14 @@ _PACKED_MIN_PAIRS = 32
 
 def term_limit() -> int:
     value = os.environ.get("STABLY_DISTINCT_TERM_LIMIT")
-    return int(value) if value else _DEFAULT_TERM_LIMIT
+    try:
+        limit = int(value) if value else _DEFAULT_TERM_LIMIT
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise StablyDistinctError("STABLY_DISTINCT_TERM_LIMIT must be a "
+                                  "positive integer, got %r" % value)
+    return limit
 
 
 class RingSignature:
@@ -232,6 +246,8 @@ class Polynomial:
         if isinstance(scalar, int):
             scalar = Fraction(scalar)
         if isinstance(scalar, (Fraction, QuadExt)):
+            if not scalar:
+                raise DivisionByZero("polynomial divided by the zero scalar")
             return self * (1 / scalar)
         return NotImplemented
 
@@ -629,148 +645,68 @@ def poly_to_text(p: Polynomial) -> str:
     return _signed_sum(p.sig.names, p.sorted_terms())
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>x\d+|y|z|w)|"
-                       r"(?P<sqrt>sqrt)|(?P<op>[-+*^()]))")
+# (?!\d) takes whole digit runs, so repeated tokens cannot backtrack
+# through the ways of splitting one
+_NUMBER = r"\d+(?:/\d+)?(?!\d)"
+_SCALAR_TOKEN = rf"\s*(?:{_NUMBER}|sqrt|[-+*])"
 
+# One factor of a term: a rational, a parenthesized scalar such as
+# "(1-2*sqrt(3))" (one inner level of parentheses, whitespace only between
+# its tokens), or a generator name with an optional exponent.
+_FACTOR_RE = re.compile(
+    rf"(?P<number>{_NUMBER})"
+    rf"|\((?P<scalar>(?:{_SCALAR_TOKEN}|\s*\((?:{_SCALAR_TOKEN})*\s*\))*)"
+    r"\s*\)"
+    r"|(?P<name>[^\W\d]\w*)(?:\s*(?P<caret>\^)\s*(?P<exp>\d+(?![/\d]))?)?")
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character %r" % text[pos], pos)
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("sqrt"):
-            tokens.append(("sqrt", "sqrt", m.start("sqrt")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, sig, tokens):
-        self.sig = sig
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        terms = {}
-        sign = 1
-        kind, value, pos = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = -1 if value == "-" else 1
-        while True:
-            exps, coeff = self.parse_term()
-            coeff = coeff * sign
-            prev = terms.get(exps)
-            c = coeff if prev is None else prev + coeff
-            if c:
-                terms[exps] = c
-            elif prev is not None:
-                del terms[exps]
-            kind, value, pos = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = -1 if value == "-" else 1
-                continue
-            raise ParseError("expected '+' or '-'", pos)
-        return Polynomial(self.sig, terms)
-
-    def parse_term(self):
-        coeff = Fraction(1)
-        exps = [0] * self.sig.nvars
-        saw_element = False
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "num":
-                self.take()
-                try:
-                    coeff = coeff * Fraction(value)
-                except ZeroDivisionError:
-                    raise ParseError("zero denominator", pos) from None
-                saw_element = True
-            elif kind == "op" and value == "(":
-                coeff = coeff * self.parse_paren_scalar()
-                saw_element = True
-            elif kind == "name":
-                self.take()
-                idx = self._var_index(value, pos)
-                e = 1
-                k2, v2, p2 = self.peek()
-                if k2 == "op" and v2 == "^":
-                    self.take()
-                    k3, v3, p3 = self.take()
-                    if k3 != "num" or "/" in v3:
-                        raise ParseError("expected integer exponent", p3)
-                    e = int(v3)
-                exps[idx] += e
-                saw_element = True
-            else:
-                raise ParseError("expected coefficient or variable", pos)
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                continue
-            break
-        if not saw_element:
-            raise ParseError("empty term", self.peek()[2])
-        return tuple(exps), coeff
-
-    def _var_index(self, name, pos):
-        try:
-            return self.sig.index(name)
-        except UnknownVariable:
-            raise ParseError("variable %r outside signature" % name, pos) from None
-
-    def parse_paren_scalar(self):
-        kind, value, pos = self.take()  # the '('
-        depth_start = pos
-        parts = []
-        depth = 1
-        while depth:
-            kind, value, pos = self.take()
-            if kind == "end":
-                raise ParseError("unbalanced parenthesis", depth_start)
-            if kind == "op" and value == "(":
-                depth += 1
-            elif kind == "op" and value == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            parts.append(value)
-        try:
-            return parse_scalar("".join(parts))
-        except ParseError:
-            raise ParseError("bad scalar coefficient", depth_start) from None
+# What follows a factor: '*', '+', '-', or nothing, which must end the text.
+_OPERATOR_RE = re.compile(r"\s*([-+*]?)\s*")
 
 
 def parse_polynomial(sig: RingSignature, text: str) -> Polynomial:
     """Parse canonical polynomial text; inverse of str() on polynomials."""
-    tokens = _tokenize(text)
-    if tokens[0][0] == "end":
+    op = _OPERATOR_RE.match(text)
+    if not op[1] and op.end() == len(text):
         raise ParseError("empty polynomial text", 0)
-    if tokens[0] == ("num", "0", 0) and tokens[1][0] == "end":
-        return Polynomial.zero(sig)
-    return _Parser(sig, tokens).parse()
+    if op[1] == "*":
+        raise ParseError("expected coefficient or variable", op.start(1))
+    terms, pos = {}, op.end()
+    negative, coeff, exps = op[1] == "-", Fraction(1), [0] * sig.nvars
+    while True:
+        m = _FACTOR_RE.match(text, pos)
+        if m is None:
+            raise ParseError("bad scalar coefficient" if text.startswith("(", pos)
+                             else "expected coefficient or variable", pos)
+        op = _OPERATOR_RE.match(text, m.end())
+        try:
+            if m["number"]:
+                coeff = coeff * Fraction(m["number"])
+            elif m["scalar"] is not None:
+                coeff = coeff * parse_scalar("".join(m["scalar"].split()))
+            else:
+                exps[sig.index(m["name"])] += int(m["exp"] or 1)
+            if op[1] != "*" and coeff:
+                _add_into(terms, {tuple(exps): -coeff if negative else coeff})
+        except ParseError:
+            raise ParseError("bad scalar coefficient", pos) from None
+        except UnknownVariable:
+            raise ParseError("variable %r outside signature" % m["name"],
+                             pos) from None
+        except MixedDiscriminant as err:
+            raise ParseError(str(err), pos) from None
+        except ZeroDivisionError:
+            raise ParseError("zero denominator", pos) from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError("number too long", pos) from None
+        if m["caret"] and not m["exp"]:
+            raise ParseError("expected integer exponent", m.end())
+        pos = op.end()
+        if not op[1]:
+            if pos < len(text):
+                raise ParseError("expected '+' or '-'", pos)
+            return Polynomial(sig, terms)
+        if op[1] != "*":
+            negative, coeff, exps = op[1] == "-", Fraction(1), [0] * sig.nvars
 
 
 def parse_json(text: str):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stably_distinct import exactfield
 from stably_distinct.errors import (DivisionByZero, MixedDiscriminant,
                                     NotASquare, ParseError)
 from stably_distinct.exactfield import (QuadExt, int_nth_root,
@@ -117,6 +118,59 @@ class TestQuadExt:
         assert v * v.inverse() == 1
         assert v - v == 0
         assert (v + 1) - 1 == v
+
+
+non_squares = st.sampled_from([Fraction(2), Fraction(3), Fraction(-1),
+                               Fraction(1, 3), Fraction(-7, 2)])
+
+
+class TestQuadExtArithmetic:
+    """Each operation against quadext() on the components it computes."""
+
+    @given(rationals, nonzero_rationals, rationals, rationals, non_squares)
+    def test_operations_match_the_checking_factory(self, a, b, c, e, d):
+        x, y = quadext(a, b, d), quadext(c, e, d)
+        assert isinstance(x, QuadExt)
+        expected = [
+            (x + y, quadext(a + c, b + e, d)),
+            (x - y, quadext(a - c, b - e, d)),
+            (y - x, quadext(c - a, e - b, d)),
+            (c - x, quadext(c - a, -b, d)),
+            (x * y, quadext(a * c + b * e * d, a * e + b * c, d)),
+            (c * x, quadext(a * c, b * c, d)),
+            (-x, quadext(-a, -b, d)),
+        ]
+        n = a * a - b * b * d
+        expected.append((1 / x, quadext(a / n, -b / n, d)))
+        expected.append((y / x, quadext((c * a - e * b * d) / n,
+                                        (e * a - c * b) / n, d)))
+        if y != 0:
+            m = c * c - e * e * d
+            expected.append((x / y, quadext((a * c - b * e * d) / m,
+                                            (b * c - a * e) / m, d)))
+        for got, want in expected:
+            assert got == want
+            assert type(got) is type(want)
+            if isinstance(got, QuadExt):
+                assert got.b != 0
+
+    def test_arithmetic_skips_the_square_test(self, monkeypatch):
+        calls = []
+        root = exactfield.rational_nth_root
+
+        def counting_root(*args):
+            calls.append(args)
+            return root(*args)
+
+        x = quadext(1, 1, 2)
+        y = quadext(Fraction(1, 2), -3, 2)
+        xy = quadext(Fraction(-11, 2), Fraction(-5, 2), 2)
+        monkeypatch.setattr(exactfield, "rational_nth_root", counting_root)
+        assert x * y == xy
+        assert x * x - 2 * x == 1
+        assert (x + y) / y - x / y == 1
+        assert 3 / x + x ** 3 != 0
+        assert calls == []
 
 
 class TestSqrtInField:

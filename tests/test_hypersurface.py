@@ -7,7 +7,7 @@ import pytest
 from conftest import spec_corpus
 
 from stably_distinct.certificate import run_schwartz_zippel
-from stably_distinct.errors import DimensionMismatch
+from stably_distinct.errors import DimensionMismatch, ParseError
 from stably_distinct.exactfield import quadext
 from stably_distinct.hypersurface import (IsoClass, PqSpec, build_Pq,
                                           classify, constant_fiber_spec,
@@ -36,6 +36,16 @@ class TestPqSpec:
         again = PqSpec.from_json(surd.to_json())
         assert again == surd
         assert surd.to_json() == again.to_json()
+
+    @pytest.mark.parametrize("text", [
+        '{"n": true, "q": ["1"], "c": "0"}',
+        '{"n": 1, "q": ["1"], "c": false}',
+    ])
+    def test_json_rejects_booleans(self, text):
+        with pytest.raises(ParseError, match="PqSpec"):
+            PqSpec.from_json(text)
+        assert PqSpec.from_json(text.replace("true", "1")
+                                .replace("false", "0")) == PqSpec(1, [1])
 
 
 class TestBuildPq:

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (dense_divmod, dense_eval, dense_mul, dense_sub,
                       random_polynomial, random_univariate, small_fraction)
 
-from stably_distinct.errors import (DivisionByZeroPolynomial, NotDivisible,
-                                    ParseError, ResourceLimit,
-                                    SignatureMismatch, UnknownVariable)
+from stably_distinct.errors import (DivisionByZero, DivisionByZeroPolynomial,
+                                    NotDivisible, ParseError, ResourceLimit,
+                                    SignatureMismatch, StablyDistinctError,
+                                    UnknownVariable)
 from stably_distinct.exactfield import quadext
+from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, difference_quotient,
                                       exact_divide, half_t_quotient,
@@ -66,6 +72,13 @@ class TestArithmetic:
         assert (z * Fraction(1, 2)) * 2 == z
         r2 = quadext(0, 1, 2)
         assert (z * r2) * r2 == 2 * z
+
+    def test_division_by_zero_scalar(self):
+        z = Polynomial.variable(sig1(), "z")
+        for zero in (0, Fraction(0)):
+            with pytest.raises(DivisionByZero):
+                z / zero
+        assert (2 * z) / 2 == z
 
     def test_signature_mismatch(self):
         with pytest.raises(SignatureMismatch):
@@ -292,6 +305,14 @@ class TestTermLimit:
         with pytest.raises(ResourceLimit, match=message):
             parse_polynomial(s, left) * parse_polynomial(s, right)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_bad_limit_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", value)
+        p = parse_polynomial(sig1(), "y + z")
+        with pytest.raises(StablyDistinctError, match=(
+                f"STABLY_DISTINCT_TERM_LIMIT .*'{re.escape(value)}'")):
+            p * p
+
     def test_default_allows_normal_work(self, monkeypatch):
         monkeypatch.delenv("STABLY_DISTINCT_TERM_LIMIT", raising=False)
         s = sig1()
@@ -345,6 +366,66 @@ class TestTextRoundtrip:
             parse_polynomial(s, "x9 + 1")   # outside signature
         with pytest.raises(ParseError):
             parse_polynomial(s, "x1^-2")
+
+
+# a coefficient: a rational, or an element of Q(sqrt(d)) for the given d
+def _coefficients(d):
+    small = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+    if d is None:
+        return small.filter(bool)
+    return st.one_of(small.filter(bool),
+                     st.builds(quadext, small, small.filter(bool), st.just(d)))
+
+
+@st.composite
+def _polynomials(draw):
+    sig = RingSignature(draw(st.integers(1, 3)), has_w=draw(st.booleans()))
+    coeffs = _coefficients(draw(st.sampled_from(
+        [None, Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 3)])))
+    exps = st.tuples(*[st.integers(0, 4)] * sig.nvars)
+    return Polynomial.from_terms(
+        sig, draw(st.dictionaries(exps, coeffs, max_size=6)))
+
+
+# pieces of the grammar and junk around them
+_PIECES = ["x1", "x2", "x3", "x4", "x01", "x1y", "yz", "y", "z", "w", "x",
+           "2", "1/2", "1/0", "0", "12", "(0+1*sqrt(2))", "(1-2*sqrt(3))",
+           "(1/2 3)", "(1 /2)", "(x1)", "((", "))", "(", ")", "sqrt", "sq rt",
+           "^", "^-", "^2", "^2/3", "*", "+", "-", " ", "\t", "/", "_", "ä",
+           "\u0663", "\u00b2", "@", ".", "9" * 4400]
+_junk_texts = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+
+
+class TestReaderLanguage:
+    @settings(deadline=None, max_examples=200)
+    @given(_polynomials(), st.randoms(use_true_random=False))
+    def test_roundtrip_with_optional_spaces(self, p, rng):
+        text = str(p)
+        spaced = re.sub(r"[-+*^]", lambda m: rng.choice(["", " "]) + m[0]
+                        + rng.choice(["", " "]), text)
+        assert parse_polynomial(p.sig, text) == p
+        assert parse_polynomial(p.sig, spaced) == p
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.integers(1, 3), st.booleans(), _junk_texts)
+    def test_any_text_parses_or_raises_parse_error(self, n, has_w, text):
+        sig = RingSignature(n, has_w)
+        try:
+            p = parse_polynomial(sig, text)
+        except ParseError as err:
+            assert err.position is not None
+        else:
+            assert isinstance(p, Polynomial) and p.sig == sig
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.dictionaries(st.sampled_from(["x1", "x2", "y", "z", "w", "v"]),
+                           _junk_texts | st.sampled_from(["x1", "y + 1"]),
+                           max_size=5))
+    def test_map_reader_ends_in_package_error(self, images):
+        try:
+            RingEndomorphism.from_json(json.dumps(images))
+        except StablyDistinctError:
+            pass
 
 
 class TestUnivariate:
