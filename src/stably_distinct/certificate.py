@@ -14,6 +14,14 @@ identity can be confirmed numerically even when the fully expanded composite
 would be enormous.  Coefficients in Q(sqrt(d)) map to F_p[s]/(s^2 - d) while
 the points stay in F_p.
 
+A polynomial with rational coefficients is evaluated through its
+half-monomials: each exponent vector splits into the exponents of the first
+ceil(nvars/2) variables and those of the rest.  At each point every distinct
+half is valued once, and each term then costs two products, its coefficient
+times its two halves, summed in one pass of ``map``.  A check with any
+coefficient in Q(sqrt(d)) evaluates its polynomials term by term in
+F_p[s]/(s^2 - d).
+
 By Schwartz (1980) and Zippel (1979), a residual of total degree deg whose
 image mod p is nonzero vanishes at a uniform point of F_p with probability
 at most deg/p, below 2^-47 per point for any degree under 10^4.  A residual
@@ -27,6 +35,7 @@ from __future__ import annotations
 import json
 import random
 from math import prod
+from operator import mul
 from typing import Sequence
 
 from .errors import MixedDiscriminant, StablyDistinctError, VerificationFailed
@@ -65,15 +74,36 @@ def _residue(value, p: int, inverses: dict):
 class _Residues:
     """A polynomial's terms with coefficients reduced mod p, its degree in
     each variable, and the discriminant d of its Q(sqrt(d)) coefficients
-    (with d mod p), or None for both when every coefficient is rational."""
+    (with d mod p), or None for both when every coefficient is rational.
 
-    __slots__ = ("terms", "degrees", "d", "d_mod")
+    An all-rational table also splits each exponent vector into a low half
+    (the first ``half`` = ceil(nvars/2) variables) and a high half (the
+    rest): ``low`` and ``high`` list the distinct halves, and ``low_at[i]``
+    and ``high_at[i]`` point the coefficient ``coeffs[i]`` of term i to its
+    two halves.
+    """
+
+    __slots__ = ("terms", "degrees", "d", "d_mod",
+                 "half", "coeffs", "low", "high", "low_at", "high_at")
 
     def __init__(self, terms, degrees, d, d_mod):
         self.terms = terms
         self.degrees = degrees
         self.d = d
         self.d_mod = d_mod
+        if d is None:
+            self.half = half = (len(degrees) + 1) // 2
+            self.coeffs = [c for c, _ in terms]
+            self.low, self.low_at = _distinct(e[:half] for _, e in terms)
+            self.high, self.high_at = _distinct(e[half:] for _, e in terms)
+
+
+def _distinct(keys) -> tuple[list, list]:
+    """The distinct keys in order of first appearance, and the position
+    of each given key in that list."""
+    index: dict = {}
+    at = [index.setdefault(key, len(index)) for key in keys]
+    return list(index), at
 
 
 def _residue_table(poly: Polynomial, p: int, inverses: dict) -> _Residues:
@@ -113,8 +143,13 @@ def _evaluate_mod(table: _Residues, values: list, p: int, d_mod=None):
     in F_p[s]/(s^2 - d) when ``d_mod`` (d mod p) is given."""
     powers = _powers(values, table.degrees, p, d_mod)
     if d_mod is None:
-        return sum(prod(map(_getitem, powers, exps), start=c)
-                   for c, exps in table.terms) % p
+        # each distinct half-monomial once; then two products per term
+        first, rest = powers[:table.half], powers[table.half:]
+        low = [prod(map(_getitem, first, e)) % p for e in table.low]
+        high = [prod(map(_getitem, rest, e)) % p for e in table.high]
+        return sum(map(mul, map(mul, table.coeffs,
+                                map(low.__getitem__, table.low_at)),
+                       map(high.__getitem__, table.high_at))) % p
     total_a = total_b = 0
     for c, exps in table.terms:
         a, b = (c, 0) if type(c) is int else c
@@ -131,7 +166,9 @@ class _Recheck:
     """What one call of the numeric re-check shares between its checks.
 
     The residue table of every polynomial the hooks evaluate is built once,
-    modulo the first prime in ``MODULI`` that divides no denominator.  One
+    modulo the first prime in ``MODULI`` that divides no denominator; for
+    a rational polynomial it also holds the distinct half-monomials and,
+    per term, the index of each of its two halves.  One
     set of points is drawn per ring signature, and each point is pushed
     through each prefix of a map chain once, keyed by the map objects and
     the point's index, so checks that share a chain share that work.  All

@@ -301,6 +301,8 @@ def _parse_rational_text(text: str) -> Fraction:
         return Fraction(t)
     except ZeroDivisionError:
         raise ParseError("zero denominator in %r" % text) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError("number too long: %d characters" % len(t)) from None
 
 
 def parse_scalar(text: str):

@@ -14,7 +14,8 @@ from typing import Mapping, Union
 
 from .errors import ParseError, SignatureMismatch, UnknownVariable
 from .exactfield import Scalar
-from .polyring import Polynomial, RingSignature, parse_json, parse_polynomial
+from .polyring import (Polynomial, RingSignature, check_one_field, parse_json,
+                       parse_polynomial)
 
 PolyLike = Union[Polynomial, Scalar, int]
 
@@ -109,6 +110,8 @@ class _GeneratorMap:
         sig = _infer_signature(data.keys())
         images = {name: parse_polynomial(sig, text)
                   for name, text in data.items()}
+        check_one_field(c for image in images.values()
+                        for c in image.terms.values())
         return cls(sig, images)
 
     @classmethod

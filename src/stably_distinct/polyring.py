@@ -664,7 +664,11 @@ _OPERATOR_RE = re.compile(r"\s*([-+*]?)\s*")
 
 
 def parse_polynomial(sig: RingSignature, text: str) -> Polynomial:
-    """Parse canonical polynomial text; inverse of str() on polynomials."""
+    """Parse canonical polynomial text; inverse of str() on polynomials.
+
+    Malformed text raises ParseError; coefficients from two quadratic
+    fields in different monomials raise MixedDiscriminant.
+    """
     op = _OPERATOR_RE.match(text)
     if not op[1] and op.end() == len(text):
         raise ParseError("empty polynomial text", 0)
@@ -704,9 +708,18 @@ def parse_polynomial(sig: RingSignature, text: str) -> Polynomial:
         if not op[1]:
             if pos < len(text):
                 raise ParseError("expected '+' or '-'", pos)
+            check_one_field(terms.values())
             return Polynomial(sig, terms)
         if op[1] != "*":
             negative, coeff, exps = op[1] == "-", Fraction(1), [0] * sig.nvars
+
+
+def check_one_field(coeffs) -> None:
+    """Raise MixedDiscriminant if ``coeffs`` lie in two quadratic fields."""
+    fields = sorted({c.d for c in coeffs if isinstance(c, QuadExt)})
+    if len(fields) > 1:
+        raise MixedDiscriminant("cannot mix %s" % " with ".join(
+            "sqrt(%s)" % d for d in fields))
 
 
 def parse_json(text: str):
@@ -715,6 +728,8 @@ def parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(f"not JSON: {err}") from None
+    except RecursionError:
+        raise ParseError("not JSON: nested too deeply") from None
 
 
 # -- dense univariate polynomials in t ------------------------------------

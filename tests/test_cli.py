@@ -113,6 +113,12 @@ class TestEquiv:
         assert code == 2
         assert "error:" in err
 
+    def test_coefficient_past_the_int_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "equiv", "--q1", "1," + "7" * 5000,
+                                 "--c1", "0", "--q2", "1,1", "--c2", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: number too long: 5000 characters\n"
+
 
 _RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 _SURDS = st.tuples(_RATIONALS, _RATIONALS.filter(bool)).map(

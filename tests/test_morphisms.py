@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import random_polynomial
 
-from stably_distinct.errors import (ParseError, SignatureMismatch,
-                                    UnknownVariable)
+from stably_distinct.errors import (MixedDiscriminant, ParseError,
+                                    SignatureMismatch, UnknownVariable)
 from stably_distinct.exactfield import parse_scalar, quadext
 from stably_distinct.hypersurface import PqSpec
 from stably_distinct.morphisms import Derivation, RingEndomorphism
@@ -201,3 +202,46 @@ class TestDerivation:
 def test_malformed_input_raises_parse_error(read):
     with pytest.raises(ParseError):
         read()
+
+
+READERS = [RingEndomorphism.from_json, PqSpec.from_json, Derivation.from_json]
+
+
+@pytest.mark.parametrize("read", READERS,
+                         ids=["endomorphism", "spec", "derivation"])
+def test_deeply_nested_json_raises_parse_error(read):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        read("[" * 100000)
+
+
+def test_coefficient_past_the_int_digit_limit_raises_parse_error():
+    text = '{"n": 1, "q": ["1", "%s"], "c": "0"}' % ("7" * 5000)
+    with pytest.raises(ParseError, match="number too long"):
+        PqSpec.from_json(text)
+
+
+class TestOneQuadraticField:
+    def test_two_fields_in_one_polynomial(self):
+        with pytest.raises(MixedDiscriminant, match=r"sqrt\(2\).*sqrt\(3\)"):
+            parse_polynomial(sig1(), "(0+1*sqrt(2))*x1 + (0+1*sqrt(3))*y")
+
+    @pytest.mark.parametrize("images", [
+        {"x1": "x1", "y": "(0+1*sqrt(2))*x1 + (0+1*sqrt(3))*y", "z": "z"},
+        {"x1": "x1", "y": "(0+1*sqrt(2))*y", "z": "(0+1*sqrt(3))*z"},
+    ], ids=["one-image", "two-images"])
+    def test_map_reader_refuses_two_fields(self, images):
+        with pytest.raises(MixedDiscriminant):
+            RingEndomorphism.from_json(json.dumps(images))
+
+    def test_one_field_in_several_monomials_loads(self):
+        e = RingEndomorphism.from_json(json.dumps({
+            "x1": "x1", "y": "(0+1*sqrt(2))*x1 + (1-1*sqrt(2))*y",
+            "z": "(0+1*sqrt(2))*z"}))
+        assert e.image("y") == parse_polynomial(
+            sig1(), "(0+1*sqrt(2))*x1 + (1-1*sqrt(2))*y")
+        assert RingEndomorphism.from_json(e.to_json()) == e
+
+    def test_cancelled_second_field_leaves_one(self):
+        assert parse_polynomial(
+            sig1(), "(0+1*sqrt(2))*x1 + (0+1*sqrt(3))*y - (0+1*sqrt(3))*y"
+        ) == parse_polynomial(sig1(), "(0+1*sqrt(2))*x1")

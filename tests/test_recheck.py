@@ -1,12 +1,14 @@
 """The numeric re-check in F_p against exact evaluation and known faults.
 
 Residue-table evaluation must agree with ``Polynomial.evaluate`` reduced
-mod p, on rational coefficients with denominators and on coefficients in
+mod p: on rational coefficients with denominators, on crowded polynomials
+whose terms share half-monomials, on zero, and on coefficients in
 Q(sqrt(2)) and Q(sqrt(1/2)).  Re-checks must still run when 2^61 - 1
 divides a denominator (and raise when every modulus divides one), must
 fail exactly the corrupted one of two checks sharing a map chain, must
-push each point through a shared chain once, and must stay out of the
-symbolic construction and verification.
+fail on a phi(y) with one coefficient off by one, must push each point
+through a shared chain once, and must stay out of the symbolic
+construction and verification.
 """
 
 from __future__ import annotations
@@ -68,12 +70,40 @@ def exact_value(poly: Polynomial, values: list, p: int, d=None):
     return got
 
 
+@st.composite
+def crowded_polynomials(draw):
+    """Up to 40 terms over n = 1..3, with or without w (3 to 6 variables,
+    so both odd and even split points), exponents in 0..2 so that terms
+    share their halves; the zero polynomial included."""
+    sig = RingSignature(draw(st.integers(1, 3)), has_w=draw(st.booleans()))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * sig.nvars),
+                                 rationals.filter(bool), max_size=40))
+    values = draw(st.lists(st.integers(0, P - 1), min_size=sig.nvars,
+                           max_size=sig.nvars))
+    return Polynomial(sig, terms), values
+
+
 class TestEvaluationMatchesExact:
     @settings(deadline=None)
     @given(polynomials(rationals), points, st.sampled_from(MODULI))
     def test_rational_coefficients(self, poly, values, p):
         values = [v % p for v in values]
         assert modular_value(poly, values, p) == exact_value(poly, values, p)
+
+    @settings(deadline=None, max_examples=200)
+    @given(crowded_polynomials())
+    def test_shared_half_monomials(self, case):
+        poly, values = case
+        exact = _residue(poly.evaluate(dict(zip(poly.sig.names, values))),
+                         P, {})
+        assert _evaluate_mod(_residue_table(poly, P, {}), values, P) == exact
+
+    @pytest.mark.parametrize("n,has_w", [(1, False), (1, True), (2, False),
+                                         (2, True), (3, False), (3, True)])
+    def test_zero_polynomial(self, n, has_w):
+        sig = RingSignature(n, has_w)
+        table = _residue_table(Polynomial.zero(sig), P, {})
+        assert _evaluate_mod(table, list(range(1, sig.nvars + 1)), P) == 0
 
     @pytest.mark.parametrize("d", [2, Fraction(1, 2)], ids=["2", "1/2"])
     @settings(deadline=None)
@@ -184,6 +214,23 @@ class TestStableControl:
         verdicts = {c.name: c.passed for c in control.checks}
         assert verdicts["phi-after-psi-fixes-w/sz"] is False
         assert verdicts["phi-fixes-x1/sz"] is True
+
+
+    def test_one_coefficient_of_phi_y_off_by_one_fails_its_recheck(self):
+        # (t-1)^3 at n = 2: phi(y) has 1,528 terms over five variables
+        pair = build_stable_equivalence(UnivariatePoly([-1, 3, -3, 1]), 2)
+        phi_y = pair.phi.image("y")
+        exps = min(phi_y.terms)
+        bad_phi = RingEndomorphism(pair.phi.sig, {
+            "y": phi_y + Polynomial(phi_y.sig, {exps: 1}),
+            "z": pair.phi.image("z"), "w": pair.phi.image("w")})
+        bad = StableEquivPair(pair.n, pair.q, pair.r, bad_phi, pair.psi,
+                              pair.p_q, pair.p_zero)
+        control = verify_stable_equivalence(bad)
+        run_schwartz_zippel(control, random.Random(5), points=25)
+        verdicts = {c.name: c.passed for c in control.checks}
+        assert verdicts["phi-sends-family-to-constant/sz"] is False
+        assert verdicts["psi-sends-constant-to-family/sz"] is True
 
 
 class TestRecordingStaysSymbolic:
