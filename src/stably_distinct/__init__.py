@@ -16,7 +16,6 @@ from .equivalence import (
     HyperEquivWitness,
     PolyEquivWitness,
     StableEquivPair,
-    brute_force_hyper_equivalence,
     build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism,
     build_stable_equivalence,
@@ -36,13 +35,10 @@ from .errors import (
     ResourceLimit,
     SignatureMismatch,
     StablyDistinctError,
-    VerificationFailed,
 )
 from .exactfield import (
     QuadExt,
-    Rational,
     Scalar,
-    is_rational_square,
     parse_scalar,
     quadext,
     rational,
@@ -64,7 +60,6 @@ from .hypersurface import (
     build_Pq,
     classify,
     constant_fiber_spec,
-    fiber_isomorphism,
     isomorphic,
     reduce_mod_relation,
     verify_fiber_isomorphism,
@@ -83,7 +78,6 @@ from .polyring import (
     UnivariatePoly,
     difference_quotient,
     exact_divide,
-    half_t_quotient,
     parse_polynomial,
     poly_to_text,
     x_power_bracket,
@@ -107,7 +101,6 @@ __all__ = [
     "PolyEquivWitness",
     "PqSpec",
     "QuadExt",
-    "Rational",
     "ResourceLimit",
     "RingEndomorphism",
     "RingSignature",
@@ -116,8 +109,6 @@ __all__ = [
     "StableEquivPair",
     "StablyDistinctError",
     "UnivariatePoly",
-    "VerificationFailed",
-    "brute_force_hyper_equivalence",
     "build_Delta",
     "build_Pq",
     "build_hyper_equiv_automorphism",
@@ -131,9 +122,6 @@ __all__ = [
     "difference_quotient",
     "exact_divide",
     "exp_series",
-    "fiber_isomorphism",
-    "half_t_quotient",
-    "is_rational_square",
     "isomorphic",
     "nilpotency_index",
     "nilpotency_index_bound",

@@ -38,7 +38,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .errors import MixedDiscriminant, StablyDistinctError, VerificationFailed
+from .errors import MixedDiscriminant, StablyDistinctError
 from .exactfield import QuadExt
 from .polyring import Polynomial, random_point
 
@@ -386,12 +386,6 @@ class Certificate:
 
     def failed_checks(self) -> list[CheckResult]:
         return [check for check in self.checks if not check.passed]
-
-    def raise_if_failed(self) -> "Certificate":
-        for check in self.checks:
-            if not check.passed:
-                raise VerificationFailed(check.name, check.residual)
-        return self
 
     # -- serialization -----------------------------------------------------
 

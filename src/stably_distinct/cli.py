@@ -303,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_merge_negative_values(list(argv)))
+        if args.sz_points < 0:
+            parser.error(f"argument --sz-points: must be at least 0, "
+                         f"got {args.sz_points}")
     except SystemExit as exit_request:      # argparse handled it
         code = exit_request.code
         return code if isinstance(code, int) else 2

@@ -33,7 +33,7 @@ from .exactfield import (QuadExt, as_scalar, quadext, rational,
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
-                       exact_divide, half_t_quotient, x_power_bracket)
+                       difference_quotient, exact_divide, x_power_bracket)
 
 
 def _as_q(q) -> UnivariatePoly:
@@ -401,7 +401,7 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
-    r = half_t_quotient(q)
+    r = difference_quotient(q, 0) * Fraction(1, 2)
     p_q = build_Pq(PqSpec(n, q, 0), has_w=True)
     p_zero = build_Pq(PqSpec(n, [q(Fraction(0))], 0), has_w=True)
 
@@ -548,68 +548,6 @@ def _finish_stable_certificate(cert: Certificate, pair: StableEquivPair,
     cert.record_bool("degree-growth-bound", actual <= bound,
                      details=f"max y-image degree {actual}, bound {bound}")
     return cert
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle for hypersurface equivalence (rational witnesses)
-# ---------------------------------------------------------------------------
-
-def brute_force_hyper_equivalence(q1, c1, q2, c2) \
-        -> HyperEquivWitness | None:
-    """Independent rational-mu search by exhaustive candidate enumeration.
-
-    Candidate values for mu are c1/c2 (when both levels are nonzero) and
-    the rational roots of mu^(j-i) = ratio for every pair i < j in the
-    common support; every candidate is checked against all coefficient
-    relations and the level relation.  Any valid rational mu necessarily
-    appears among the candidates, so a None here means no rational-mu
-    witness exists.  Used as a cross-check oracle for
-    :func:`decide_hypersurface_equivalence`.  Coefficients in Q(sqrt(d))
-    raise StablyDistinctError: the search covers rational mu only.
-    """
-    q1, q2 = _as_q(q1), _as_q(q2)
-    if any(isinstance(c, QuadExt) for c in q1.coeffs + q2.coeffs):
-        raise StablyDistinctError(
-            "the brute-force oracle searches rational mu only; q has a "
-            "coefficient in Q(sqrt(d))")
-    c1, c2 = rational(c1), rational(c2)
-    if q1.support() != q2.support():
-        return None
-    if (c1 == 0) != (c2 == 0):
-        return None
-    if q1.is_zero():
-        if c1 == 0:
-            return HyperEquivWitness(Fraction(1), Fraction(1), Fraction(1))
-        return _attach_eps(Fraction(1), c1 / c2)
-
-    support = q1.support()
-    candidates = set()
-    if c1 != 0:
-        candidates.add(c1 / c2)
-    else:
-        if len(support) == 1:
-            candidates.add(Fraction(1))
-        for a_idx in range(len(support)):
-            for b_idx in range(a_idx + 1, len(support)):
-                i, j = support[a_idx], support[b_idx]
-                ratio = (q2[j] * q1[i]) / (q1[j] * q2[i])
-                root = rational_nth_root(ratio, j - i)
-                if root is None:
-                    continue
-                candidates.add(root)
-                if (j - i) % 2 == 0:
-                    candidates.add(-root)
-
-    j0 = support[0]
-    for mu in sorted(candidates):
-        if mu == 0:
-            continue
-        if c1 != 0 and c2 != c1 / mu:
-            continue
-        lam = (q2[j0] / q1[j0]) / mu ** j0
-        if _relations_hold(q1, q2, lam, mu):
-            return _attach_eps(lam, mu)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -87,21 +87,6 @@ class InvalidWitness(StablyDistinctError):
     """Witness data violates its defining constraints."""
 
 
-class VerificationFailed(StablyDistinctError):
-    """An exact identity check failed.
-
-    Carries the failing check name and a short residual description.
-    """
-
-    def __init__(self, name, residual=""):
-        msg = "check failed: %s" % name
-        if residual:
-            msg += " (residual %s)" % residual
-        super().__init__(msg)
-        self.name = name
-        self.residual = residual
-
-
 class DimensionMismatch(StablyDistinctError):
     """Hypersurfaces live in ambient spaces of different dimension."""
 

@@ -19,8 +19,6 @@ from typing import Union
 
 from .errors import DivisionByZero, MixedDiscriminant, NotASquare, ParseError
 
-Rational = Fraction
-
 # Every coefficient in the package is one of these; ints are accepted at API
 # boundaries and normalized via as_scalar().
 Scalar = Union[Fraction, "QuadExt"]
@@ -68,9 +66,9 @@ def rational_nth_root(x: Fraction, n: int):
     """Exact rational n-th root of x, or None.
 
     For even n only the nonnegative root is returned; for odd n the sign
-    of x is preserved.
+    of x is preserved.  x is read by ``rational``.
     """
-    x = Fraction(x)
+    x = rational(x)
     if n <= 0:
         raise ValueError("n must be positive")
     if x == 0:
@@ -88,17 +86,14 @@ def rational_nth_root(x: Fraction, n: int):
     return -root if neg else root
 
 
-def is_rational_square(x) -> bool:
-    return isinstance(x, Fraction) and rational_nth_root(x, 2) is not None
-
-
 def quadext(a, b, d):
     """a + b*sqrt(d) as a field element.
 
     Returns a plain Fraction whenever the value is rational (b == 0, or
-    d a perfect rational square); otherwise a proper QuadExt.
+    d a perfect rational square); otherwise a proper QuadExt.  a, b and
+    d are read by ``rational``, so a float raises ParseError.
     """
-    a, b, d = Fraction(a), Fraction(b), Fraction(d)
+    a, b, d = rational(a), rational(b), rational(d)
     if b == 0:
         return a
     if d == 0:
@@ -281,7 +276,7 @@ def sqrt_in_field(value, d=None):
                         if cand * cand == value:
                             return cand
         raise NotASquare("%s has no square root in Q(sqrt(%s))" % (value, dd))
-    raise TypeError("unsupported scalar type: %r" % type(value))
+    raise ParseError("not a field element: %r" % (value,))
 
 
 # -- text form ------------------------------------------------------------
@@ -332,11 +327,14 @@ def scalar_to_text(value) -> str:
 
 
 def as_scalar(value):
-    """Coerce ints, Fractions, QuadExt or text into a field element."""
+    """Coerce ints, Fractions, QuadExt or text into a field element.
+
+    Anything else, a float included, raises ParseError.
+    """
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, (Fraction, QuadExt)):
         return value
     if isinstance(value, str):
         return parse_scalar(value)
-    raise TypeError("cannot coerce %r to a field element" % (value,))
+    raise ParseError("cannot coerce %r to a field element" % (value,))

@@ -216,10 +216,6 @@ class FiberIsomorphism:
         })
 
 
-def fiber_isomorphism(spec: PqSpec) -> FiberIsomorphism:
-    return FiberIsomorphism(spec)
-
-
 def verify_fiber_isomorphism(spec: PqSpec) -> Certificate:
     """Certify the fiber isomorphism by exact polynomial identities."""
     iso = FiberIsomorphism(spec)

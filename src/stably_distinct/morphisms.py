@@ -149,9 +149,6 @@ class RingEndomorphism(_GeneratorMap):
                   for name in self.sig.names}
         return RingEndomorphism(self.sig, images)
 
-    def is_identity(self) -> bool:
-        return self == RingEndomorphism.identity(self.sig)
-
 
 class Derivation(_GeneratorMap):
     """A derivation determined by its values on the generators.
@@ -174,6 +171,3 @@ class Derivation(_GeneratorMap):
                 continue
             total = total + p.partial_derivative(name) * value
         return total
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.images.values())

@@ -74,20 +74,6 @@ class RingSignature:
     def nvars(self) -> int:
         return len(self.names)
 
-    @property
-    def y_index(self) -> int:
-        return self.n
-
-    @property
-    def z_index(self) -> int:
-        return self.n + 1
-
-    @property
-    def w_index(self) -> int:
-        if not self.has_w:
-            raise UnknownVariable("signature has no w")
-        return self.n + 2
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -152,15 +138,6 @@ class Polynomial:
             return cls(sig, {})
         return cls(sig, {exps: coeff})
 
-    @classmethod
-    def from_terms(cls, sig, terms):
-        clean = {}
-        for exps, coeff in terms.items():
-            coeff = as_scalar(coeff)
-            if coeff:
-                clean[tuple(exps)] = coeff
-        return cls(sig, clean)
-
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -180,9 +157,6 @@ class Polynomial:
             return -1
         idx = self.sig.index(name)
         return max(e[idx] for e in self.terms)
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.sig.nvars, Fraction(0))
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
@@ -346,25 +320,6 @@ class Polynomial:
                     prod = prod * pw
             total = total + prod
         return total
-
-    def embed(self, new_sig: RingSignature):
-        """Reinterpret in a signature with the same n (adding or dropping w).
-
-        Dropping w is only legal when w does not occur.
-        """
-        if new_sig.n != self.sig.n:
-            raise SignatureMismatch("cannot embed %r into %r"
-                                    % (self.sig, new_sig))
-        if new_sig == self.sig:
-            return self
-        if new_sig.nvars < self.sig.nvars:
-            widx = self.sig.w_index
-            if any(e[widx] for e in self.terms):
-                raise SignatureMismatch("polynomial uses w")
-            return Polynomial(new_sig,
-                              {e[:-1]: c for e, c in self.terms.items()})
-        return Polynomial(new_sig,
-                          {e + (0,): c for e, c in self.terms.items()})
 
     # -- text -------------------------------------------------------------
 
@@ -751,14 +706,6 @@ class UnivariatePoly:
         return cls(())
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
-    def t(cls):
-        return cls((0, 1))
-
-    @classmethod
     def from_csv(cls, text: str):
         """Comma-separated coefficients, constant first: '-1,1' is t - 1."""
         parts = [p.strip() for p in text.split(",")]
@@ -833,15 +780,6 @@ class UnivariatePoly:
         return UnivariatePoly(tuple(c * i for i, c in
                                     enumerate(self.coeffs) if i >= 1))
 
-    def scale_argument(self, mu):
-        """q(mu * t)."""
-        pw = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw = pw * mu
-        return UnivariatePoly(tuple(out))
-
     def subs_into(self, inner: Polynomial) -> Polynomial:
         """q evaluated at a multivariate polynomial, by Horner."""
         sig = inner.sig
@@ -872,8 +810,3 @@ def difference_quotient(q: UnivariatePoly, c) -> UnivariatePoly:
     for i in range(deg - 1, 0, -1):
         b[i - 1] = q[i] + c * b[i]
     return UnivariatePoly(tuple(b))
-
-
-def half_t_quotient(q: UnivariatePoly) -> UnivariatePoly:
-    """r with q(t) - q(0) = 2 * t * r(t)."""
-    return UnivariatePoly(tuple(c / 2 for c in q.coeffs[1:]))

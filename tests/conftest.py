@@ -5,15 +5,19 @@ implementation (plain coefficient lists, no library code) used to
 derive expected values for division- and quotient-style operations.
 The sparse reference kernel is the plain term-pair product loop and the
 leading-term-scan division that the library's fast kernel replaced; the
-property tests compare the two.
+property tests compare the two.  The brute-force search for a rational
+mu is the reference for the hypersurface-equivalence decider; it shares
+no code with it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from stably_distinct.errors import NotDivisible
+from stably_distinct.exactfield import as_scalar
 from stably_distinct.polyring import Polynomial, RingSignature, UnivariatePoly
 
 
@@ -114,7 +118,85 @@ def reference_divide(sig: RingSignature, p: dict, d: dict) -> dict:
     return quotient
 
 
+# -- brute-force oracle for hypersurface equivalence (rational mu) -------
+
+def _int_root(value: int, k: int):
+    """The integer k-th root of value >= 0, or None, by bisection."""
+    lo, hi = 0, 1
+    while hi ** k <= value:
+        hi *= 2
+    while hi - lo > 1:              # lo^k <= value < hi^k
+        mid = (lo + hi) // 2
+        if mid ** k <= value:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo ** k == value else None
+
+
+def _rational_roots(num: int, den: int, k: int) -> list:
+    """Every (p, s) with (p/s)^k = num/den, for nonzero integers num, den."""
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if num < 0 and k % 2 == 0:
+        return []
+    p, s = _int_root(abs(num), k), _int_root(den, k)
+    if p is None or s is None:
+        return []
+    p = -p if num < 0 else p
+    return [(p, s), (-p, s)] if k % 2 == 0 else [(p, s)]
+
+
+def _integer_coeffs(q) -> list:
+    """q's coefficients times their common denominator (mu is unchanged)."""
+    coeffs = getattr(q, "coeffs", q)
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
+
+
+def brute_force_hyper_mu(q1, c1, q2, c2):
+    """A rational mu with q2(t) = lam*q1(mu*t), some lam != 0, and
+    c1 = mu*c2; or None when no rational mu exists.
+
+    q1 and q2 are UnivariatePoly or lists of rational coefficients
+    (constant first); c1 and c2 are rational.  Every valid mu solves
+    mu^(j1-j0) = (q2[j1]*q1[j0]) / (q1[j1]*q2[j0]) for the two lowest
+    degrees j0 < j1 of the support, and is c1/c2 when the levels are
+    nonzero, so trying those candidates against every coefficient is
+    exhaustive over the rationals.  All of it runs on integers.
+    """
+    a, b = _integer_coeffs(q1), _integer_coeffs(q2)
+    support = [j for j, x in enumerate(a) if x]
+    if support != [j for j, x in enumerate(b) if x]:
+        return None
+    if (c1 == 0) != (c2 == 0):
+        return None
+    j0 = support[0] if support else 0
+    if c1:
+        candidates = [(c1.numerator * c2.denominator,
+                       c1.denominator * c2.numerator)]
+    elif len(support) < 2:
+        return Fraction(1)          # mu is free: lam alone matches q
+    else:
+        j1 = support[1]
+        candidates = _rational_roots(b[j1] * a[j0], a[j1] * b[j0], j1 - j0)
+    for p, s in candidates:
+        # q2[j] / q1[j] = lam * mu^j for every j, with lam fixed by j0
+        if all(b[j] * a[j0] * s ** (j - j0) == b[j0] * a[j] * p ** (j - j0)
+               for j in support):
+            return Fraction(p, s)
+    return None
+
+
 # -- random object builders ----------------------------------------------
+
+def from_terms(sig: RingSignature, terms: dict) -> Polynomial:
+    """The polynomial of an exponent-tuple -> scalar dict, zeros dropped."""
+    return Polynomial(sig, {tuple(exps): as_scalar(coeff)
+                            for exps, coeff in terms.items() if coeff})
+
 
 def small_fraction(rng: random.Random, bound: int = 20) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
@@ -139,7 +221,7 @@ def random_polynomial(sig: RingSignature, rng: random.Random,
         if coeff:
             exps = tuple(exps)
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return Polynomial.from_terms(sig, terms)
+    return from_terms(sig, terms)
 
 
 # -- spec corpus used by derivation / classification suites ---------------

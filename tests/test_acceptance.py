@@ -20,7 +20,6 @@ import pytest
 from stably_distinct.certificate import Certificate, run_schwartz_zippel
 from stably_distinct.cli import main as cli_main
 from stably_distinct.equivalence import (StableEquivPair,
-                                         brute_force_hyper_equivalence,
                                          build_stable_equivalence,
                                          decide_hypersurface_equivalence,
                                          theorem_certificate,
@@ -39,7 +38,7 @@ from stably_distinct.morphisms import Derivation, RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly)
 
-from conftest import small_fraction, spec_corpus
+from conftest import brute_force_hyper_mu, small_fraction, spec_corpus
 
 
 @contextmanager
@@ -124,8 +123,8 @@ def lnd_artifact() -> Certificate:
         delta = build_Delta(spec)
         sig = spec.signature()
         exps = [0] * sig.nvars
-        exps[sig.y_index] = rng.randint(0, 2)
-        exps[sig.z_index] = rng.randint(0, 3)
+        exps[sig.index("y")] = rng.randint(0, 2)
+        exps[sig.index("z")] = rng.randint(0, 3)
         for i in range(sig.n):
             exps[i] = rng.randint(0, 2)
         p = Polynomial.monomial(sig, tuple(exps), small_fraction(rng, 9))
@@ -287,8 +286,7 @@ def test_criterion_6_oracle_agreement(capsys):
             for s2, (q2, c2) in reps.items():
                 if s1 == s2:
                     continue
-                assert brute_force_hyper_equivalence(q1, c1, q2, c2) \
-                    is None
+                assert brute_force_hyper_mu(q1, c1, q2, c2) is None
                 assert decide_hypersurface_equivalence(q1, c1, q2, c2) \
                     is None
                 mismatch_pairs += 1
@@ -302,8 +300,7 @@ def test_criterion_6_oracle_agreement(capsys):
             for q1, c1 in group:
                 for q2, c2 in group:
                     compared += 1
-                    oracle = brute_force_hyper_equivalence(
-                        q1, c1, q2, c2)
+                    oracle = brute_force_hyper_mu(q1, c1, q2, c2)
                     try:
                         decided = decide_hypersurface_equivalence(
                             q1, c1, q2, c2)

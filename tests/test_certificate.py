@@ -3,11 +3,8 @@ from __future__ import annotations
 import json
 import random
 
-import pytest
-
 from stably_distinct.certificate import (Certificate, composition_sz,
                                          run_schwartz_zippel)
-from stably_distinct.errors import VerificationFailed
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       parse_polynomial)
@@ -35,16 +32,6 @@ class TestRecording:
         assert not cert.passed
         assert cert.checks[0].residual == "-1"
         assert cert.failed_checks()[0].name == "off-by-one"
-
-    def test_raise_if_failed(self):
-        s = sig1()
-        cert = Certificate("claim")
-        cert.record("zero", Polynomial.zero(s))
-        cert.raise_if_failed()  # no error
-        cert.record("bad", Polynomial.variable(s, "y"))
-        with pytest.raises(VerificationFailed) as err:
-            cert.raise_if_failed()
-        assert "bad" in str(err.value)
 
     def test_record_bool(self):
         cert = Certificate("claim")

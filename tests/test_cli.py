@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -277,6 +280,13 @@ class TestDeterminismAndPlumbing:
         assert code == 0
         assert "/sz" not in out
 
+    def test_negative_sz_points_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "--sz-points", "-1", "fiber-iso",
+                                 "--q", "1,1", "--c", "1")
+        assert code == 2
+        assert out == ""
+        assert "--sz-points" in err
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
@@ -294,3 +304,16 @@ class TestDeterminismAndPlumbing:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "V_{1,0}" in proc.stdout   # q(0) = -1 nonzero, c = 0
+
+    def test_module_entry_point(self):
+        # the sys.argv / sys.exit(main()) path, without an installed script
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stably_distinct.cli", "classify",
+             "--q", "-1,1", "--c", "0"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0
+        assert "V_{1,0}" in proc.stdout

@@ -8,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stably_distinct import exactfield
+from stably_distinct.equivalence import decide_hypersurface_equivalence
 from stably_distinct.errors import (DivisionByZero, MixedDiscriminant,
                                     NotASquare, ParseError)
-from stably_distinct.exactfield import (QuadExt, int_nth_root,
-                                        is_rational_square, parse_scalar,
-                                        quadext, rational, rational_nth_root,
-                                        scalar_to_text, sqrt_in_field)
+from stably_distinct.exactfield import (QuadExt, as_scalar, int_nth_root,
+                                        parse_scalar, quadext, rational,
+                                        rational_nth_root, scalar_to_text,
+                                        sqrt_in_field)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
@@ -47,6 +48,29 @@ class TestRational:
     @given(nonzero_rationals)
     def test_inverse_law(self, a):
         assert a * (1 / a) == 1
+
+
+class TestFloatsRefused:
+    """Every scalar entry point refuses a float with ParseError."""
+
+    @pytest.mark.parametrize("args", [(0.1, 1, 2), (0, 0.5, 2), (1, 1, 2.0)])
+    def test_quadext(self, args):
+        with pytest.raises(ParseError, match="not a rational"):
+            quadext(*args)
+
+    def test_as_scalar(self):
+        with pytest.raises(ParseError, match="cannot coerce 1.5"):
+            as_scalar(1.5)
+
+    def test_roots(self):
+        with pytest.raises(ParseError, match="not a rational"):
+            rational_nth_root(0.25, 2)
+        with pytest.raises(ParseError, match="not a field element"):
+            sqrt_in_field(2.25)
+
+    def test_decider_coefficients(self):
+        with pytest.raises(ParseError, match="cannot coerce 1.5"):
+            decide_hypersurface_equivalence([1.5], 0, [1.5], 0)
 
 
 class TestRoots:
@@ -220,11 +244,6 @@ class TestSqrtInField:
             sq = v * v
             root = sqrt_in_field(sq, d=3)
             assert root * root == sq
-
-    def test_is_rational_square(self):
-        assert is_rational_square(Fraction(49, 64))
-        assert not is_rational_square(Fraction(2))
-        assert not is_rational_square(Fraction(-1))
 
 
 class TestTextForm:

@@ -17,6 +17,8 @@ from stably_distinct.formalseries import (_record_series, exp_series,
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       parse_polynomial, x_power_bracket)
 
+from conftest import from_terms
+
 
 class TestTruncate:
     def setup_method(self):
@@ -42,7 +44,7 @@ def _polynomials_and_order(draw):
     """Two polynomials in x1..xn, y, z (n in 1..3) and an order in 0..6."""
     sig = RingSignature(draw(st.integers(1, 3)))
     exps = st.tuples(*[st.integers(0, 4)] * sig.nvars)
-    a, b = (Polynomial.from_terms(sig, draw(st.dictionaries(
+    a, b = (from_terms(sig, draw(st.dictionaries(
         exps, _COEFFS, max_size=6))) for _ in range(2))
     return a, b, draw(st.integers(0, 6))
 

@@ -9,9 +9,9 @@ from conftest import spec_corpus
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.errors import DimensionMismatch, ParseError
 from stably_distinct.exactfield import quadext
-from stably_distinct.hypersurface import (IsoClass, PqSpec, build_Pq,
-                                          classify, constant_fiber_spec,
-                                          fiber_isomorphism, isomorphic,
+from stably_distinct.hypersurface import (FiberIsomorphism, IsoClass, PqSpec,
+                                          build_Pq, classify,
+                                          constant_fiber_spec, isomorphic,
                                           reduce_mod_relation,
                                           verify_fiber_isomorphism)
 from stably_distinct.morphisms import RingEndomorphism
@@ -70,7 +70,7 @@ class TestBuildPq:
         spec = PqSpec(1, [0, 1])
         p = build_Pq(spec, has_w=True)
         assert p.sig == RingSignature(1, has_w=True)
-        assert p.embed(RingSignature(1)) == build_Pq(spec)
+        assert p == parse_polynomial(p.sig, "x1^2*y + z^2 + x1*z^2")
 
     def test_term_count_independent_of_n(self):
         # every monomial has equal exponents across the x block, so the
@@ -180,7 +180,7 @@ class TestFiberIsomorphism:
     def test_explicit_n1_example(self):
         # q = t - 1, c = 1: divided difference is 1, q(c) = 0
         spec = PqSpec(1, [-1, 1], 1)
-        iso = fiber_isomorphism(spec)
+        iso = FiberIsomorphism(spec)
         sig = spec.signature()
         assert iso.g == UnivariatePoly([1])
         assert iso.phi.image("y") == parse_polynomial(sig, "y + x1*y")
@@ -211,7 +211,7 @@ class TestFiberIsomorphism:
         # corrupting the forward map by a constant breaks the exact
         # factorization, so the certified identity is not vacuous
         spec = PqSpec(1, [-1, 1], 1)
-        iso = fiber_isomorphism(spec)
+        iso = FiberIsomorphism(spec)
         sig = spec.signature()
         bad_phi = RingEndomorphism(sig, {"y": iso.phi.image("y") + 1})
         fiber_q = build_Pq(spec) - spec.c

@@ -28,7 +28,7 @@ class TestEndomorphism:
     def test_identity(self):
         s = sig2()
         e = RingEndomorphism.identity(s)
-        assert e.is_identity()
+        assert e == RingEndomorphism(s, {})
         p = parse_polynomial(s, "x1*x2*y - z")
         assert e.apply(p) == p
 
@@ -95,8 +95,8 @@ class TestEndomorphism:
             "x1": Polynomial.variable(s, "x1") / lam,
             "y": Polynomial.variable(s, "y") * (lam * lam),
         })
-        assert fwd.compose(back).is_identity()
-        assert back.compose(fwd).is_identity()
+        assert fwd.compose(back) == RingEndomorphism.identity(s)
+        assert back.compose(fwd) == RingEndomorphism.identity(s)
 
     def test_signature_guards(self):
         e = RingEndomorphism(sig1())
@@ -140,7 +140,7 @@ class TestDerivation:
     def test_zero_by_default(self):
         s = sig1()
         d = Derivation(s)
-        assert d.is_zero()
+        assert all(d.image(name).is_zero() for name in s.names)
         assert d.apply(parse_polynomial(s, "x1^2*y + z^2")).is_zero()
 
     def test_partial_derivative_case(self):
