@@ -23,6 +23,7 @@ carrying the algebraic relation a richer field would have to satisfy.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
@@ -67,16 +68,16 @@ def decide_poly_equivalence(q1, c1, q2, c2) -> PolyEquivWitness | None:
     q1, q2 = _as_q(q1), _as_q(q2)
     if rational(c1) != rational(c2):
         return None
-    if q1.support() != q2.support():
+    support = q1.support()
+    if support != q2.support():
         return None
-    if q1.is_zero():
+    if not support:
         return PolyEquivWitness(Fraction(1))
-    j = q1.support()[0]
-    lam = q2[j] / q1[j]
-    for k in q1.support():
-        if q2[k] != lam * q1[k]:
-            return None
-    return PolyEquivWitness(lam)
+    a, b, _ = _on_common_denominators(q1, q2)
+    if not _ratios_match(a, b, support, 1, 1):
+        return None
+    j0 = support[0]
+    return PolyEquivWitness(q2[j0] / q1[j0])
 
 
 def build_poly_equiv_automorphism(witness: PolyEquivWitness, n: int,
@@ -151,22 +152,63 @@ def _attach_eps(lam, mu, d=None) -> HyperEquivWitness:
                              _sqrt_allowing_one_extension(1 / mu, d))
 
 
-def _relations_hold(q1: UnivariatePoly, q2: UnivariatePoly, lam, mu) -> bool:
-    return all(q2[j] == lam * mu ** j * q1[j] for j in q1.support())
+def _on_common_denominators(q1: UnivariatePoly, q2: UnivariatePoly):
+    """Coefficient vectors a, b of q1, q2, each up to a nonzero factor,
+    and the d of Q(sqrt(d)) when a coefficient lies there, else None.
+
+    Rational q gives integers, q times the lcm of its denominators; q in
+    Q(sqrt(d)) gives its field elements.  Every relation the deciders
+    test is homogeneous in a and in b, so the factors cancel.
+    """
+    d = next((c.d for c in q1.coeffs + q2.coeffs
+              if isinstance(c, QuadExt)), None)
+    if d is not None:
+        return q1.coeffs, q2.coeffs, d
+    return _integer_vector(q1.coeffs), _integer_vector(q2.coeffs), None
 
 
-def _euclid_root(rhos: dict[int, Fraction]) -> tuple[int, Fraction]:
-    """Given mu^m = rho_m for each gap m, derive (g, mu^g) with g the gcd.
+def _integer_vector(coeffs) -> list[int]:
+    scale = math.lcm(*[c.denominator for c in coeffs])
+    if scale == 1:
+        return [c.numerator for c in coeffs]
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
+
+
+def _ratios_match(a, b, support, p, s, g: int = 1) -> bool:
+    """Whether b[j]*a[j0]*s^k == b[j0]*a[j]*p^k, k = (j - j0)/g, for every
+    j of the support, j0 its lowest degree.
+
+    With mu^g = p/s this is q2[j]/q1[j] = lambda*mu^j for lambda fixed by
+    j0: the coefficient relations of q2(t) = lambda*q1(mu*t), tested
+    without dividing.  a, b are the vectors of
+    :func:`_on_common_denominators`, and p, s lie in the same ring: the
+    integers for rational q.
+    """
+    j0 = support[0]
+    a0, b0 = a[j0], b[j0]
+    for j in support[1:]:
+        k = (j - j0) // g
+        if b[j] * a0 * s ** k != b0 * a[j] * p ** k:
+            return False
+    return True
+
+
+def _euclid_on_ratios(ratios):
+    """Given mu^m = num/den for each (m, (num, den)), derive
+    (g, (num, den)) with mu^g = num/den and g the gcd of the gaps m.
 
     Euclid on (gap, ratio) pairs: mu^g = v and mu^m = r give
     mu^(g - k*m) = v / r^k, so the ratio follows the gaps down to g.
+    Each ratio stays a (numerator, denominator) pair, so nothing is
+    divided.
     """
-    pairs = iter(sorted(rhos.items()))
-    g, value = next(pairs)
-    for m, r in pairs:
+    pairs = iter(ratios)
+    g, (vn, vd) = next(pairs)
+    for m, (rn, rd) in pairs:
         while m:
-            g, value, m, r = m, r, g % m, value / r ** (g // m)
-    return g, value
+            k = g // m
+            g, vn, vd, m, rn, rd = m, rn, rd, g % m, vn * rd ** k, vd * rn ** k
+    return g, (vn, vd)
 
 
 def _mu_candidates(rho, g: int, d):
@@ -230,65 +272,62 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
       missing relation.  A verdict of None is only returned when no
       complex witness exists at all.
 
+    The relations are tested on cross-multiplied coefficients, integers
+    for rational q, and lambda, mu and eps are formed only once they hold.
     When the coefficients lie in Q(sqrt(d)), that is the one extension
     allowed.  An odd root of an irrational rho that may exist in it is not
     searched for; that case raises a plain :class:`StablyDistinctError`.
     """
     q1, q2 = _as_q(q1), _as_q(q2)
     c1, c2 = rational(c1), rational(c2)
-    if q1.support() != q2.support():
+    support = q1.support()
+    if support != q2.support():
         return None
     if (c1 == 0) != (c2 == 0):
         return None
 
-    if q1.is_zero():
+    if not support:
         if c1 == 0:
             return HyperEquivWitness(Fraction(1), Fraction(1), Fraction(1))
         return _attach_eps(Fraction(1), c1 / c2)
 
-    # the d of Q(sqrt(d)) when the coefficients live there, else None
-    d = next((c.d for c in q1.coeffs + q2.coeffs
-              if isinstance(c, QuadExt)), None)
-    j0 = q1.support()[0]
-    base = q2[j0] / q1[j0]          # equals lambda * mu^j0
+    a, b, d = _on_common_denominators(q1, q2)
+    j0 = support[0]
 
     if c1 != 0:
-        mu = c1 / c2
-        lam = base / mu ** j0
-        if not _relations_hold(q1, q2, lam, mu):
+        # mu = c1/c2 = p/s is forced
+        if not _ratios_match(a, b, support, c1.numerator * c2.denominator,
+                             c1.denominator * c2.numerator):
             return None
-        return _attach_eps(lam, mu, d)
+        mu = c1 / c2
+        return _attach_eps(q2[j0] / q1[j0] / mu ** j0, mu, d)
 
-    gaps = [j - j0 for j in q1.support() if j != j0]
-    if not gaps:
+    if len(support) == 1:
         # single-term q: mu is free; normalize to 1
-        return _attach_eps(base, Fraction(1))
+        return _attach_eps(q2[j0] / q1[j0], Fraction(1))
 
-    rhos = {m: (q2[j0 + m] / q1[j0 + m]) / base for m in gaps}
-    g, rho_g = _euclid_root(rhos)
-    for m in gaps:
-        if rhos[m] != rho_g ** (m // g):
-            return None                     # no complex solution either
+    # mu^(j - j0) = (q2[j]/q1[j]) / (q2[j0]/q1[j0]) for every j
+    a0, b0 = a[j0], b[j0]
+    g, (num, den) = _euclid_on_ratios(
+        (j - j0, (b[j] * a0, a[j] * b0)) for j in support[1:])
+    if not _ratios_match(a, b, support, num, den, g):
+        return None                         # no complex solution either
 
-    last_obstruction: NotDecidableInField | None = None
+    # every mu with mu^g = rho_g now satisfies all the relations
+    rho_g = Fraction(num, den) if isinstance(num, int) else num / den
     try:
         candidates = _mu_candidates(rho_g, g, d)
     except NotDecidableInField as err:
         raise NotDecidableInField(
             f"mu^{g} = {rho_g} ({err.relation})") from None
+    base = q2[j0] / q1[j0]                  # equals lambda * mu^j0
+    last_obstruction = None
     for mu in candidates:
-        lam = base / mu ** j0
-        if not _relations_hold(q1, q2, lam, mu):
-            continue
         try:
-            return _attach_eps(lam, mu, d)
+            return _attach_eps(base / mu ** j0, mu, d)
         except NotDecidableInField as err:
             last_obstruction = err
-    if last_obstruction is not None:
-        raise last_obstruction
-    raise NotDecidableInField(
-        f"mu^{g} = {rho_g} admits no in-field root compatible with all "
-        f"coefficient relations")
+    raise last_obstruction
 
 
 def build_hyper_equiv_automorphism(witness: HyperEquivWitness,

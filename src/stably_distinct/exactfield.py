@@ -323,7 +323,7 @@ def scalar_to_text(value) -> str:
     if isinstance(value, QuadExt):
         sign = "+" if value.b > 0 else "-"
         return "%s%s%s*sqrt(%s)" % (value.a, sign, abs(value.b), value.d)
-    raise TypeError("unsupported scalar type: %r" % type(value))
+    raise ParseError("not a field element: %r" % (value,))
 
 
 def as_scalar(value):

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
-from .errors import NonzeroConstantTerm
+from .errors import NonzeroConstantTerm, ParseError
 from .polyring import Polynomial, RingSignature, x_power_bracket
 
 
@@ -46,7 +46,7 @@ def _power_series(u, order: int, coeff) -> Polynomial:
     the result is exact through x-degree ``order``.
     """
     if not isinstance(u, Polynomial):
-        raise TypeError(f"expected a polynomial, got {type(u)}")
+        raise ParseError(f"expected a polynomial, got {type(u).__name__}")
     u = truncate(u, order)
     if any(_x_degree(u.sig, exps) == 0 for exps in u.terms):
         raise NonzeroConstantTerm(

@@ -695,7 +695,8 @@ class UnivariatePoly:
     __slots__ = ("coeffs", "_support")
 
     def __init__(self, coeffs=()):
-        cs = [as_scalar(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) if type(c) is int
+              else as_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -730,6 +731,7 @@ class UnivariatePoly:
         return self._support
 
     def __call__(self, value):
+        value = as_scalar(value)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * value + c

@@ -6,12 +6,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
-    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _euclid_root,
+    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _euclid_on_ratios,
     build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
     decide_hypersurface_equivalence, decide_poly_equivalence,
@@ -303,9 +303,105 @@ nonzero_mus = st.one_of(
 
 @settings(deadline=None)
 @given(nonzero_mus, st.sets(st.integers(1, 12), min_size=1, max_size=4))
-def test_euclid_root_gives_mu_to_the_gcd(mu, gaps):
-    assert _euclid_root({m: mu ** m for m in gaps}) == \
-        (math.gcd(*gaps), mu ** math.gcd(*gaps))
+def test_euclid_on_ratios_gives_mu_to_the_gcd(mu, gaps):
+    # field elements over 1, as for q in Q(sqrt(d))
+    g, (num, den) = _euclid_on_ratios(
+        (m, (mu ** m, Fraction(1))) for m in sorted(gaps))
+    assert g == math.gcd(*gaps)
+    assert num == mu ** g * den
+
+
+@settings(deadline=None)
+@given(st.integers(-30, 30).filter(bool), st.integers(1, 30),
+       st.lists(st.integers(1, 12), min_size=1, max_size=4))
+def test_euclid_on_ratios_keeps_integer_pairs(p, s, gaps):
+    # mu = p/s as integers, as for rational q: nothing is divided
+    g, (num, den) = _euclid_on_ratios((m, (p ** m, s ** m)) for m in gaps)
+    assert g == math.gcd(*gaps)
+    assert isinstance(num, int) and isinstance(den, int)
+    assert num * s ** g == den * p ** g
+
+
+# -- the decider against the brute-force oracle, off the integer grid ------
+
+fractions_to_20 = st.builds(Fraction, st.integers(-20, 20),
+                            st.integers(1, 20))
+nonzero_fractions_to_20 = st.builds(
+    Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 20))
+# zeros are drawn often, so that supports have gaps of every gcd
+q_coefficients = st.lists(st.one_of(st.just(Fraction(0)), fractions_to_20),
+                          min_size=1, max_size=7)
+levels = st.one_of(st.just(Fraction(0)), nonzero_fractions_to_20)
+
+
+def _scaled_pair(coeffs, lam, mu, c1):
+    """q1 and (q2, c2) with q2(t) = lam*q1(mu*t) and c2 = c1/mu."""
+    q1 = UnivariatePoly(coeffs)
+    q2 = UnivariatePoly([lam * mu ** j * c for j, c in enumerate(coeffs)])
+    return q1, q2, c1 / mu
+
+
+def _decide(q1, c1, q2, c2):
+    try:
+        return decide_hypersurface_equivalence(q1, c1, q2, c2)
+    except NotDecidableInField:
+        return "undecidable"
+
+
+@settings(deadline=None, max_examples=300)
+@given(q_coefficients, nonzero_fractions_to_20, nonzero_fractions_to_20,
+       levels)
+def test_decider_matches_the_oracle_on_scaled_pairs(coeffs, lam, mu, c1):
+    q1, q2, c2 = _scaled_pair(coeffs, lam, mu, c1)
+    oracle = brute_force_hyper_mu(q1, c1, q2, c2)
+    assert oracle is not None
+    witness = _decide(q1, c1, q2, c2)
+    assert isinstance(witness, HyperEquivWitness)
+    # a rational mu is unique up to the sign that even gaps leave free,
+    # and both searches take the positive root first
+    assert witness.mu == oracle
+    assert c1 == witness.mu * c2
+    assert all(q2[j] == witness.lam * witness.mu ** j * q1[j]
+               for j in range(len(coeffs)))
+    assert witness.eps * witness.eps * witness.mu == 1
+
+
+@settings(deadline=None, max_examples=300)
+@given(q_coefficients, nonzero_fractions_to_20, nonzero_fractions_to_20,
+       levels, nonzero_fractions_to_20, st.integers(0, 6))
+def test_changing_one_coefficient_of_q2_breaks_the_witness(
+        coeffs, lam, mu, c1, factor, pick):
+    # scaling q2[j] (j above the lowest degree) by f with |f| != 1 leaves
+    # no complex witness: mu is forced by a nonzero level, and at level 0
+    # the other gaps fix mu up to a root of unity, whose powers have
+    # absolute value 1
+    q1, q2, c2 = _scaled_pair(coeffs, lam, mu, c1)
+    support = q1.support()
+    assume(abs(factor) != 1 and len(support) >= (3 if c1 == 0 else 2))
+    j = support[1 + pick % (len(support) - 1)]
+    changed = list(q2.coeffs)
+    changed[j] *= factor
+    q2 = UnivariatePoly(changed)
+    assert brute_force_hyper_mu(q1, c1, q2, c2) is None
+    assert decide_hypersurface_equivalence(q1, c1, q2, c2) is None
+
+
+@settings(deadline=None, max_examples=300)
+@given(q_coefficients, st.lists(nonzero_fractions_to_20, min_size=7,
+                                max_size=7), levels, levels)
+def test_decider_matches_the_oracle_on_same_support_pairs(coeffs, others,
+                                                          c1, c2):
+    q1 = UnivariatePoly(coeffs)
+    q2 = UnivariatePoly([o if c else c for c, o in zip(coeffs, others)])
+    oracle = brute_force_hyper_mu(q1, c1, q2, c2)
+    decided = _decide(q1, c1, q2, c2)
+    if oracle is not None:
+        assert isinstance(decided, HyperEquivWitness)
+        assert decided.mu == oracle
+    elif isinstance(decided, HyperEquivWitness):
+        # the decider may exceed the rational-only oracle via an
+        # irrational mu, never a rational one
+        assert isinstance(decided.mu, QuadExt)
 
 
 CORRUPTIONS = {

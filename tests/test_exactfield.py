@@ -15,6 +15,7 @@ from stably_distinct.exactfield import (QuadExt, as_scalar, int_nth_root,
                                         parse_scalar, quadext, rational,
                                         rational_nth_root, scalar_to_text,
                                         sqrt_in_field)
+from stably_distinct.polyring import UnivariatePoly
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
@@ -71,6 +72,14 @@ class TestFloatsRefused:
     def test_decider_coefficients(self):
         with pytest.raises(ParseError, match="cannot coerce 1.5"):
             decide_hypersurface_equivalence([1.5], 0, [1.5], 0)
+
+    def test_univariate_evaluation(self):
+        with pytest.raises(ParseError, match="cannot coerce 0.5"):
+            UnivariatePoly([1, 2])(0.5)
+
+    def test_text_form(self):
+        with pytest.raises(ParseError, match="not a field element: 1.5"):
+            scalar_to_text(1.5)
 
 
 class TestRoots:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stably_distinct.certificate import Certificate
-from stably_distinct.errors import NonzeroConstantTerm
+from stably_distinct.errors import NonzeroConstantTerm, ParseError
 from stably_distinct.formalseries import (_record_series, exp_series,
                                           second_tail_series, truncate,
                                           truncation_coherence,
@@ -95,7 +95,7 @@ class TestExpSeries:
             exp_series(parse_polynomial(sig, "x1 + z"), 4)
 
     def test_rejects_a_non_polynomial_argument(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ParseError):
             exp_series("x1", 4)
 
     def test_rejects_a_negative_order(self):

@@ -428,6 +428,16 @@ class TestUnivariate:
         assert q.degree() == 1 and q.coeffs == (1, 2)
         assert UnivariatePoly([0, 0]).is_zero()
 
+    def test_coefficients_become_field_elements(self):
+        half = Fraction(1, 2)
+        q = UnivariatePoly([half, 3, True, "1/3", quadext(0, 1, 2)])
+        assert q.coeffs[0] is half
+        assert [type(c) for c in q.coeffs[1:4]] == [Fraction] * 3
+        assert q.coeffs[1:4] == (3, 1, Fraction(1, 3))
+        assert q.coeffs[4] == quadext(0, 1, 2)
+        with pytest.raises(ParseError, match="cannot coerce 1.5"):
+            UnivariatePoly([1, 1.5])
+
     def test_mul_matches_dense_oracle(self):
         rng = random.Random(8)
         for _ in range(50):
