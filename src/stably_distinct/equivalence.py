@@ -34,7 +34,8 @@ from .exactfield import (QuadExt, as_scalar, quadext, rational,
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
-                       difference_quotient, exact_divide, x_power_bracket)
+                       check_one_field, difference_quotient, exact_divide,
+                       x_power_bracket)
 
 
 def _as_q(q) -> UnivariatePoly:
@@ -159,18 +160,18 @@ def _on_common_denominators(q1: UnivariatePoly, q2: UnivariatePoly):
     Rational q gives integers, q times the lcm of its denominators; q in
     Q(sqrt(d)) gives its field elements.  Every relation the deciders
     test is homogeneous in a and in b, so the factors cancel.
+    Coefficients from two quadratic fields raise MixedDiscriminant.
     """
-    d = next((c.d for c in q1.coeffs + q2.coeffs
-              if isinstance(c, QuadExt)), None)
-    if d is not None:
-        return q1.coeffs, q2.coeffs, d
-    return _integer_vector(q1.coeffs), _integer_vector(q2.coeffs), None
+    coeffs = q1.coeffs + q2.coeffs
+    d = next((c.d for c in coeffs if isinstance(c, QuadExt)), None)
+    if d is None:
+        return _integer_vector(q1.coeffs), _integer_vector(q2.coeffs), None
+    check_one_field(coeffs)
+    return q1.coeffs, q2.coeffs, d
 
 
 def _integer_vector(coeffs) -> list[int]:
     scale = math.lcm(*[c.denominator for c in coeffs])
-    if scale == 1:
-        return [c.numerator for c in coeffs]
     return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
@@ -275,8 +276,10 @@ def decide_hypersurface_equivalence(q1, c1, q2, c2) \
     The relations are tested on cross-multiplied coefficients, integers
     for rational q, and lambda, mu and eps are formed only once they hold.
     When the coefficients lie in Q(sqrt(d)), that is the one extension
-    allowed.  An odd root of an irrational rho that may exist in it is not
-    searched for; that case raises a plain :class:`StablyDistinctError`.
+    allowed, and coefficients from two such fields raise
+    :class:`MixedDiscriminant`.  An odd root of an irrational rho that may
+    exist in Q(sqrt(d)) is not searched for; that case raises a plain
+    :class:`StablyDistinctError`.
     """
     q1, q2 = _as_q(q1), _as_q(q2)
     c1, c2 = rational(c1), rational(c2)

@@ -695,8 +695,7 @@ class UnivariatePoly:
     __slots__ = ("coeffs", "_support")
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else Fraction(c) if type(c) is int
-              else as_scalar(c) for c in coeffs]
+        cs = [as_scalar(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)

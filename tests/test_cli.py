@@ -116,6 +116,14 @@ class TestEquiv:
         assert code == 2
         assert "error:" in err
 
+    def test_two_quadratic_fields_are_usage_error(self, capsys):
+        # sqrt(8) = 2*sqrt(2), but the two q name different fields
+        code, out, err = run_cli(capsys, "equiv", "--q1", "0+1*sqrt(2),1",
+                                 "--c1", "1", "--q2", "0+1*sqrt(8),2",
+                                 "--c2", "1")
+        assert (code, out) == (2, "")
+        assert "cannot mix" in err
+
     def test_coefficient_past_the_int_digit_limit(self, capsys):
         code, out, err = run_cli(capsys, "equiv", "--q1", "1," + "7" * 5000,
                                  "--c1", "0", "--q2", "1,1", "--c2", "0")

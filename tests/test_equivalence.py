@@ -18,8 +18,8 @@ from stably_distinct.equivalence import (
     stable_equivalence_degree_bound, theorem_certificate,
     verify_hyper_equivalence, verify_stable_equivalence)
 from stably_distinct.errors import (DimensionMismatch, InvalidWitness,
-                                    NotDecidableInField, ParseError,
-                                    StablyDistinctError)
+                                    MixedDiscriminant, NotDecidableInField,
+                                    ParseError, StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, build_Pq
 from stably_distinct.morphisms import RingEndomorphism
@@ -292,6 +292,24 @@ class TestHypersurfaceEquivalence:
     def test_non_rational_level_is_refused(self, entry, level):
         with pytest.raises(ParseError, match="not a rational"):
             entry(level)
+
+    @pytest.mark.parametrize("decide", [decide_poly_equivalence,
+                                        decide_hypersurface_equivalence],
+                             ids=["poly", "hypersurface"])
+    @pytest.mark.parametrize("q1, q2, c", [
+        # q2 = 2*q1, as sqrt(8) = 2*sqrt(2), but written in two fields
+        ([quadext(0, 1, 2), 1], [quadext(0, 1, 8), 2], 1),
+        ([1, 0, quadext(0, 1, 2)], [2, 0, quadext(0, 1, 8)], 0),
+        ([quadext(0, 1, 2), 1], [quadext(0, 1, 3), 1], 1),
+        ([1, quadext(0, 1, 2)], [1, quadext(0, 1, 3)], 0),
+        # one q alone mixing two fields
+        ([quadext(0, 1, 2), quadext(0, 1, 3)], [1, 1], 1),
+    ], ids=["sqrt2-sqrt8-level1", "sqrt2-sqrt8-level0",
+            "sqrt2-sqrt3-level1", "sqrt2-sqrt3-level0", "within-one-q"])
+    def test_two_quadratic_fields_are_refused(self, decide, q1, q2, c):
+        # a verdict would compare elements of different fields
+        with pytest.raises(MixedDiscriminant, match="cannot mix"):
+            decide(q1, c, q2, c)
 
 
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
