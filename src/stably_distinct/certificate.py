@@ -252,21 +252,6 @@ class _Recheck:
 
 
 class _CompositionSz:
-    """The re-check hook built by :func:`composition_sz`."""
-
-    __slots__ = ("maps", "source", "expected")
-
-    def __init__(self, maps, source, expected):
-        self.maps = list(maps)
-        self.source = source
-        self.expected = expected
-
-    def __call__(self, rng: random.Random, points: int) -> tuple[bool, str]:
-        return _Recheck([self], rng, points).run(self)
-
-
-def composition_sz(maps: Sequence, source: Polynomial,
-                   expected: Polynomial) -> _CompositionSz:
     """Numeric check of a composite ring map applied to one polynomial.
 
     ``maps`` is given in ring-composition order: ``[f, g]`` means the map
@@ -275,12 +260,18 @@ def composition_sz(maps: Sequence, source: Polynomial,
     must equal ``expected`` at the original point; with no maps the two
     are compared at the same point.  Only the stored generator images are
     ever evaluated, never a symbolic composite, so this stays fast even
-    when the expanded composite would be enormous.  The hook runs as
-    ``hook(rng, points)``, giving ``(ok, details)``, or inside
-    :func:`run_schwartz_zippel`, which shares points and transport
-    between the hooks of one certificate.
+    when the expanded composite would be enormous.  The check runs inside
+    :func:`run_schwartz_zippel`, which shares points and transport between
+    the hooks of one certificate.
     """
-    return _CompositionSz(maps, source, expected)
+
+    __slots__ = ("maps", "source", "expected")
+
+    def __init__(self, maps: Sequence, source: Polynomial,
+                 expected: Polynomial):
+        self.maps = list(maps)
+        self.source = source
+        self.expected = expected
 
 
 class CheckResult:
@@ -348,7 +339,7 @@ class Certificate:
         """
         residual = computed - expected
         check = CheckResult(name, residual.is_zero(), residual=str(residual),
-                            sz_fn=composition_sz(maps, source, expected))
+                            sz_fn=_CompositionSz(maps, source, expected))
         self.checks.append(check)
         return check
 
@@ -361,7 +352,7 @@ class Certificate:
         """
         check = CheckResult(name, False, residual="not computed",
                             details=f"not built: {reason}",
-                            sz_fn=composition_sz(maps, source, expected))
+                            sz_fn=_CompositionSz(maps, source, expected))
         self.checks.append(check)
         return check
 
@@ -400,8 +391,8 @@ class Certificate:
             out["notes"] = list(self.notes)
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"claim: {self.claim}"]
@@ -440,8 +431,7 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
     the reduced coefficients and the transported points are shared by all
     checks of the call and dropped when it returns.
     """
-    targets = [check for check in cert.checks
-               if check.sz_fn is not None and not check.name.endswith("/sz")]
+    targets = [check for check in cert.checks if check.sz_fn is not None]
     recheck = _Recheck([check.sz_fn for check in targets], rng, points)
     for check in targets:
         ok, details = recheck.run(check.sz_fn)

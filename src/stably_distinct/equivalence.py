@@ -31,11 +31,10 @@ from .errors import (DimensionMismatch, InvalidWitness, NotASquare,
                      NotDecidableInField, StablyDistinctError)
 from .exactfield import (QuadExt, as_scalar, quadext, rational,
                          rational_nth_root, sqrt_in_field)
-from .hypersurface import PqSpec, build_Pq, classify, isomorphic
+from .hypersurface import PqSpec, build_Pq, classify, isomorphic, z_part
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
-                       check_one_field, difference_quotient, exact_divide,
-                       x_power_bracket)
+                       check_one_field, exact_divide, x_power_bracket)
 
 
 def _as_q(q) -> UnivariatePoly:
@@ -414,16 +413,15 @@ def _cylinder_zw(sign: int, rho: Polynomial, z: Polynomial, w: Polynomial):
 
 
 def _cylinder_y(z_img: Polynomial, target: Polynomial, q: UnivariatePoly):
-    """The y-image y' = (target - z'^2 - s*q(z'^2)) / x^[2], z' = ``z_img``.
+    """The y-image y' = (target - z_part(q, z')) / x^[2], z' = ``z_img``.
 
     It makes the map send P_q (with this q) to ``target``; the division is
     exact by construction (NotDivisible here would mean a genuine bug).
     Given another map's image of z and of the target, the same formula
     gives the image of the composite.
     """
-    zsq = z_img * z_img
-    dividend = target - zsq - x_power_bracket(z_img.sig, 1) * q.subs_into(zsq)
-    return exact_divide(dividend, x_power_bracket(z_img.sig, 2))
+    return exact_divide(target - z_part(q, z_img),
+                        x_power_bracket(z_img.sig, 2))
 
 
 def build_stable_equivalence(q, n: int) -> StableEquivPair:
@@ -443,7 +441,8 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
-    r = difference_quotient(q, 0) * Fraction(1, 2)
+    # (q(t) - q(0)) / t drops the constant and shifts the rest down
+    r = UnivariatePoly([c / 2 for c in q.coeffs[1:]])
     p_q = build_Pq(PqSpec(n, q, 0), has_w=True)
     p_zero = build_Pq(PqSpec(n, [q(Fraction(0))], 0), has_w=True)
 
@@ -691,12 +690,10 @@ def theorem_certificate(n: int, k_max: int, c_samples=None) -> Certificate:
                     round_bwd.image(name), var)
 
     # -- part two: the power family ---------------------------------------
-    powers: dict[int, UnivariatePoly] = {}
-    base = UnivariatePoly([-1, 1])
-    acc = base
-    for k in range(1, k_max + 1):
-        powers[k] = acc
-        acc = acc * base
+    # q_k = (t - 1)^k by the binomial theorem, constant coefficient first
+    powers = {k: UnivariatePoly([(-1) ** (k - i) * math.comb(k, i)
+                                 for i in range(k + 1)])
+              for k in range(1, k_max + 1)}
 
     for j in range(1, k_max + 1):
         for k in range(j + 1, k_max + 1):

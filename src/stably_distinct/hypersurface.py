@@ -63,9 +63,8 @@ class PqSpec:
     def to_dict(self) -> dict:
         return {"n": self.n, "q": self.q.to_texts(), "c": str(self.c)}
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PqSpec":
@@ -86,14 +85,22 @@ class PqSpec:
         return cls.from_dict(parse_json(text))
 
 
+def z_part(q: UnivariatePoly, z: Polynomial) -> Polynomial:
+    """z^2 + x^[1]*q(z^2), the part of P_q without y, at ``z``.
+
+    This is the one place the family's formula is written: P_q is
+    x^[2]*y + z_part(q, z), the fiber relation solves x^[2]*y = c - z_part,
+    and a map with z-image z' sends y to (target - z_part(q, z')) / x^[2].
+    """
+    zsq = z * z
+    return zsq + x_power_bracket(z.sig, 1) * q.subs_into(zsq)
+
+
 def build_Pq(spec: PqSpec, has_w: bool = False) -> Polynomial:
     """The defining polynomial x^[2]*y + z^2 + x^[1]*q(z^2)."""
     sig = spec.signature(has_w)
-    y = Polynomial.variable(sig, "y")
-    z = Polynomial.variable(sig, "z")
-    zsq = z * z
-    return (x_power_bracket(sig, 2) * y + zsq
-            + x_power_bracket(sig, 1) * spec.q.subs_into(zsq))
+    return (x_power_bracket(sig, 2) * Polynomial.variable(sig, "y")
+            + z_part(spec.q, Polynomial.variable(sig, "z")))
 
 
 def constant_fiber_spec(spec: PqSpec) -> PqSpec:
@@ -120,10 +127,7 @@ def reduce_mod_relation(p: Polynomial,
     exps = [2] * sig.n + [1, 0]
     if sig.has_w:
         exps.append(0)
-    z = Polynomial.variable(sig, "z")
-    zsq = z * z
-    rhs = (Polynomial.constant(sig, spec.c) - zsq
-           - x_power_bracket(sig, 1) * spec.q.subs_into(zsq))
+    rhs = spec.c - z_part(spec.q, Polynomial.variable(sig, "z"))
     return rewrite_single_rule(p, tuple(exps), rhs)
 
 

@@ -38,27 +38,21 @@ def build_Delta(spec: PqSpec) -> Derivation:
     })
 
 
-def nilpotency_index(delta: Derivation, p: Polynomial,
-                     spec: PqSpec | None = None, cap: int = 64) -> int:
-    """Smallest m with delta^m(p) = 0, optionally modulo the fiber relation.
+def nilpotency_index(delta: Derivation, p: Polynomial, cap: int = 64) -> int:
+    """Smallest m with delta^m(p) = 0.
 
-    When ``spec`` is given each iterate is reduced to its normal form
-    modulo P - c before the zero test, so the index is computed in the
-    fiber's coordinate ring.  Raises :class:`ExceededCap` after ``cap``
-    applications without reaching zero.
+    Raises :class:`ExceededCap` after ``cap`` applications without
+    reaching zero.
     """
     if p.sig != delta.sig:
         raise SignatureMismatch(
             f"polynomial lives in {p.sig.names}, expected {delta.sig.names}")
-    current = p if spec is None else reduce_mod_relation(p, spec)[0]
     count = 0
-    while not current.is_zero():
+    while not p.is_zero():
         if count >= cap:
             raise ExceededCap(
                 f"still nonzero after {cap} applications of the derivation")
-        current = delta.apply(current)
-        if spec is not None:
-            current = reduce_mod_relation(current, spec)[0]
+        p = delta.apply(p)
         count += 1
     return count
 

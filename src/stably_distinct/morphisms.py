@@ -97,9 +97,8 @@ class _GeneratorMap:
     def to_dict(self) -> dict[str, str]:
         return {name: str(self.image(name)) for name in self.sig.names}
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, str]):

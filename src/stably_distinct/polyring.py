@@ -690,7 +690,7 @@ def parse_json(text: str):
 # -- dense univariate polynomials in t ------------------------------------
 
 class UnivariatePoly:
-    """Dense univariate polynomial q(t), constant coefficient first."""
+    """The coefficients of q(t), constant first: data that is only read."""
 
     __slots__ = ("coeffs", "_support")
 
@@ -702,10 +702,6 @@ class UnivariatePoly:
         self._support = tuple(i for i, c in enumerate(cs) if c)
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def from_csv(cls, text: str):
         """Comma-separated coefficients, constant first: '-1,1' is t - 1."""
         parts = [p.strip() for p in text.split(",")]
@@ -715,12 +711,6 @@ class UnivariatePoly:
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
@@ -739,43 +729,7 @@ class UnivariatePoly:
     def __eq__(self, other):
         if isinstance(other, UnivariatePoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, QuadExt)):
-            return self.coeffs == UnivariatePoly((other,)).coeffs
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            other = UnivariatePoly((other,))
-        size = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(tuple(self[i] + other[i] for i in range(size)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UnivariatePoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, UnivariatePoly)
-                       else UnivariatePoly((other,)).__neg__())
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, UnivariatePoly):
-            if not self.coeffs or not other.coeffs:
-                return UnivariatePoly(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return UnivariatePoly(tuple(out))
-        return UnivariatePoly(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
 
     def derivative(self):
         return UnivariatePoly(tuple(c * i for i, c in
@@ -805,7 +759,7 @@ def difference_quotient(q: UnivariatePoly, c) -> UnivariatePoly:
     c = as_scalar(c)
     deg = q.degree()
     if deg < 1:
-        return UnivariatePoly.zero()
+        return UnivariatePoly()
     b = [Fraction(0)] * deg
     b[deg - 1] = q[deg]
     for i in range(deg - 1, 0, -1):

@@ -46,6 +46,13 @@ def dense_mul(a, b):
     return dense_trim(out)
 
 
+def dense_power(a, k):
+    out = [1]
+    for _ in range(k):
+        out = dense_mul(out, a)
+    return out
+
+
 def dense_divmod(a, b):
     """Long division of coefficient lists (constant first)."""
     a = [Fraction(c) for c in dense_trim(a)]

@@ -38,7 +38,8 @@ from stably_distinct.morphisms import Derivation, RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly)
 
-from conftest import brute_force_hyper_mu, small_fraction, spec_corpus
+from conftest import (brute_force_hyper_mu, dense_power, small_fraction,
+                      spec_corpus)
 
 
 @contextmanager
@@ -79,11 +80,7 @@ def fiber_artifacts():
 
 
 def _power(k: int) -> UnivariatePoly:
-    base = UnivariatePoly([-1, 1])
-    poly = base
-    for _ in range(k - 1):
-        poly = poly * base
-    return poly
+    return UnivariatePoly(dense_power([-1, 1], k))
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,8 @@ from __future__ import annotations
 import json
 import random
 
-from stably_distinct.certificate import (Certificate, composition_sz,
-                                         run_schwartz_zippel)
+from stably_distinct.certificate import (Certificate, _CompositionSz,
+                                         _Recheck, run_schwartz_zippel)
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       parse_polynomial)
@@ -126,15 +126,15 @@ class TestSchwartzZippel:
         s = sig1()
         f = RingEndomorphism(s, {"z": parse_polynomial(s, "z + y^2")})
         g = RingEndomorphism(s, {"z": parse_polynomial(s, "z - y^2")})
-        fn = composition_sz([f, g], Polynomial.variable(s, "z"),
-                            Polynomial.variable(s, "z"))
-        ok, details = fn(random.Random(3), 30)
+        hook = _CompositionSz([f, g], Polynomial.variable(s, "z"),
+                              Polynomial.variable(s, "z"))
+        ok, details = _Recheck([hook], random.Random(3), 30).run(hook)
         assert ok and "30 random points" in details
 
     def test_composition_hook_detects_mismatch(self):
         s = sig1()
         f = RingEndomorphism(s, {"z": parse_polynomial(s, "z + 1")})
-        fn = composition_sz([f, f], Polynomial.variable(s, "z"),
-                            Polynomial.variable(s, "z"))
-        ok, details = fn(random.Random(4), 10)
+        hook = _CompositionSz([f, f], Polynomial.variable(s, "z"),
+                              Polynomial.variable(s, "z"))
+        ok, details = _Recheck([hook], random.Random(4), 10).run(hook)
         assert not ok and "mismatch" in details

@@ -26,7 +26,12 @@ from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, x_power_bracket)
 
-from conftest import brute_force_hyper_mu, random_univariate, small_fraction
+from conftest import (brute_force_hyper_mu, dense_mul, dense_power,
+                      random_univariate, small_fraction)
+
+
+def _scaled(q, lam):
+    return UnivariatePoly(dense_mul(list(q.coeffs), [lam]))
 
 
 def _nonzero_fraction(rng, bound=9):
@@ -65,14 +70,14 @@ class TestPolyEquivalence:
             # reflexive
             assert decide_poly_equivalence(q, c, q, c).lam == 1
             # symmetric with inverted scaling
-            w12 = decide_poly_equivalence(q, c, q * lam1, c)
-            w21 = decide_poly_equivalence(q * lam1, c, q, c)
+            w12 = decide_poly_equivalence(q, c, _scaled(q, lam1), c)
+            w21 = decide_poly_equivalence(_scaled(q, lam1), c, q, c)
             assert w12.lam * w21.lam == 1
             # transitive by multiplying the scalings
-            w13 = decide_poly_equivalence(q, c, q * (lam1 * lam2), c)
-            w23 = decide_poly_equivalence(q * lam1, c,
-                                          q * (lam1 * lam2), c)
-            if q.is_zero():
+            w13 = decide_poly_equivalence(q, c, _scaled(q, lam1 * lam2), c)
+            w23 = decide_poly_equivalence(_scaled(q, lam1), c,
+                                          _scaled(q, lam1 * lam2), c)
+            if not q.coeffs:
                 continue
             assert w13.lam == w12.lam * w23.lam
 
@@ -82,10 +87,10 @@ class TestPolyEquivalence:
             for _ in range(10):
                 q = random_univariate(rng, 3)
                 lam = _nonzero_fraction(rng)
-                witness = decide_poly_equivalence(q, 0, q * lam, 0)
+                witness = decide_poly_equivalence(q, 0, _scaled(q, lam), 0)
                 auto = build_poly_equiv_automorphism(witness, n)
                 source = build_Pq(PqSpec(n, q, 0))
-                target = build_Pq(PqSpec(n, q * lam, 0))
+                target = build_Pq(PqSpec(n, _scaled(q, lam), 0))
                 assert auto.apply(source) == target
 
     def test_automorphism_inverts(self):
@@ -245,7 +250,7 @@ class TestHypersurfaceEquivalence:
         found = 0
         for _ in range(40):
             q1 = random_univariate(rng, 4)
-            if q1.is_zero():
+            if not q1.coeffs:
                 continue
             lam = _nonzero_fraction(rng)
             root = _nonzero_fraction(rng, 5)
@@ -472,10 +477,7 @@ class TestStableEquivalence:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
     def test_power_family_verifies(self, k, n):
-        q = UnivariatePoly([-1, 1])
-        poly = q
-        for _ in range(k - 1):
-            poly = poly * q
+        poly = UnivariatePoly(dense_power([-1, 1], k))
         pair = build_stable_equivalence(poly, n)
         cert = verify_stable_equivalence(pair, poly, n)
         assert cert.passed, [c.name for c in cert.failed_checks()]
@@ -634,6 +636,18 @@ class TestTheoremCertificate:
         first = theorem_certificate(1, 2).to_json()
         second = theorem_certificate(1, 2).to_json()
         assert first == second
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_power_family_is_powers_of_t_minus_1(self, n):
+        # no check of the certificate depends on which powers it certifies:
+        # with (t + 1)^k every check still passes, so pin P_q of each power
+        cert = theorem_certificate(n, 5)
+        sources = {c.name: c.sz_fn.source for c in cert.checks
+                   if c.name.endswith("-stable/phi-sends-family-to-constant")}
+        for k in range(1, 6):
+            q = UnivariatePoly(dense_power([-1, 1], k))
+            assert sources[f"power-{k}-stable/phi-sends-family-to-constant"] \
+                == build_Pq(PqSpec(n, q, 0), has_w=True)
 
     def test_precondition_guards(self):
         with pytest.raises(ValueError):

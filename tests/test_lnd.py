@@ -81,15 +81,6 @@ class TestNilpotencyIndex:
                 assert nilpotency_index(delta, p) == \
                     nilpotency_index_bound(spec, p)
 
-    def test_modulo_relation(self):
-        # on the fiber, indices can only drop; y still reaches zero
-        spec = PqSpec(1, [0, 1], 1)
-        delta = build_Delta(spec)
-        y = Polynomial.variable(spec.signature(), "y")
-        plain = nilpotency_index(delta, y)
-        on_fiber = nilpotency_index(delta, y, spec=spec)
-        assert on_fiber <= plain
-
     def test_cap(self):
         spec = PqSpec(1, [0], 0)
         sig = spec.signature()

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (dense_divmod, dense_eval, dense_mul, dense_sub,
-                      from_terms, random_polynomial, random_univariate,
-                      small_fraction)
+                      dense_trim, from_terms, random_polynomial,
+                      random_univariate, small_fraction)
 
 from stably_distinct.errors import (DivisionByZero, DivisionByZeroPolynomial,
                                     MixedDiscriminant, NotDivisible,
@@ -426,7 +426,7 @@ class TestUnivariate:
     def test_normalization(self):
         q = UnivariatePoly([1, 2, 0, 0])
         assert q.degree() == 1 and q.coeffs == (1, 2)
-        assert UnivariatePoly([0, 0]).is_zero()
+        assert UnivariatePoly([0, 0]).coeffs == ()
 
     def test_coefficients_become_field_elements(self):
         half = Fraction(1, 2)
@@ -437,14 +437,6 @@ class TestUnivariate:
         assert q.coeffs[4] == quadext(0, 1, 2)
         with pytest.raises(ParseError, match="cannot coerce 1.5"):
             UnivariatePoly([1, 1.5])
-
-    def test_mul_matches_dense_oracle(self):
-        rng = random.Random(8)
-        for _ in range(50):
-            a = random_univariate(rng, 5)
-            b = random_univariate(rng, 5)
-            expect = dense_mul(list(a.coeffs), list(b.coeffs))
-            assert list((a * b).coeffs) == expect
 
     def test_eval_horner(self):
         q = UnivariatePoly([-1, 0, 1])          # t^2 - 1
@@ -462,7 +454,7 @@ class TestUnivariate:
     def test_str(self):
         assert str(UnivariatePoly([-1, 1])) == "t - 1"
         assert str(UnivariatePoly([1, -2, 1])) == "t^2 - 2*t + 1"
-        assert str(UnivariatePoly.zero()) == "0"
+        assert str(UnivariatePoly()) == "0"
 
     def test_derivative(self):
         q = UnivariatePoly([5, 3, 0, 2])
@@ -481,7 +473,7 @@ class TestQuotients:
             == UnivariatePoly([1])
         assert difference_quotient(UnivariatePoly([1, -2, 1]), 1) \
             == UnivariatePoly([-1, 1])
-        assert difference_quotient(UnivariatePoly([7]), 3).is_zero()
+        assert difference_quotient(UnivariatePoly([7]), 3) == UnivariatePoly()
 
     def test_difference_quotient_against_oracle(self):
         rng = random.Random(9)
@@ -495,20 +487,25 @@ class TestQuotients:
             assert rem == []
             assert list(g.coeffs) == quot
             # defining identity, exactly
-            assert g * UnivariatePoly([-c, 1]) + q(c) == q
+            assert dense_sub(list(q.coeffs),
+                             dense_mul(list(g.coeffs), [-c, 1])) \
+                == dense_trim([q(c)])
 
-    # r = difference_quotient(q, 0) / 2 is the r of the stable pair
+    # r = difference_quotient(q, 0) / 2 is the r of the stable pair, which
+    # builds it as q's coefficients shifted down one place and halved
     def test_half_t_quotient_examples(self):
-        half = Fraction(1, 2)
-        assert difference_quotient(UnivariatePoly([-1, 1]), 0) * half \
-            == UnivariatePoly([half])
-        assert difference_quotient(UnivariatePoly([1, -2, 1]), 0) * half \
-            == UnivariatePoly([-1, half])
-        assert difference_quotient(UnivariatePoly([5]), 0).is_zero()
+        assert difference_quotient(UnivariatePoly([-1, 1]), 0) \
+            == UnivariatePoly([1])
+        assert difference_quotient(UnivariatePoly([1, -2, 1]), 0) \
+            == UnivariatePoly([-2, 1])
+        assert difference_quotient(UnivariatePoly([5]), 0) == UnivariatePoly()
 
     def test_half_t_quotient_identity(self):
         rng = random.Random(10)
         for _ in range(100):
             q = random_univariate(rng, 8)
-            r = difference_quotient(q, 0) * Fraction(1, 2)
-            assert UnivariatePoly([0, 2]) * r + q(Fraction(0)) == q
+            g = difference_quotient(q, 0)
+            assert g == UnivariatePoly(q.coeffs[1:])
+            assert dense_sub(list(q.coeffs),
+                             dense_mul([0, 1], list(g.coeffs))) \
+                == dense_trim([q(Fraction(0))])

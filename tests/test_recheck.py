@@ -22,9 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stably_distinct import certificate
-from stably_distinct.certificate import (MODULI, Certificate, _evaluate_mod,
-                                         _Recheck, _residue, _residue_table,
-                                         composition_sz, run_schwartz_zippel)
+from stably_distinct.certificate import (MODULI, Certificate, _CompositionSz,
+                                         _evaluate_mod, _Recheck, _residue,
+                                         _residue_table, run_schwartz_zippel)
 from stably_distinct.equivalence import (StableEquivPair,
                                          build_stable_equivalence,
                                          verify_stable_equivalence)
@@ -141,7 +141,7 @@ class TestModuli:
     def test_denominator_divisible_by_first_modulus(self):
         s = sig1()
         f, g = shift_maps(s, Fraction(1, P))
-        assert _Recheck([composition_sz([f, g], Polynomial.variable(s, "z"),
+        assert _Recheck([_CompositionSz([f, g], Polynomial.variable(s, "z"),
                                         Polynomial.variable(s, "z"))],
                         random.Random(0), 1).p == MODULI[1]
         assert recheck_fixes_z([f, g]) == (True, "agreed at 10 random points")
