@@ -27,8 +27,8 @@ import math
 from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
-from .errors import (DimensionMismatch, InvalidWitness, NotASquare,
-                     NotDecidableInField, StablyDistinctError)
+from .errors import (InvalidWitness, NotASquare, NotDecidableInField,
+                     StablyDistinctError)
 from .exactfield import (QuadExt, as_scalar, quadext, rational,
                          rational_nth_root, sqrt_in_field)
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic, z_part
@@ -473,8 +473,7 @@ def stable_equivalence_degree_bound(pair: StableEquivPair) -> int:
     return 2 * k * k * pair.p_zero.degree() + 2
 
 
-def verify_stable_equivalence(pair: StableEquivPair, q=None,
-                              n: int | None = None) -> Certificate:
+def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     """Certify the pair: exact images and identity round trips.
 
     The two image identities phi(P_q) = P0 and psi(P0) = P_q are checked
@@ -498,12 +497,6 @@ def verify_stable_equivalence(pair: StableEquivPair, q=None,
     certified claim.  The stored psi is checked exactly by the
     ``psi-after-phi-*`` round trips and by its own image identity.
     """
-    if q is not None and _as_q(q) != pair.q:
-        raise InvalidWitness("pair was built for a different q")
-    if n is not None and n != pair.n:
-        raise DimensionMismatch(
-            f"pair was built for n={pair.n}, asked to verify n={n}")
-
     sig = pair.phi.sig
     phi, psi = pair.phi, pair.psi
     q_poly = pair.q

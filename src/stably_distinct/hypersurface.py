@@ -120,15 +120,17 @@ def reduce_mod_relation(p: Polynomial,
     if their normal forms are equal whenever their y-degrees are fully
     reducible this way.
     """
-    sig = p.sig
-    if sig.n != spec.n:
+    if p.sig.n != spec.n:
         raise DimensionMismatch(
-            f"polynomial has {sig.n} x variables, spec has {spec.n}")
-    exps = [2] * sig.n + [1, 0]
-    if sig.has_w:
-        exps.append(0)
+            f"polynomial has {p.sig.n} x variables, spec has {spec.n}")
+    return _fiber_reducer(spec, p.sig)(p)
+
+
+def _fiber_reducer(spec: PqSpec, sig: RingSignature):
+    """``reduce_mod_relation`` on polynomials in ``sig``, rule built once."""
+    exps = (2,) * sig.n + (1, 0) + (0,) * sig.has_w
     rhs = spec.c - z_part(spec.q, Polynomial.variable(sig, "z"))
-    return rewrite_single_rule(p, tuple(exps), rhs)
+    return lambda p: rewrite_single_rule(p, exps, rhs)
 
 
 class IsoClass(enum.Enum):

@@ -20,7 +20,7 @@ first structural obstruction.
 from __future__ import annotations
 
 from .errors import ExceededCap, NotAMultiple, NotDivisible, SignatureMismatch
-from .hypersurface import PqSpec, build_Pq, reduce_mod_relation
+from .hypersurface import PqSpec, _fiber_reducer, build_Pq
 from .morphisms import Derivation
 from .polyring import Polynomial, exact_divide, x_power_bracket
 
@@ -87,9 +87,10 @@ def decompose_as_Delta_multiple(delta: Derivation,
         raise SignatureMismatch(
             f"derivation lives in {delta.sig.names}, expected {sig.names}")
     core = build_Delta(spec)
+    reduce = _fiber_reducer(spec, sig)
 
     def reduced(p: Polynomial) -> Polynomial:
-        return reduce_mod_relation(p, spec)[0]
+        return reduce(p)[0]
 
     for i in range(1, sig.n + 1):
         name = f"x{i}"

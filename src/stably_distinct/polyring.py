@@ -33,13 +33,10 @@ from .errors import (DivisionByZero, DivisionByZeroPolynomial,
                      MixedDiscriminant, NotDivisible, ParseError,
                      ResourceLimit, SignatureMismatch, StablyDistinctError,
                      UnknownVariable)
-from .exactfield import QuadExt, as_scalar, parse_scalar, scalar_to_text
+from .exactfield import (QuadExt, _same_field, as_scalar, parse_scalar,
+                         scalar_to_text)
 
 _DEFAULT_TERM_LIMIT = 10 ** 6
-
-# below this many term pairs the packed product's set-up (field widths,
-# common denominators, packing) costs more than the generic loop saves
-_PACKED_MIN_PAIRS = 32
 
 
 def term_limit() -> int:
@@ -362,17 +359,14 @@ def _sub_into(acc: dict, terms: dict):
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
-    """Term dict of the product, by the path that fits the operands.
+    """Term dict of the product.
 
     A one-term operand shifts the other side's exponents and scales its
-    coefficients; when that term's coefficient is 1 the other side's
-    coefficients are reused as they are.  All-Fraction operands with at
-    least ``_PACKED_MIN_PAIRS`` term pairs multiply as integers over one
-    common denominator, with each exponent tuple packed into one int
-    (after Monagan and Pearce, CASC 2007).  Anything else (smaller
-    products, coefficients in Q(sqrt(d))) takes the generic loop.  The
-    term limit counts nonzero terms after each row of the smaller operand
-    on every path.
+    coefficients (reused as they are when its coefficient is 1).  Other
+    products run on integers over one common denominator, each exponent
+    tuple packed into one int (after Monagan and Pearce, CASC 2007), with
+    an operand in Q(sqrt(d)) split first into rational parts.  The term
+    limit counts nonzero terms after each row and in the joined parts.
     """
     if not a or not b:
         return {}
@@ -386,28 +380,38 @@ def _mul_terms(a: dict, b: dict) -> dict:
         if ca == 1:
             return {tuple(map(add, ea, eb)): cb for eb, cb in b.items()}
         return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
-    if len(a) * len(b) >= _PACKED_MIN_PAIRS and \
-            all(type(c) is Fraction for c in a.values()) and \
-            all(type(c) is Fraction for c in b.values()):
+    (a0, a1), (b0, b1) = _split_surd(a), _split_surd(b)
+    if not a1 and not b1:
         return _mul_fraction_terms(a, b, limit)
-    result = {}
-    b_items = list(b.items())
-    for ea, ca in a.items():
-        for eb, cb in b_items:
-            key = tuple(map(sum, zip(ea, eb)))
-            c = ca * cb
-            prev = result.get(key)
-            if prev is None:
-                result[key] = c
-            else:
-                s = prev + c
-                if s:
-                    result[key] = s
-                else:
-                    del result[key]
-        if len(result) > limit:
-            raise _product_limit(a, b, limit)
+    coeffs = [*a.values(), *b.values()]
+    check_one_field(coeffs)
+    d = next(c.d for c in coeffs if type(c) is QuadExt)
+    # (A0 + sqrt(d)*A1)(B0 + sqrt(d)*B1), one part at a time
+    try:
+        result = _mul_terms(a0, b0)
+        _add_into(result, _mul_terms({e: d * c for e, c in a1.items()}, b1))
+        surd = _mul_terms(a0, b1)
+        _add_into(surd, _mul_terms(a1, b0))
+    except ResourceLimit:
+        raise _product_limit(a, b, limit) from None
+    for exps, c in surd.items():
+        result[exps] = _same_field(result.get(exps, Fraction(0)), c, d)
+    if len(result) > limit:
+        raise _product_limit(a, b, limit)
     return result
+
+
+def _split_surd(terms: dict) -> tuple[dict, dict]:
+    """Rational term dicts A0, A1 with terms = A0 + sqrt(d)*A1."""
+    rational, surd = {}, {}
+    for exps, c in terms.items():
+        if type(c) is QuadExt:
+            if c.a:
+                rational[exps] = c.a
+            surd[exps] = c.b
+        else:
+            rational[exps] = c
+    return rational, surd
 
 
 def _product_limit(a: dict, b: dict, limit: int) -> ResourceLimit:

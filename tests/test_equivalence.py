@@ -17,9 +17,9 @@ from stably_distinct.equivalence import (
     decide_hypersurface_equivalence, decide_poly_equivalence,
     stable_equivalence_degree_bound, theorem_certificate,
     verify_hyper_equivalence, verify_stable_equivalence)
-from stably_distinct.errors import (DimensionMismatch, InvalidWitness,
-                                    MixedDiscriminant, NotDecidableInField,
-                                    ParseError, StablyDistinctError)
+from stably_distinct.errors import (InvalidWitness, MixedDiscriminant,
+                                    NotDecidableInField, ParseError,
+                                    StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, build_Pq
 from stably_distinct.morphisms import RingEndomorphism
@@ -479,7 +479,7 @@ class TestStableEquivalence:
     def test_power_family_verifies(self, k, n):
         poly = UnivariatePoly(dense_power([-1, 1], k))
         pair = build_stable_equivalence(poly, n)
-        cert = verify_stable_equivalence(pair, poly, n)
+        cert = verify_stable_equivalence(pair)
         assert cert.passed, [c.name for c in cert.failed_checks()]
 
     def test_check_names_cover_all_round_trips(self):
@@ -591,13 +591,6 @@ class TestStableEquivalence:
         identity = RingEndomorphism.identity(pair.phi.sig)
         assert pair.phi == identity and pair.psi == identity
         assert verify_stable_equivalence(pair).passed
-
-    def test_verify_guards(self):
-        pair = build_stable_equivalence([-1, 1], 1)
-        with pytest.raises(InvalidWitness):
-            verify_stable_equivalence(pair, [1, 1], 1)
-        with pytest.raises(DimensionMismatch):
-            verify_stable_equivalence(pair, [-1, 1], 2)
 
     def test_degree_bound_formula(self):
         pair = build_stable_equivalence([1, -2, 1], 3)   # (t-1)^2, n=3

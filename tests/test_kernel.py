@@ -4,9 +4,10 @@ Products of random polynomials, and exact divisions by one-term
 divisors, must give the same term dicts as the plain term-pair loop and
 the leading-term-scan division, on rational coefficients with
 denominators, on coefficients in Q(sqrt(2)), on one-term operands and on
-products whose terms cancel.  On non-multiples both divisions raise
-NotDivisible with the same message.  A divisor with two or more terms is
-refused with a plain StablyDistinctError.
+products whose terms cancel, whole parts included.  Operands from two
+quadratic fields raise MixedDiscriminant.  On non-multiples both
+divisions raise NotDivisible with the same message.  A divisor with two
+or more terms is refused with a plain StablyDistinctError.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from conftest import reference_divide, reference_mul
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stably_distinct.errors import NotDivisible, StablyDistinctError
+from stably_distinct.errors import (MixedDiscriminant, NotDivisible,
+                                    StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
-from stably_distinct.polyring import (_PACKED_MIN_PAIRS, Polynomial,
-                                      RingSignature, exact_divide)
+from stably_distinct.polyring import Polynomial, RingSignature, exact_divide
 
 SIG = RingSignature(2, has_w=True)
 
@@ -31,7 +32,6 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 sqrt2_scalars = st.builds(lambda a, b: quadext(a, b, 2), rationals, rationals)
 
 
-# term counts just below, and at or above, the packed path's cutoff
 CUTOFF_SIZES = [(2, 15), (2, 16), (4, 7), (4, 8), (5, 6), (6, 6)]
 
 
@@ -99,18 +99,56 @@ class TestProductMatchesReference:
                 for size in sizes)
         assert_product(a, b)
 
-    def test_cutoff_sizes_straddle(self):
-        pairs = [a * b for a, b in CUTOFF_SIZES]
-        assert min(pairs) < _PACKED_MIN_PAIRS <= max(pairs)
-
     def test_large_exponents_do_not_carry(self):
-        # 8 x 4 term pairs, so the packed path multiplies these
+        # exponent sums up to 256 need wider fields than either operand
         a = {(200, 0, 1, 0, 0): Fraction(1, 3), (0, 255, 0, 0, 9): Fraction(2)}
         a.update({(k, 0, 0, k, 0): Fraction(1, k + 2) for k in range(1, 7)})
         b = {(56, 1, 0, 0, 0): Fraction(-3, 7), (0, 1, 0, 0, 0): Fraction(5),
              (0, 0, 0, 1, 0): Fraction(7), (1, 1, 1, 1, 1): Fraction(-1, 5)}
-        assert len(a) * len(b) >= _PACKED_MIN_PAIRS
         assert_product(a, b)
+
+
+X1 = (1, 0, 0, 0, 0)
+ONE = (0, 0, 0, 0, 0)
+
+
+class TestSurdSplit:
+    def test_surd_part_cancels(self):
+        # (1 + sqrt(2)*x1)(1 - sqrt(2)*x1) = 1 - 2*x1^2
+        a = {ONE: Fraction(1), X1: quadext(0, 1, 2)}
+        b = {ONE: Fraction(1), X1: quadext(0, -1, 2)}
+        assert_product(a, b)
+        assert (poly(a) * poly(b)).terms == {ONE: Fraction(1),
+                                             (2, 0, 0, 0, 0): Fraction(-2)}
+
+    def test_rational_part_cancels(self):
+        # (1 + sqrt(2)*x1)(sqrt(2) - 2*x1) = sqrt(2) - 2*sqrt(2)*x1^2
+        a = {ONE: Fraction(1), X1: quadext(0, 1, 2)}
+        b = {ONE: quadext(0, 1, 2), X1: Fraction(-2)}
+        assert_product(a, b)
+        assert (poly(a) * poly(b)).terms == {
+            ONE: quadext(0, 1, 2), (2, 0, 0, 0, 0): quadext(0, -2, 2)}
+
+    @settings(deadline=None)
+    @given(term_dicts(sqrt2_scalars, 2), term_dicts(rationals, 2))
+    def test_sqrt2_times_rational(self, a, b):
+        assume(len(a) >= 2 and len(b) >= 2)
+        assume(any(isinstance(c, QuadExt) for c in a.values()))
+        assert_product(a, b)
+        assert_product(b, a)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (1, 2), (2, 1), (1, 1)],
+                             ids=["multi-term", "one-term-left",
+                                  "one-term-right", "one-term-both"])
+    def test_two_fields_refused(self, sizes):
+        a = {ONE: quadext(0, 1, 2), X1: Fraction(1)}
+        b = {ONE: quadext(1, 1, 3), X1: quadext(0, 1, 3)}
+        a, b = (dict(list(terms.items())[:size])
+                for terms, size in zip((a, b), sizes))
+        with pytest.raises(MixedDiscriminant, match="cannot mix"):
+            poly(a) * poly(b)
+        with pytest.raises(MixedDiscriminant, match="cannot mix"):
+            poly(b) * poly(a)
 
 
 class TestMultiTermDivisorRefused:

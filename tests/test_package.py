@@ -40,6 +40,7 @@ DELETED = (
     "polyring.UnivariatePoly.__rsub__",
     "polyring.UnivariatePoly.__mul__",
     "polyring.UnivariatePoly.__rmul__",
+    "polyring._PACKED_MIN_PAIRS",
 )
 
 
