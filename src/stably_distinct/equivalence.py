@@ -436,8 +436,17 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
         psi(w) = (1 - s*r(Pq))w + r(Pq)^2 z
 
     and the y-images are the unique solutions of phi(P_q) = P0 and
-    psi(P0) = P_q; all six come from :func:`_cylinder_zw` and
-    :func:`_cylinder_y`.
+    psi(P0) = P_q.  The z- and w-images and psi(y) come from
+    :func:`_cylinder_zw` and :func:`_cylinder_y`.
+
+    phi(y) = (P0 - z_part(q, phi(z))) / x^[2] is expanded through a
+    symbol S for the target P0: with Z the z-image of
+    :func:`_cylinder_zw` at r(S), N = S - z_part(q, Z) is small, and one
+    substitution S -> P0 followed by the exact division gives phi(y).
+    S -> P0 is a ring homomorphism, so this is the same polynomial as
+    the direct expansion of q(phi(z)^2), at a fraction of its term pairs.
+    S takes the y slot: Z and N hold y only through r(S), so nothing else
+    is substituted.
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
@@ -454,7 +463,10 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
     z = Polynomial.variable(sig, "z")
     w = Polynomial.variable(sig, "w")
     phi_z, phi_w = _cylinder_zw(1, r.subs_into(p_zero), z, w)
-    phi_y = _cylinder_y(phi_z, p_zero, q)
+    target = Polynomial.variable(sig, "y")  # the symbol S for P0
+    sym_z, _ = _cylinder_zw(1, r.subs_into(target), z, w)
+    phi_y = exact_divide((target - z_part(q, sym_z)).substitute({"y": p_zero}),
+                         x_power_bracket(sig, 2))
     psi_z, psi_w = _cylinder_zw(-1, r.subs_into(p_q), z, w)
     psi_y = _cylinder_y(psi_z, p_q, UnivariatePoly([q(Fraction(0))]))
     phi = RingEndomorphism(sig, {"y": phi_y, "z": phi_z, "w": phi_w})

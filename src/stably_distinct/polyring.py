@@ -26,8 +26,9 @@ import json
 import os
 import re
 from fractions import Fraction
+from itertools import chain
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import (DivisionByZero, DivisionByZeroPolynomial,
                      MixedDiscriminant, NotDivisible, ParseError,
@@ -263,6 +264,16 @@ class Polynomial:
 
         Variables absent from ``images`` are left alone.  This is the ring
         homomorphism determined by the generator images.
+
+        A source of two or more terms, with an image of two or more terms
+        and every coefficient rational, its own and its images', runs on
+        packed integers (:func:`_substitute_fraction_terms`).  The rest
+        takes the per-term loop: each term times cached powers of its
+        images, through ``_mul_terms``.  That is a one-term source, where
+        packing costs more than it saves; images of one term each, which
+        only shift and scale every term; and any coefficient in
+        Q(sqrt(d)), which the packed path does not take.  Either way the
+        term limit counts the nonzero terms of every intermediate.
         """
         sig = self.sig
         lifted = {}
@@ -276,10 +287,22 @@ class Polynomial:
             lifted[idx] = img
         if not lifted:
             return self
+        limit = term_limit()
+
+        def refuse():
+            return _substitution_limit(self, lifted, limit)
+
+        coeffs = chain(self.terms.values(),
+                       *(img.terms.values() for img in lifted.values()))
+        if (len(self.terms) > 1
+                and any(len(img.terms) > 1 for img in lifted.values())
+                and QuadExt not in set(map(type, coeffs))):
+            return Polynomial(sig, _substitute_fraction_terms(
+                self.terms, {idx: img.terms for idx, img in lifted.items()},
+                limit, refuse))
         touched = sorted(lifted)
         touched_set = set(touched)
         power_cache = {idx: {} for idx in touched}
-        limit = term_limit()
         result = {}
         for exps, coeff in self.terms.items():
             base = tuple(0 if i in touched_set else e for i, e in enumerate(exps))
@@ -292,7 +315,7 @@ class Polynomial:
                                                     lifted[idx], e))
             _add_into(result, acc)
             if len(result) > limit:
-                raise ResourceLimit("substitution exceeded %d terms" % limit)
+                raise refuse()
         return Polynomial(sig, result)
 
     def evaluate(self, point: dict):
@@ -419,44 +442,155 @@ def _product_limit(a: dict, b: dict, limit: int) -> ResourceLimit:
                          % (len(a), len(b), limit))
 
 
-def _mul_fraction_terms(a: dict, b: dict, limit: int) -> dict:
-    """Product of two all-Fraction term dicts in packed integer form.
+def _substitution_limit(source: Polynomial, images: dict,
+                        limit: int) -> ResourceLimit:
+    sizes = ", ".join("%s (%d terms)" % (source.sig.names[idx],
+                                         len(images[idx].terms))
+                      for idx in sorted(images))
+    return ResourceLimit("substitution of %s into %d terms exceeded %d terms"
+                         % (sizes, len(source.terms), limit))
 
-    Each variable gets a bit field wide enough for the largest exponent
-    sum it can reach in the product, so packed exponents add without
-    carrying from one field into the next.
-    """
-    shifts = []
-    masks = []
+
+# -- packed integer kernel --------------------------------------------------
+#
+# A term dict over rationals becomes a list of (packed exponents, numerator)
+# pairs over one common denominator.  Each variable gets a bit field wide
+# enough for the largest exponent it can reach in the result, so packed
+# exponents add without carrying from one field into the next (after
+# Monagan and Pearce, CASC 2007).
+
+def _layout(tops) -> tuple[list, list]:
+    """Weights 2^shift, and (shift, mask) fields, for per-variable
+    exponent bounds."""
+    weights, fields = [], []
     offset = 0
-    for top_a, top_b in zip(map(max, zip(*a)), map(max, zip(*b))):
-        width = (top_a + top_b).bit_length()
-        shifts.append(offset)
-        masks.append((1 << width) - 1)
+    for top in tops:
+        width = top.bit_length()
+        weights.append(1 << offset)
+        fields.append((offset, (1 << width) - 1))
         offset += width
-    den_a = lcm(*(c.denominator for c in a.values()))
-    den_b = lcm(*(c.denominator for c in b.values()))
-    packed_b = [(sum(e << s for e, s in zip(exps, shifts)),
-                 c.numerator * (den_b // c.denominator))
-                for exps, c in b.items()]
-    acc = {}
+    return weights, fields
+
+
+def _pack(terms: dict, weights: list) -> tuple[int, list]:
+    """The common denominator of ``terms`` and its packed term list."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return den, [(sum(map(mul, exps, weights)),
+                  c.numerator * (den // c.denominator))
+                 for exps, c in terms.items()]
+
+
+def _mul_packed_into(acc: dict, a: list, b: list, limit: int, refuse) -> None:
+    """Add the product of packed term lists a and b into ``acc``.
+
+    Cancelled terms stay in ``acc`` as zeros; after each row past
+    ``limit`` entries they are dropped, and ``refuse()`` is raised if the
+    nonzero terms still exceed it.
+    """
     get = acc.get
-    for exps, c in a.items():
-        pa = sum(e << s for e, s in zip(exps, shifts))
-        na = c.numerator * (den_a // c.denominator)
-        for pb, nb in packed_b:
+    for pa, na in a:
+        for pb, nb in b:
             key = pa + pb
             acc[key] = get(key, 0) + na * nb
         if len(acc) > limit:
-            # cancelled terms stay in acc as zeros; only nonzero ones count
-            acc = {key: num for key, num in acc.items() if num}
-            get = acc.get
+            for key in [key for key, num in acc.items() if not num]:
+                del acc[key]
             if len(acc) > limit:
-                raise _product_limit(a, b, limit)
-    den = den_a * den_b
-    fields = list(zip(shifts, masks))
-    return {tuple((key >> s) & m for s, m in fields): Fraction(num, den)
+                raise refuse()
+
+
+def _packed_product(a: list, b: list, limit: int, refuse) -> list:
+    acc = {}
+    _mul_packed_into(acc, a, b, limit, refuse)
+    return [item for item in acc.items() if item[1]]
+
+
+def _unpack(acc: dict, fields: list, den: int) -> dict:
+    return {tuple([(key >> s) & m for s, m in fields]): Fraction(num, den)
             for key, num in acc.items() if num}
+
+
+def _mul_fraction_terms(a: dict, b: dict, limit: int) -> dict:
+    """Product of two all-rational term dicts in packed integer form."""
+    weights, fields = _layout(map(add, map(max, zip(*a)), map(max, zip(*b))))
+    den_a, packed_a = _pack(a, weights)
+    den_b, packed_b = _pack(b, weights)
+    acc = {}
+    _mul_packed_into(acc, packed_a, packed_b, limit,
+                     lambda: _product_limit(a, b, limit))
+    return _unpack(acc, fields, den_a * den_b)
+
+
+def _substitute_fraction_terms(terms: dict, images: dict, limit: int,
+                               refuse) -> dict:
+    """Term dict of ``terms`` with variable index j replaced by the term
+    dict ``images[j]``, every coefficient rational, in packed form.
+
+    Source terms are grouped by their exponents of the replaced
+    variables, so each group is one product: its other factors times
+    the product of its image powers.  The fields are sized from the
+    result's exponent bound per variable, the max over source terms of
+    the untouched exponent plus the sum of e_j times image j's degree in
+    that variable, so no intermediate carries.  Image powers are chained
+    in packed form, and every group's product is summed on integers over
+    one common denominator, then unpacked once.
+    """
+    touched = sorted(images)
+    groups = {}
+    for item in terms.items():
+        groups.setdefault(tuple(map(item[0].__getitem__, touched)),
+                          []).append(item)
+    # a zero image to a positive power sends its terms to zero
+    groups = {key: group for key, group in groups.items()
+              if all(images[j] or not e for j, e in zip(touched, key))}
+    if not groups:
+        return {}
+    tops = {j: list(map(max, zip(*images[j]))) for j in touched if images[j]}
+    keep = [int(i not in images) for i in range(len(next(iter(terms))))]
+    bound = [0] * len(keep)
+    for key, group in groups.items():
+        reach = list(map(mul, map(max, zip(*[exps for exps, _ in group])),
+                         keep))
+        for j, e in zip(touched, key):
+            if e:
+                reach = list(map(add, reach, [e * t for t in tops[j]]))
+        bound = list(map(max, bound, reach))
+    weights, fields = _layout(bound)
+    other_weights = list(map(mul, weights, keep))
+    den_src = lcm(*[c.denominator for group in groups.values()
+                    for _, c in group])
+    den = den_src
+    # per replaced variable: its image's denominator and packed powers
+    chains = []
+    top_e = list(map(max, zip(*groups)))
+    for j, top in zip(touched, top_e):
+        if top:
+            den_j, packed = _pack(images[j], weights)
+            chains.append((den_j, [[(0, 1)], packed]))
+            den *= den_j ** top
+        else:
+            chains.append((1, [[(0, 1)]]))
+    acc = {}
+    for key, group in groups.items():
+        scale = den_src
+        power = None
+        for (den_j, powers), e, top in zip(chains, key, top_e):
+            scale *= den_j ** (top - e)
+            while len(powers) <= e:
+                powers.append(_packed_product(powers[-1], powers[1], limit,
+                                              refuse))
+            if e:
+                power = powers[e] if power is None else _packed_product(
+                    power, powers[e], limit, refuse)
+        if power is None:
+            power = [(0, 1)]
+        others = [(sum(map(mul, exps, other_weights)),
+                   c.numerator * (scale // c.denominator))
+                  for exps, c in group]
+        if len(others) > len(power):
+            others, power = power, others
+        _mul_packed_into(acc, others, power, limit, refuse)
+    return _unpack(acc, fields, den)
 
 
 def _cached_power(cache: dict, poly: Polynomial, e: int) -> dict:

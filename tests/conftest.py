@@ -3,9 +3,10 @@
 The dense univariate routines here are an independent reference
 implementation (plain coefficient lists, no library code) used to
 derive expected values for division- and quotient-style operations.
-The sparse reference kernel is the plain term-pair product loop and the
-leading-term-scan division that the library's fast kernel replaced; the
-property tests compare the two.  The brute-force search for a rational
+The sparse reference kernel is the plain term-pair product loop, the
+leading-term-scan division that the library's fast kernel replaced, and
+a term-by-term substitution on that product loop; the property tests
+compare them with the library.  The brute-force search for a rational
 mu is the reference for the hypersurface-equivalence decider; it shares
 no code with it.
 """
@@ -87,6 +88,26 @@ def reference_mul(a: dict, b: dict) -> dict:
         for eb, cb in b.items():
             key = tuple(map(sum, zip(ea, eb)))
             s = result.get(key, 0) + ca * cb
+            if s:
+                result[key] = s
+            else:
+                result.pop(key, None)
+    return result
+
+
+def reference_substitute(terms: dict, images: dict) -> dict:
+    """Term dict of ``terms`` with the variable at index i replaced by the
+    term dict ``images[i]``: each term times its images, one factor at a
+    time through reference_mul, then added up."""
+    result = {}
+    for exps, coeff in terms.items():
+        base = tuple(0 if i in images else e for i, e in enumerate(exps))
+        acc = {base: coeff}
+        for i, image in images.items():
+            for _ in range(exps[i]):
+                acc = reference_mul(acc, image)
+        for key, c in acc.items():
+            s = result.get(key, 0) + c
             if s:
                 result[key] = s
             else:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
-    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _euclid_on_ratios,
+    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _cylinder_y,
+    _cylinder_zw, _euclid_on_ratios,
     build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
     decide_hypersurface_equivalence, decide_poly_equivalence,
@@ -450,6 +451,33 @@ def _corrupt(pair: StableEquivPair, side: str, gen: str,
 def small_pairs():
     return [build_stable_equivalence([-1, 1], 1),
             build_stable_equivalence([1, -2, 1], 2)]
+
+
+# (t - 1)^k for k = 1..4, a q with denominators, and a Q(sqrt(2)) q
+DIRECT_BUILD_QS = {
+    **{f"(t-1)^{k}": dense_power([-1, 1], k) for k in range(1, 5)},
+    "denominators": [Fraction(1, 3), 2, 0, -1],
+    "sqrt2": [Fraction(1, 3), 2, quadext(0, 1, 2), -1],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coeffs", DIRECT_BUILD_QS.values(),
+                         ids=DIRECT_BUILD_QS.keys())
+def test_phi_matches_the_direct_expansion(coeffs, n):
+    # phi(y) straight from z_part(q, phi(z)), with no symbol for the target
+    q = UnivariatePoly(coeffs)
+    p_zero = build_Pq(PqSpec(n, [q(0)], 0), has_w=True)
+    r = UnivariatePoly([c / 2 for c in q.coeffs[1:]])
+    sig = p_zero.sig
+    phi_z, phi_w = _cylinder_zw(1, r.subs_into(p_zero),
+                                Polynomial.variable(sig, "z"),
+                                Polynomial.variable(sig, "w"))
+    phi_y = _cylinder_y(phi_z, p_zero, q)
+    phi = build_stable_equivalence(q, n).phi
+    assert phi.image("y").terms == phi_y.terms
+    assert phi == RingEndomorphism(sig, {"y": phi_y, "z": phi_z,
+                                         "w": phi_w})
 
 
 class TestStableEquivalence:

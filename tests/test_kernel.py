@@ -1,10 +1,11 @@
 """The polynomial kernel against the reference kernel in conftest.
 
-Products of random polynomials, and exact divisions by one-term
-divisors, must give the same term dicts as the plain term-pair loop and
-the leading-term-scan division, on rational coefficients with
-denominators, on coefficients in Q(sqrt(2)), on one-term operands and on
-products whose terms cancel, whole parts included.  Operands from two
+Products of random polynomials, substitutions into them, and exact
+divisions by one-term divisors, must give the same term dicts as the
+plain term-pair loop, the term-by-term substitution and the
+leading-term-scan division, on rational coefficients with denominators,
+on coefficients in Q(sqrt(2)), on one-term operands and on results
+whose terms cancel, whole parts included.  Operands from two
 quadratic fields raise MixedDiscriminant.  On non-multiples both
 divisions raise NotDivisible with the same message.  A divisor with two
 or more terms is refused with a plain StablyDistinctError.
@@ -15,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import reference_divide, reference_mul
+from conftest import (reference_divide, reference_mul,
+                      reference_substitute)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +151,104 @@ class TestSurdSplit:
             poly(a) * poly(b)
         with pytest.raises(MixedDiscriminant, match="cannot mix"):
             poly(b) * poly(a)
+
+
+small_exponents = st.tuples(*[st.integers(0, 2)] * SIG.nvars)
+
+
+def small_term_dicts(coeffs, min_size=0, max_size=4):
+    return st.dictionaries(small_exponents, coeffs, min_size=min_size,
+                           max_size=max_size).map(
+        lambda terms: {e: c for e, c in terms.items() if c})
+
+
+def image_maps(coeffs, min_size=0):
+    """{variable index: image}, an image being a scalar (zero included)
+    or a term dict (the empty one included)."""
+    images = st.one_of(coeffs, small_term_dicts(coeffs, max_size=3))
+    return st.dictionaries(st.integers(0, SIG.nvars - 1), images,
+                           min_size=min_size, max_size=3)
+
+
+def image_terms(image) -> dict:
+    if isinstance(image, dict):
+        return image
+    return {ONE: image} if image else {}
+
+
+def assert_substitution(terms: dict, images: dict):
+    got = poly(terms).substitute({
+        SIG.names[i]: poly(image) if isinstance(image, dict) else image
+        for i, image in images.items()}).terms
+    assert got == reference_substitute(
+        terms, {i: image_terms(image) for i, image in images.items()})
+    assert all(got.values())
+    assert all(type(c) in (Fraction, QuadExt) for c in got.values())
+
+
+# (source coefficients, image coefficients)
+SUBSTITUTION_FIELDS = pytest.mark.parametrize(
+    "source, image", [(rationals, rationals), (sqrt2_scalars, sqrt2_scalars),
+                      (rationals, sqrt2_scalars)],
+    ids=["rational", "sqrt2", "rational-into-sqrt2"])
+
+
+class TestSubstitutionMatchesReference:
+    @SUBSTITUTION_FIELDS
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_multi_term_source(self, source, image, data):
+        assert_substitution(data.draw(small_term_dicts(source, 2, 6)),
+                            data.draw(image_maps(image)))
+
+    @SUBSTITUTION_FIELDS
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_one_term_source(self, source, image, data):
+        assert_substitution(data.draw(small_term_dicts(source, 1, 1)),
+                            data.draw(image_maps(image)))
+
+    @SUBSTITUTION_FIELDS
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_terms_substituting_several_variables(self, source, image, data):
+        terms = data.draw(small_term_dicts(source, 1, 6))
+        images = data.draw(image_maps(image, min_size=2))
+        assume(any(sum(1 for i in images if exps[i]) >= 2 for exps in terms))
+        assert_substitution(terms, images)
+
+    @pytest.mark.parametrize("coeffs", [rationals, sqrt2_scalars],
+                             ids=["rational", "sqrt2"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_result_cancels_to_zero(self, coeffs, data):
+        # y and z share an image, so a minus a with y and z swapped maps to 0
+        a = data.draw(small_term_dicts(coeffs, 1))
+        image = data.draw(small_term_dicts(coeffs, max_size=3))
+        y, z = SIG.index("y"), SIG.index("z")
+
+        def swap(exps):
+            exps = list(exps)
+            exps[y], exps[z] = exps[z], exps[y]
+            return tuple(exps)
+
+        terms = (poly(a) - poly({swap(e): c for e, c in a.items()})).terms
+        assert_substitution(terms, {y: image, z: image})
+        assert poly(terms).substitute({"y": poly(image),
+                                       "z": poly(image)}).is_zero()
+
+    def test_large_exponents_do_not_carry(self):
+        # x1^250 in the result needs an 8-bit field; no operand goes past
+        # x1^60, and the fourth power of z's image is what reaches 250
+        y, z = SIG.index("y"), SIG.index("z")
+        terms = {(10, 0, 0, 4, 0): Fraction(1, 3),
+                 (0, 0, 1, 1, 9): Fraction(2),
+                 (1, 1, 1, 1, 1): Fraction(-1, 5)}
+        images = {z: {(60, 1, 0, 0, 0): Fraction(-3, 7),
+                      (0, 0, 0, 0, 6): Fraction(5), ONE: Fraction(7)},
+                  y: {(30, 0, 0, 0, 0): Fraction(2, 9),
+                      (0, 0, 1, 0, 1): Fraction(1)}}
+        assert_substitution(terms, images)
 
 
 class TestMultiTermDivisorRefused:

@@ -296,6 +296,27 @@ class TestTermLimit:
         with pytest.raises(ResourceLimit, match=message):
             parse_polynomial(s, left) * parse_polynomial(s, right)
 
+    def test_substitution_limit_names_the_operands(self, monkeypatch):
+        # (x1 + z + 1)^2 already has 6 terms
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "5")
+        s = sig1()
+        p = parse_polynomial(s, "y^2 + y*z + z^3 + x1")
+        images = {"y": parse_polynomial(s, "x1 + z + 1"),
+                  "z": parse_polynomial(s, "x1 - y")}
+        message = ("substitution of y (3 terms), z (2 terms) into 4 terms "
+                   "exceeded 5 terms")
+        with pytest.raises(ResourceLimit, match=re.escape(message)):
+            p.substitute(images)
+
+    def test_substitution_limit_counts_nonzero_terms(self, monkeypatch):
+        # x1 cancels between the two images: 3 entries, 2 of them nonzero
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "2")
+        s = sig1()
+        got = parse_polynomial(s, "y + z").substitute({
+            "y": parse_polynomial(s, "x1 + z^2"),
+            "z": parse_polynomial(s, "y^3 - x1")})
+        assert str(got) == "y^3 + z^2"
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
     def test_bad_limit_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", value)
