@@ -40,7 +40,7 @@ from typing import Sequence
 
 from .errors import MixedDiscriminant, StablyDistinctError
 from .exactfield import QuadExt
-from .polyring import Polynomial, random_point
+from .polyring import Polynomial, check_one_field, random_point
 
 # 2^61 - 1 first; each later one is the largest prime below its power of two,
 # taken only when every earlier one divides some coefficient's denominator
@@ -107,15 +107,10 @@ def _distinct(keys) -> tuple[list, list]:
 
 
 def _residue_table(poly: Polynomial, p: int, inverses: dict) -> _Residues:
-    d = d_mod = None
-    terms = []
-    for exps, coeff in poly.terms.items():
-        if isinstance(coeff, QuadExt) and coeff.d != d:
-            if d is not None:
-                raise MixedDiscriminant(
-                    "cannot mix sqrt(%s) with sqrt(%s)" % (d, coeff.d))
-            d, d_mod = coeff.d, _residue(coeff.d, p, inverses)
-        terms.append((_residue(coeff, p, inverses), exps))
+    d = check_one_field(poly.terms.values())
+    d_mod = None if d is None else _residue(d, p, inverses)
+    terms = [(_residue(coeff, p, inverses), exps)
+             for exps, coeff in poly.terms.items()]
     degrees = [max(column) for column in zip(*poly.terms)]
     return _Residues(terms, degrees, d, d_mod)
 

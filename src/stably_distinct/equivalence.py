@@ -161,11 +161,9 @@ def _on_common_denominators(q1: UnivariatePoly, q2: UnivariatePoly):
     test is homogeneous in a and in b, so the factors cancel.
     Coefficients from two quadratic fields raise MixedDiscriminant.
     """
-    coeffs = q1.coeffs + q2.coeffs
-    d = next((c.d for c in coeffs if isinstance(c, QuadExt)), None)
+    d = check_one_field(q1.coeffs + q2.coeffs)
     if d is None:
         return _integer_vector(q1.coeffs), _integer_vector(q2.coeffs), None
-    check_one_field(coeffs)
     return q1.coeffs, q2.coeffs, d
 
 

@@ -16,8 +16,15 @@ follows it; names are looked up in the RingSignature, the only place
 that knows them.  Repeated monomials are merged, and str() is the exact
 inverse of the reader.
 
+Products and substitutions run on one packed integer kernel.  A
+coefficient in Q(sqrt(d)) is carried there as one more variable s, by
+Q(sqrt(d))[X] = Q[X, s]/(s^2 - d): the operands are lifted to rational
+term dicts in X and s, and the result is lowered back by s^2 = d.
+
 Intermediate results are capped at 10^6 terms; the environment variable
-STABLY_DISTINCT_TERM_LIMIT overrides the cap.
+STABLY_DISTINCT_TERM_LIMIT overrides the cap.  On lifted operands the
+cap counts lifted terms, never fewer than the lowered ones, so it can
+only trip earlier.
 """
 
 from __future__ import annotations
@@ -265,18 +272,15 @@ class Polynomial:
         Variables absent from ``images`` are left alone.  This is the ring
         homomorphism determined by the generator images.
 
-        A source of two or more terms, with an image of two or more terms
-        and every coefficient rational, its own and its images', runs on
-        packed integers (:func:`_substitute_fraction_terms`).  The rest
-        takes the per-term loop: each term times cached powers of its
-        images, through ``_mul_terms``.  That is a one-term source, where
-        packing costs more than it saves; images of one term each, which
-        only shift and scale every term; and any coefficient in
-        Q(sqrt(d)), which the packed path does not take.  Either way the
-        term limit counts the nonzero terms of every intermediate.
+        Every image is checked against the signature; images of variables
+        the source does not contain are then dropped, and with none left
+        the source is returned as it is.  The rest runs on packed integers
+        (:func:`_substitute_fraction_terms`), on lifted term dicts when a
+        coefficient lies in Q(sqrt(d)).  The term limit counts the nonzero
+        terms of every intermediate.
         """
         sig = self.sig
-        lifted = {}
+        given = {}
         for name, img in images.items():
             idx = sig.index(name)
             if not isinstance(img, Polynomial):
@@ -284,39 +288,24 @@ class Polynomial:
             elif img.sig != sig:
                 raise SignatureMismatch("image of %s has %r, expected %r"
                                         % (name, img.sig, sig))
-            lifted[idx] = img
-        if not lifted:
+            given[idx] = img
+        used = {idx: img.terms for idx, img in given.items()
+                if any(exps[idx] for exps in self.terms)}
+        if not used:
             return self
         limit = term_limit()
 
         def refuse():
-            return _substitution_limit(self, lifted, limit)
+            return _substitution_limit(self, given, limit)
 
-        coeffs = chain(self.terms.values(),
-                       *(img.terms.values() for img in lifted.values()))
-        if (len(self.terms) > 1
-                and any(len(img.terms) > 1 for img in lifted.values())
-                and QuadExt not in set(map(type, coeffs))):
-            return Polynomial(sig, _substitute_fraction_terms(
-                self.terms, {idx: img.terms for idx, img in lifted.items()},
-                limit, refuse))
-        touched = sorted(lifted)
-        touched_set = set(touched)
-        power_cache = {idx: {} for idx in touched}
-        result = {}
-        for exps, coeff in self.terms.items():
-            base = tuple(0 if i in touched_set else e for i, e in enumerate(exps))
-            acc = {base: coeff}
-            for idx in touched:
-                e = exps[idx]
-                if e == 0:
-                    continue
-                acc = _mul_terms(acc, _cached_power(power_cache[idx],
-                                                    lifted[idx], e))
-            _add_into(result, acc)
-            if len(result) > limit:
-                raise refuse()
-        return Polynomial(sig, result)
+        source = self.terms
+        d = check_one_field(chain(source.values(),
+                                  *map(dict.values, used.values())))
+        if d is not None:
+            source = _lift(source)
+            used = {idx: _lift(terms) for idx, terms in used.items()}
+        result = _substitute_fraction_terms(source, used, limit, refuse)
+        return Polynomial(sig, result if d is None else _lower(result, d))
 
     def evaluate(self, point: dict):
         """Exact value at a point given as {variable name: scalar}."""
@@ -387,9 +376,10 @@ def _mul_terms(a: dict, b: dict) -> dict:
     A one-term operand shifts the other side's exponents and scales its
     coefficients (reused as they are when its coefficient is 1).  Other
     products run on integers over one common denominator, each exponent
-    tuple packed into one int (after Monagan and Pearce, CASC 2007), with
-    an operand in Q(sqrt(d)) split first into rational parts.  The term
-    limit counts nonzero terms after each row and in the joined parts.
+    tuple packed into one int (after Monagan and Pearce, CASC 2007), on
+    lifted operands when a coefficient lies in Q(sqrt(d)).  The term
+    limit counts nonzero terms after each row; a refusal names the
+    operands' own sizes.
     """
     if not a or not b:
         return {}
@@ -403,38 +393,47 @@ def _mul_terms(a: dict, b: dict) -> dict:
         if ca == 1:
             return {tuple(map(add, ea, eb)): cb for eb, cb in b.items()}
         return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
-    (a0, a1), (b0, b1) = _split_surd(a), _split_surd(b)
-    if not a1 and not b1:
-        return _mul_fraction_terms(a, b, limit)
-    coeffs = [*a.values(), *b.values()]
-    check_one_field(coeffs)
-    d = next(c.d for c in coeffs if type(c) is QuadExt)
-    # (A0 + sqrt(d)*A1)(B0 + sqrt(d)*B1), one part at a time
-    try:
-        result = _mul_terms(a0, b0)
-        _add_into(result, _mul_terms({e: d * c for e, c in a1.items()}, b1))
-        surd = _mul_terms(a0, b1)
-        _add_into(surd, _mul_terms(a1, b0))
-    except ResourceLimit:
-        raise _product_limit(a, b, limit) from None
-    for exps, c in surd.items():
-        result[exps] = _same_field(result.get(exps, Fraction(0)), c, d)
-    if len(result) > limit:
-        raise _product_limit(a, b, limit)
-    return result
+
+    def refuse():
+        return _product_limit(a, b, limit)
+
+    d = check_one_field(chain(a.values(), b.values()))
+    if d is None:
+        return _mul_fraction_terms(a, b, limit, refuse)
+    return _lower(_mul_fraction_terms(_lift(a), _lift(b), limit, refuse), d)
 
 
-def _split_surd(terms: dict) -> tuple[dict, dict]:
-    """Rational term dicts A0, A1 with terms = A0 + sqrt(d)*A1."""
-    rational, surd = {}, {}
+def _lift(terms: dict) -> dict:
+    """Rational term dict over one more variable s, with s^2 = d: each
+    coefficient a + b*sqrt(d) becomes a*s^0 + b*s^1."""
+    lifted = {}
     for exps, c in terms.items():
         if type(c) is QuadExt:
             if c.a:
-                rational[exps] = c.a
-            surd[exps] = c.b
+                lifted[exps + (0,)] = c.a
+            lifted[exps + (1,)] = c.b
         else:
-            rational[exps] = c
-    return rational, surd
+            lifted[exps + (0,)] = c
+    return lifted
+
+
+def _lower(terms: dict, d: Fraction) -> dict:
+    """Term dict over Q(sqrt(d)) of a lifted one: s^k becomes
+    d^(k div 2)*s^(k mod 2), and the parts at s^0 and s^1 join into
+    one coefficient."""
+    parts = ({}, {})
+    for exps, c in terms.items():
+        k = exps[-1]
+        if k > 1:
+            c *= d ** (k >> 1)
+        part = parts[k & 1]
+        key = exps[:-1]
+        prev = part.get(key)
+        part[key] = c if prev is None else prev + c
+    rational, surd = parts
+    for key, b in surd.items():
+        rational[key] = _same_field(rational.get(key, Fraction(0)), b, d)
+    return {key: c for key, c in rational.items() if c}
 
 
 def _product_limit(a: dict, b: dict, limit: int) -> ResourceLimit:
@@ -510,14 +509,13 @@ def _unpack(acc: dict, fields: list, den: int) -> dict:
             for key, num in acc.items() if num}
 
 
-def _mul_fraction_terms(a: dict, b: dict, limit: int) -> dict:
+def _mul_fraction_terms(a: dict, b: dict, limit: int, refuse) -> dict:
     """Product of two all-rational term dicts in packed integer form."""
     weights, fields = _layout(map(add, map(max, zip(*a)), map(max, zip(*b))))
     den_a, packed_a = _pack(a, weights)
     den_b, packed_b = _pack(b, weights)
     acc = {}
-    _mul_packed_into(acc, packed_a, packed_b, limit,
-                     lambda: _product_limit(a, b, limit))
+    _mul_packed_into(acc, packed_a, packed_b, limit, refuse)
     return _unpack(acc, fields, den_a * den_b)
 
 
@@ -591,19 +589,6 @@ def _substitute_fraction_terms(terms: dict, images: dict, limit: int,
             others, power = power, others
         _mul_packed_into(acc, others, power, limit, refuse)
     return _unpack(acc, fields, den)
-
-
-def _cached_power(cache: dict, poly: Polynomial, e: int) -> dict:
-    """Term dict of poly**e for e >= 1, filling the cache incrementally."""
-    if 1 not in cache:
-        cache[1] = poly.terms
-    have = max(k for k in cache if k <= e)
-    current = cache[have]
-    while have < e:
-        current = _mul_terms(current, cache[1])
-        have += 1
-        cache[have] = current
-    return current
 
 
 # -- named constructions --------------------------------------------------
@@ -807,12 +792,14 @@ def parse_polynomial(sig: RingSignature, text: str) -> Polynomial:
             negative, coeff, exps = op[1] == "-", Fraction(1), [0] * sig.nvars
 
 
-def check_one_field(coeffs) -> None:
-    """Raise MixedDiscriminant if ``coeffs`` lie in two quadratic fields."""
-    fields = sorted({c.d for c in coeffs if isinstance(c, QuadExt)})
+def check_one_field(coeffs):
+    """The d of the one quadratic field Q(sqrt(d)) that ``coeffs`` use,
+    or None when all are rational; two fields raise MixedDiscriminant."""
+    fields = {c.d for c in coeffs if type(c) is QuadExt}
     if len(fields) > 1:
         raise MixedDiscriminant("cannot mix %s" % " with ".join(
-            "sqrt(%s)" % d for d in fields))
+            "sqrt(%s)" % d for d in sorted(fields)))
+    return fields.pop() if fields else None
 
 
 def parse_json(text: str):

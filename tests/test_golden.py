@@ -33,7 +33,7 @@ CASES = {
     "stable-equiv-frac": ["--sz-points", "5", "--seed", "3", "stable-equiv",
                           "--n", "1", "--q", "1/2,-3,3/4,-1",
                           "--show-maps"],
-    # a coefficient in Q(sqrt(2)): products split into rational parts
+    # a coefficient in Q(sqrt(2)): the kernel carries sqrt(2) as a variable
     "stable-equiv-sqrt2": ["--sz-points", "5", "--seed", "3",
                            "stable-equiv", "--n", "1",
                            "--q", "0+1*sqrt(2),1,-1/3", "--show-maps"],

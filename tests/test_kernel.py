@@ -5,10 +5,13 @@ divisions by one-term divisors, must give the same term dicts as the
 plain term-pair loop, the term-by-term substitution and the
 leading-term-scan division, on rational coefficients with denominators,
 on coefficients in Q(sqrt(2)), on one-term operands and on results
-whose terms cancel, whole parts included.  Operands from two
-quadratic fields raise MixedDiscriminant.  On non-multiples both
-divisions raise NotDivisible with the same message.  A divisor with two
-or more terms is refused with a plain StablyDistinctError.
+whose terms cancel, whole parts included.  The kernel carries sqrt(2)
+as one more variable s and lowers its results by s^2 = 2; the reference
+multiplies field elements, so the two share no code for Q(sqrt(2)).
+Operands from two quadratic fields raise MixedDiscriminant.  On
+non-multiples both divisions raise NotDivisible with the same message.
+A divisor with two or more terms is refused with a plain
+StablyDistinctError.
 """
 
 from __future__ import annotations
@@ -115,6 +118,9 @@ ONE = (0, 0, 0, 0, 0)
 
 
 class TestSurdSplit:
+    """Q(sqrt(2)) products whose rational or surd part cancels once the
+    lifted result is lowered by s^2 = 2, and mixed rational operands."""
+
     def test_surd_part_cancels(self):
         # (1 + sqrt(2)*x1)(1 - sqrt(2)*x1) = 1 - 2*x1^2
         a = {ONE: Fraction(1), X1: quadext(0, 1, 2)}
@@ -237,18 +243,25 @@ class TestSubstitutionMatchesReference:
         assert poly(terms).substitute({"y": poly(image),
                                        "z": poly(image)}).is_zero()
 
-    def test_large_exponents_do_not_carry(self):
-        # x1^250 in the result needs an 8-bit field; no operand goes past
-        # x1^60, and the fourth power of z's image is what reaches 250
+    # with every coefficient scaled by 1 + sqrt(2), sqrt(2) is carried as
+    # a variable s, and z^8 in the source lifts s to degree 9
+    @pytest.mark.parametrize("scale", [Fraction(1), quadext(1, 1, 2)],
+                             ids=["rational", "sqrt2"])
+    def test_large_exponents_do_not_carry(self, scale):
+        # x1^490 in the result needs a 9-bit field; no operand goes past
+        # x1^60, and the eighth power of z's image is what reaches 490
         y, z = SIG.index("y"), SIG.index("z")
-        terms = {(10, 0, 0, 4, 0): Fraction(1, 3),
+        terms = {(10, 0, 0, 8, 0): Fraction(1, 3),
                  (0, 0, 1, 1, 9): Fraction(2),
                  (1, 1, 1, 1, 1): Fraction(-1, 5)}
         images = {z: {(60, 1, 0, 0, 0): Fraction(-3, 7),
                       (0, 0, 0, 0, 6): Fraction(5), ONE: Fraction(7)},
                   y: {(30, 0, 0, 0, 0): Fraction(2, 9),
                       (0, 0, 1, 0, 1): Fraction(1)}}
-        assert_substitution(terms, images)
+        assert_substitution(
+            {e: c * scale for e, c in terms.items()},
+            {j: {e: c * scale for e, c in image.items()}
+             for j, image in images.items()})
 
 
 class TestMultiTermDivisorRefused:

@@ -41,6 +41,8 @@ DELETED = (
     "polyring.UnivariatePoly.__mul__",
     "polyring.UnivariatePoly.__rmul__",
     "polyring._PACKED_MIN_PAIRS",
+    "polyring._split_surd",
+    "polyring._cached_power",
 )
 
 

@@ -165,6 +165,20 @@ class TestSubstitute:
         with pytest.raises(UnknownVariable):
             Polynomial.variable(sig1(), "y").substitute({"x9": 1})
 
+    def test_foreign_image_refused_for_an_absent_variable(self):
+        p = parse_polynomial(sig1(), "x1 + y")
+        with pytest.raises(SignatureMismatch):
+            p.substitute({"z": Polynomial.variable(sig2(), "z")})
+
+    @pytest.mark.parametrize("source", ["(0+1*sqrt(2))*y",
+                                        "(0+1*sqrt(2))*y + z"],
+                             ids=["one-term", "multi-term"])
+    def test_two_fields_refused(self, source):
+        s = sig1()
+        with pytest.raises(MixedDiscriminant, match="cannot mix"):
+            parse_polynomial(s, source).substitute(
+                {"y": parse_polynomial(s, "x1 + (0+1*sqrt(3))")})
+
     def test_evaluate_matches_substitute(self):
         rng = random.Random(3)
         s = sig2()
@@ -286,6 +300,9 @@ class TestTermLimit:
         ("x1 + y", "1 + z + z^2 + z^3", "product of 2 and 4 terms exceeded 3"),
         ("x1 + (0+1*sqrt(2))*y", "1 + z + z^2 + z^3",
          "product of 2 and 4 terms exceeded 3"),
+        # three terms once lifted, but the message names the operand's two
+        ("x1 + (1+1*sqrt(2))*y", "1 + z + z^2 + z^3",
+         "product of 2 and 4 terms exceeded 3"),
         ("x1 + y + z + x1*y", "1 + z + z^2 + z^3 + z^4 + z^5 + z^6 + z^7",
          "product of 4 and 8 terms exceeded 3"),
     ])
@@ -305,6 +322,16 @@ class TestTermLimit:
                   "z": parse_polynomial(s, "x1 - y")}
         message = ("substitution of y (3 terms), z (2 terms) into 4 terms "
                    "exceeded 5 terms")
+        with pytest.raises(ResourceLimit, match=re.escape(message)):
+            p.substitute(images)
+
+    def test_sqrt2_substitution_limit_names_the_operands(self, monkeypatch):
+        # (x1 + (1+sqrt(2))*z + 1)^2 already has 6 terms
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "5")
+        s = sig1()
+        p = parse_polynomial(s, "y^2 + (0+1*sqrt(2))*z")
+        images = {"y": parse_polynomial(s, "x1 + (1+1*sqrt(2))*z + 1")}
+        message = "substitution of y (3 terms) into 2 terms exceeded 5 terms"
         with pytest.raises(ResourceLimit, match=re.escape(message)):
             p.substitute(images)
 

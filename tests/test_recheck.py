@@ -5,6 +5,7 @@ mod p: on rational coefficients with denominators, on crowded polynomials
 whose terms share half-monomials, on zero, and on coefficients in
 Q(sqrt(2)) and Q(sqrt(1/2)).  Re-checks must still run when 2^61 - 1
 divides a denominator (and raise when every modulus divides one), must
+refuse a polynomial whose coefficients lie in two quadratic fields, must
 fail exactly the corrupted one of two checks sharing a map chain, must
 fail on a phi(y) with one coefficient off by one, must push each point
 through a shared chain once, and must stay out of the symbolic
@@ -28,7 +29,7 @@ from stably_distinct.certificate import (MODULI, Certificate, _CompositionSz,
 from stably_distinct.equivalence import (StableEquivPair,
                                          build_stable_equivalence,
                                          verify_stable_equivalence)
-from stably_distinct.errors import StablyDistinctError
+from stably_distinct.errors import MixedDiscriminant, StablyDistinctError
 from stably_distinct.exactfield import quadext
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
@@ -160,6 +161,15 @@ class TestModuli:
         f, g = shift_maps(s, quadext(0, 1, 2))
         assert recheck_fixes_z([f, g])[0]
         assert not recheck_fixes_z([f, f])[0]
+
+    def test_two_fields_refused(self):
+        s = sig1()
+        mixed = Polynomial(s, {(0, 0, 0): quadext(0, 1, 2),
+                               (0, 0, 1): quadext(0, 1, 3)})
+        cert = Certificate("a polynomial over two fields")
+        cert.record_composition("mixed", [], mixed, mixed, mixed)
+        with pytest.raises(MixedDiscriminant, match="cannot mix"):
+            run_schwartz_zippel(cert, random.Random(0), points=1)
 
 
 class TestSharedTransport:
