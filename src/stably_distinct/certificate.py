@@ -11,16 +11,15 @@ prime p (2^61 - 1 unless p divides a coefficient's denominator), independent
 of the symbolic equality code path.  For composed ring maps the hook pushes
 the random point through the generator images of each map in turn, so the
 identity can be confirmed numerically even when the fully expanded composite
-would be enormous.  Coefficients in Q(sqrt(d)) map to F_p[s]/(s^2 - d) while
-the points stay in F_p.
+would be enormous.
 
-A polynomial with rational coefficients is evaluated through its
-half-monomials: each exponent vector splits into the exponents of the first
-ceil(nvars/2) variables and those of the rest.  At each point every distinct
-half is valued once, and each term then costs two products, its coefficient
-times its two halves, summed in one pass of ``map``.  A check with any
-coefficient in Q(sqrt(d)) evaluates its polynomials term by term in
-F_p[s]/(s^2 - d).
+Every polynomial is evaluated through its half-monomials: each exponent
+vector splits into the exponents of the first ceil(nvars/2) variables and
+those of the rest.  At each point every distinct half is valued once, and
+each term then costs two products, its coefficient times its two halves,
+summed in one pass of ``map``.  Coefficients in Q(sqrt(d)) map to
+F_p[s]/(s^2 - d) as :class:`_Quad` residues, which take the same products,
+sums and reductions mod p as ints, so both fields share this one path.
 
 By Schwartz (1980) and Zippel (1979), a residual of total degree deg whose
 image mod p is nonzero vanishes at a uniform point of F_p with probability
@@ -38,7 +37,7 @@ from math import prod
 from operator import mul
 from typing import Sequence
 
-from .errors import MixedDiscriminant, StablyDistinctError
+from .errors import StablyDistinctError
 from .exactfield import QuadExt
 from .polyring import Polynomial, check_one_field, random_point
 
@@ -57,11 +56,50 @@ def _point_text(point) -> str:
     return ", ".join(f"{name}={value}" for name, value in point.items())
 
 
+class _Quad:
+    """a + b*s in F_p[s]/(s^2 - d), with d reduced mod p.
+
+    Sums and products with ints or other residues of the same d leave a
+    and b unreduced until ``% p``; an int n equals it when b = 0 and a = n.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a = a
+        self.b = b
+        self.d = d
+
+    def __add__(self, other):
+        if type(other) is _Quad:
+            return _Quad(self.a + other.a, self.b + other.b, self.d)
+        return _Quad(self.a + other, self.b, self.d)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is _Quad:
+            return _Quad(self.a * other.a + self.d * self.b * other.b,
+                         self.a * other.b + self.b * other.a, self.d)
+        return _Quad(self.a * other, self.b * other, self.d)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p: int):
+        return _Quad(self.a % p, self.b % p, self.d)
+
+    def __eq__(self, other):
+        if type(other) is _Quad:
+            return self.a == other.a and self.b == other.b
+        return self.b == 0 and self.a == other
+
+
 def _residue(value, p: int, inverses: dict):
-    """value mod p: an int, or an (a, b) pair for a + b*s in F_p[s]/(s^2 - d)."""
+    """value mod p: an int, or a :class:`_Quad` for a value in Q(sqrt(d))."""
     if isinstance(value, QuadExt):
-        return (_residue(value.a, p, inverses),
-                _residue(value.b, p, inverses))
+        return _Quad(_residue(value.a, p, inverses),
+                     _residue(value.b, p, inverses),
+                     _residue(value.d, p, inverses))
     den = value.denominator
     inv = inverses.get(den)
     if inv is None:
@@ -72,30 +110,23 @@ def _residue(value, p: int, inverses: dict):
 
 
 class _Residues:
-    """A polynomial's terms with coefficients reduced mod p, its degree in
-    each variable, and the discriminant d of its Q(sqrt(d)) coefficients
-    (with d mod p), or None for both when every coefficient is rational.
-
-    An all-rational table also splits each exponent vector into a low half
-    (the first ``half`` = ceil(nvars/2) variables) and a high half (the
-    rest): ``low`` and ``high`` list the distinct halves, and ``low_at[i]``
-    and ``high_at[i]`` point the coefficient ``coeffs[i]`` of term i to its
-    two halves.
+    """A polynomial's coefficients reduced mod p and its degree in each
+    variable, with each exponent vector split into a low half (the first
+    ``half`` = ceil(nvars/2) variables) and a high half (the rest): ``low``
+    and ``high`` list the distinct halves, and ``low_at[i]`` and
+    ``high_at[i]`` point the coefficient ``coeffs[i]`` of term i to its two
+    halves.
     """
 
-    __slots__ = ("terms", "degrees", "d", "d_mod",
-                 "half", "coeffs", "low", "high", "low_at", "high_at")
+    __slots__ = ("coeffs", "degrees", "half", "low", "high", "low_at",
+                 "high_at")
 
-    def __init__(self, terms, degrees, d, d_mod):
-        self.terms = terms
-        self.degrees = degrees
-        self.d = d
-        self.d_mod = d_mod
-        if d is None:
-            self.half = half = (len(degrees) + 1) // 2
-            self.coeffs = [c for c, _ in terms]
-            self.low, self.low_at = _distinct(e[:half] for _, e in terms)
-            self.high, self.high_at = _distinct(e[half:] for _, e in terms)
+    def __init__(self, coeffs: list, exps: list):
+        self.coeffs = coeffs
+        self.degrees = [max(column) for column in zip(*exps)]
+        self.half = half = (len(self.degrees) + 1) // 2
+        self.low, self.low_at = _distinct(e[:half] for e in exps)
+        self.high, self.high_at = _distinct(e[half:] for e in exps)
 
 
 def _distinct(keys) -> tuple[list, list]:
@@ -107,67 +138,44 @@ def _distinct(keys) -> tuple[list, list]:
 
 
 def _residue_table(poly: Polynomial, p: int, inverses: dict) -> _Residues:
-    d = check_one_field(poly.terms.values())
-    d_mod = None if d is None else _residue(d, p, inverses)
-    terms = [(_residue(coeff, p, inverses), exps)
-             for exps, coeff in poly.terms.items()]
-    degrees = [max(column) for column in zip(*poly.terms)]
-    return _Residues(terms, degrees, d, d_mod)
+    return _Residues([_residue(c, p, inverses) for c in poly.terms.values()],
+                     list(poly.terms))
 
 
-def _powers(values: list, degrees: list, p: int, d_mod) -> list:
+def _powers(values: list, degrees: list, p: int) -> list:
     """For each variable, the powers 0..degree of its value."""
     out = []
     for v, top in zip(values, degrees):
-        if d_mod is None:
-            pw = [1, v]
-            for _ in range(top - 1):
-                pw.append(pw[-1] * v % p)
-        else:
-            x, y = v
-            pw = [(1, 0), v]
-            for _ in range(top - 1):
-                a, b = pw[-1]
-                pw.append(((a * x + d_mod * b * y) % p, (a * y + b * x) % p))
+        pw = [1, v]
+        for _ in range(top - 1):
+            pw.append(pw[-1] * v % p)
         out.append(pw)
     return out
 
 
-def _evaluate_mod(table: _Residues, values: list, p: int, d_mod=None):
-    """The table's polynomial at ``values``: ints in F_p, or (a, b) pairs
-    in F_p[s]/(s^2 - d) when ``d_mod`` (d mod p) is given."""
-    powers = _powers(values, table.degrees, p, d_mod)
-    if d_mod is None:
-        # each distinct half-monomial once; then two products per term
-        first, rest = powers[:table.half], powers[table.half:]
-        low = [prod(map(_getitem, first, e)) % p for e in table.low]
-        high = [prod(map(_getitem, rest, e)) % p for e in table.high]
-        return sum(map(mul, map(mul, table.coeffs,
-                                map(low.__getitem__, table.low_at)),
-                       map(high.__getitem__, table.high_at))) % p
-    total_a = total_b = 0
-    for c, exps in table.terms:
-        a, b = (c, 0) if type(c) is int else c
-        for pw, e in zip(powers, exps):
-            if e:
-                x, y = pw[e]
-                a, b = (a * x + d_mod * b * y) % p, (a * y + b * x) % p
-        total_a += a
-        total_b += b
-    return total_a % p, total_b % p
+def _evaluate_mod(table: _Residues, values: list, p: int):
+    """The table's polynomial at ``values``, ints in F_p or :class:`_Quad`
+    residues: each distinct half-monomial once, then two products per
+    term."""
+    powers = _powers(values, table.degrees, p)
+    first, rest = powers[:table.half], powers[table.half:]
+    low = [prod(map(_getitem, first, e)) % p for e in table.low]
+    high = [prod(map(_getitem, rest, e)) % p for e in table.high]
+    return sum(map(mul, map(mul, table.coeffs,
+                            map(low.__getitem__, table.low_at)),
+                   map(high.__getitem__, table.high_at))) % p
 
 
 class _Recheck:
     """What one call of the numeric re-check shares between its checks.
 
     The residue table of every polynomial the hooks evaluate is built once,
-    modulo the first prime in ``MODULI`` that divides no denominator; for
-    a rational polynomial it also holds the distinct half-monomials and,
-    per term, the index of each of its two halves.  One
-    set of points is drawn per ring signature, and each point is pushed
-    through each prefix of a map chain once, keyed by the map objects and
-    the point's index, so checks that share a chain share that work.  All
-    of it goes when the object does, at the end of the call.
+    modulo the first prime in ``MODULI`` that divides no denominator; all
+    of them lie in one Q(sqrt(d)) at most, so every residue shares one d.
+    One set of points is drawn per ring signature, and each point is
+    pushed through each prefix of a map chain once, keyed by the map
+    objects and the point's index, so checks that share a chain share
+    that work.  All of it goes when the object does, at the end of the call.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],
@@ -204,44 +212,36 @@ class _Recheck:
                                          for name in m.sig.names])
             table(hook.source)
             table(hook.expected)
+        check_one_field(c for poly, _ in tables.values()
+                        for c in poly.terms.values())
         self.p, self.tables, self.images = p, tables, images
 
-    def _moved(self, sig, maps: tuple, index: int, d_mod) -> list:
+    def _moved(self, sig, maps: tuple, index: int) -> list:
         """The values at sample ``index`` pushed through ``maps``."""
-        key = (sig, d_mod, tuple(map(id, maps)), index)
+        key = (sig, tuple(map(id, maps)), index)
         got = self.moved.get(key)
         if got is None:
             if maps:
-                before = self._moved(sig, maps[:-1], index, d_mod)
-                got = [_evaluate_mod(t, before, self.p, d_mod)
+                before = self._moved(sig, maps[:-1], index)
+                got = [_evaluate_mod(t, before, self.p)
                        for t in self.images[id(maps[-1])][1]]
             else:
                 got = list(self.samples[sig][index].values())
-                if d_mod is not None:
-                    got = [(v, 0) for v in got]
             self.moved[key] = got
         return got
 
     def run(self, hook: "_CompositionSz") -> tuple[bool, str]:
         source = self.tables[id(hook.source)][1]
         expected = self.tables[id(hook.expected)][1]
-        maps = tuple(hook.maps)
-        tables = [source, expected] + [t for m in maps
-                                       for t in self.images[id(m)][1]]
-        found = {(t.d, t.d_mod) for t in tables if t.d is not None}
-        if len(found) > 1:
-            raise MixedDiscriminant("cannot mix %s" % " with ".join(
-                "sqrt(%s)" % d for d, _ in found))
-        d_mod = found.pop()[1] if found else None
         sig = hook.source.sig
         if sig not in self.samples:
             self.samples[sig] = [random_point(sig, self.rng, self.p)
                                  for _ in range(self.points)]
         for index, point in enumerate(self.samples[sig]):
-            if _evaluate_mod(source, self._moved(sig, maps, index, d_mod),
-                             self.p, d_mod) != \
-                    _evaluate_mod(expected, self._moved(sig, (), index, d_mod),
-                                  self.p, d_mod):
+            if _evaluate_mod(source, self._moved(sig, hook.maps, index),
+                             self.p) != \
+                    _evaluate_mod(expected, self._moved(sig, (), index),
+                                  self.p):
                 return False, f"mismatch at {_point_text(point)}"
         return True, f"agreed at {self.points} random points"
 
@@ -264,7 +264,7 @@ class _CompositionSz:
 
     def __init__(self, maps: Sequence, source: Polynomial,
                  expected: Polynomial):
-        self.maps = list(maps)
+        self.maps = tuple(maps)
         self.source = source
         self.expected = expected
 

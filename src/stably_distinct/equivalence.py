@@ -671,26 +671,30 @@ def theorem_certificate(n: int, k_max: int, c_samples=None) -> Certificate:
     scale_back = build_poly_equiv_automorphism(
         PolyEquivWitness(1 / link.lam), n, has_w=True)
 
+    forward = [pair_b.psi, scale, pair_a.phi]
+    backward = [pair_a.psi, scale_back, pair_b.phi]
     chain = pair_b.psi.compose(scale).compose(pair_a.phi)
     chain_back = pair_a.psi.compose(scale_back).compose(pair_b.phi)
     sig_w = pair_a.phi.sig
     shift = Polynomial.constant(sig_w, level)
     cert.record_composition(
-        "cylinder-map-forward", [pair_b.psi, scale, pair_a.phi],
+        "cylinder-map-forward", forward,
         pair_a.p_q - shift, chain.apply(pair_a.p_q - shift),
         pair_b.p_q - shift)
     cert.record_composition(
-        "cylinder-map-backward", [pair_a.psi, scale_back, pair_b.phi],
+        "cylinder-map-backward", backward,
         pair_b.p_q - shift, chain_back.apply(pair_b.p_q - shift),
         pair_a.p_q - shift)
     round_fwd = chain_back.compose(chain)
     round_bwd = chain.compose(chain_back)
     for name in sig_w.names:
         var = Polynomial.variable(sig_w, name)
-        cert.record(f"cylinder-round-trip-{name}",
-                    round_fwd.image(name), var)
-        cert.record(f"cylinder-round-trip-back-{name}",
-                    round_bwd.image(name), var)
+        cert.record_composition(f"cylinder-round-trip-{name}",
+                                backward + forward, var,
+                                round_fwd.image(name), var)
+        cert.record_composition(f"cylinder-round-trip-back-{name}",
+                                forward + backward, var,
+                                round_bwd.image(name), var)
 
     # -- part two: the power family ---------------------------------------
     # q_k = (t - 1)^k by the binomial theorem, constant coefficient first

@@ -237,10 +237,12 @@ def verify_fiber_isomorphism(spec: PqSpec) -> Certificate:
     g_at = iso.g.subs_into(
         Polynomial.variable(sig, "z") ** 2)
 
-    cert.record("forward-factorization",
-                iso.phi.apply(fiber_q), iso.unit_forward * fiber_const)
-    cert.record("backward-factorization",
-                iso.psi.apply(fiber_const), iso.unit_backward * fiber_q)
+    cert.record_composition("forward-factorization", [iso.phi], fiber_q,
+                            iso.phi.apply(fiber_q),
+                            iso.unit_forward * fiber_const)
+    cert.record_composition("backward-factorization", [iso.psi], fiber_const,
+                            iso.psi.apply(fiber_const),
+                            iso.unit_backward * fiber_q)
 
     round_fwd = iso.psi.compose(iso.phi)
     round_bwd = iso.phi.compose(iso.psi)
@@ -253,8 +255,9 @@ def verify_fiber_isomorphism(spec: PqSpec) -> Certificate:
     for name in sig.names:
         if name == "y":
             continue
-        cert.record(f"round-trip-fixes-{name}", round_fwd.image(name),
-                    Polynomial.variable(sig, name))
+        var = Polynomial.variable(sig, name)
+        cert.record_composition(f"round-trip-fixes-{name}", [iso.psi, iso.phi],
+                                var, round_fwd.image(name), var)
 
     at_x_zero = {f"x{i}": 0 for i in range(1, sig.n + 1)}
     cert.record("unit-is-one-at-x-zero",

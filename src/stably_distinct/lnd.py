@@ -1,6 +1,7 @@
 """The distinguished locally nilpotent derivation of each family member.
 
-Every member P = x^[2]y + z^2 + x^[1]q(z^2) carries the derivation
+Every member P = x^[2]y + z^2 + x^[1]q(z^2) carries its Jacobian derivation
+in (z, y), Delta(z) = dP/dy and Delta(y) = -dP/dz, that is
 
     Delta(z) = x^[2],
     Delta(y) = -2z * (1 + x^[1] * q'(z^2)),
@@ -26,16 +27,11 @@ from .polyring import Polynomial, exact_divide, x_power_bracket
 
 
 def build_Delta(spec: PqSpec) -> Derivation:
-    """The derivation x^[2] d/dz - 2z(1 + x^[1]q'(z^2)) d/dy."""
-    sig = spec.signature()
-    z = Polynomial.variable(sig, "z")
-    qprime = spec.q.derivative()
-    one = Polynomial.constant(sig, 1)
-    return Derivation(sig, {
-        "z": x_power_bracket(sig, 2),
-        "y": -2 * z * (one + x_power_bracket(sig, 1)
-                       * qprime.subs_into(z * z)),
-    })
+    """The Jacobian derivation of P = build_Pq(spec): Delta(z) = dP/dy and
+    Delta(y) = -dP/dz, that is x^[2] d/dz - 2z(1 + x^[1]q'(z^2)) d/dy."""
+    p = build_Pq(spec)
+    return Derivation(p.sig, {"z": p.partial_derivative("y"),
+                              "y": -p.partial_derivative("z")})
 
 
 def nilpotency_index(delta: Derivation, p: Polynomial, cap: int = 64) -> int:

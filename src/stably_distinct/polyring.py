@@ -856,10 +856,6 @@ class UnivariatePoly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def derivative(self):
-        return UnivariatePoly(tuple(c * i for i, c in
-                                    enumerate(self.coeffs) if i >= 1))
-
     def subs_into(self, inner: Polynomial) -> Polynomial:
         """q evaluated at a multivariate polynomial, by Horner."""
         sig = inner.sig

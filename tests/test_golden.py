@@ -39,6 +39,9 @@ CASES = {
                            "--q", "0+1*sqrt(2),1,-1/3", "--show-maps"],
     "fiber-iso": ["fiber-iso", "--n", "2", "--q", "1,-2,1", "--c", "1/2",
                   "--show-maps"],
+    # maps over Q(sqrt(3)): the re-check composes them in F_p[s]/(s^2 - 3)
+    "fiber-iso-sqrt3": ["fiber-iso", "--n", "2", "--q", "1,-2,0+1*sqrt(3)",
+                        "--c", "1/2", "--show-maps"],
     "series-check": ["series-check", "--n", "1", "--order", "6",
                      "--stability-low", "3"],
     "equiv-poly": ["equiv", "--kind", "poly", "--q1", "-1,1", "--c1", "1",

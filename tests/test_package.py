@@ -40,6 +40,7 @@ DELETED = (
     "polyring.UnivariatePoly.__rsub__",
     "polyring.UnivariatePoly.__mul__",
     "polyring.UnivariatePoly.__rmul__",
+    "polyring.UnivariatePoly.derivative",
     "polyring._PACKED_MIN_PAIRS",
     "polyring._split_surd",
     "polyring._cached_power",

@@ -504,10 +504,6 @@ class TestUnivariate:
         assert str(UnivariatePoly([1, -2, 1])) == "t^2 - 2*t + 1"
         assert str(UnivariatePoly()) == "0"
 
-    def test_derivative(self):
-        q = UnivariatePoly([5, 3, 0, 2])
-        assert q.derivative() == UnivariatePoly([3, 0, 6])
-
     def test_subs_into(self):
         s = sig1()
         q = UnivariatePoly([1, 0, 1])           # 1 + t^2

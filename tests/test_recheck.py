@@ -2,14 +2,16 @@
 
 Residue-table evaluation must agree with ``Polynomial.evaluate`` reduced
 mod p: on rational coefficients with denominators, on crowded polynomials
-whose terms share half-monomials, on zero, and on coefficients in
-Q(sqrt(2)) and Q(sqrt(1/2)).  Re-checks must still run when 2^61 - 1
-divides a denominator (and raise when every modulus divides one), must
-refuse a polynomial whose coefficients lie in two quadratic fields, must
-fail exactly the corrupted one of two checks sharing a map chain, must
-fail on a phi(y) with one coefficient off by one, must push each point
-through a shared chain once, and must stay out of the symbolic
-construction and verification.
+whose terms share half-monomials, on zero, on coefficients in Q(sqrt(2))
+and Q(sqrt(1/2)), and at points in Q(sqrt(d)) for d = 2, 1/2 and -1.
+Re-checks must still run when 2^61 - 1 divides a denominator (and raise
+when every modulus divides one), must refuse polynomials whose
+coefficients lie in two quadratic fields, in one check or across two,
+must fail exactly the corrupted one of two checks sharing a map chain,
+must fail on a phi(y) with one coefficient off by one, must push each
+point through a shared chain once, must read the stored maps of the
+round trips rather than their composites, and must stay out of the
+symbolic construction and verification.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ from stably_distinct.certificate import (MODULI, Certificate, _CompositionSz,
                                          _residue_table, run_schwartz_zippel)
 from stably_distinct.equivalence import (StableEquivPair,
                                          build_stable_equivalence,
+                                         theorem_certificate,
                                          verify_stable_equivalence)
 from stably_distinct.errors import MixedDiscriminant, StablyDistinctError
 from stably_distinct.exactfield import quadext
+from stably_distinct.hypersurface import PqSpec, verify_fiber_isomorphism
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, parse_polynomial)
@@ -56,19 +60,12 @@ points = st.lists(st.integers(0, P - 1), min_size=SIG.nvars,
                   max_size=SIG.nvars)
 
 
-def modular_value(poly: Polynomial, values: list, p: int, d=None):
-    table = _residue_table(poly, p, {})
-    if d is None:
-        return _evaluate_mod(table, values, p)
-    d_mod = _residue(Fraction(d), p, {})
-    return _evaluate_mod(table, [(v, 0) for v in values], p, d_mod)
+def modular_value(poly: Polynomial, values: list, p: int):
+    return _evaluate_mod(_residue_table(poly, p, {}), values, p)
 
 
-def exact_value(poly: Polynomial, values: list, p: int, d=None):
-    got = _residue(poly.evaluate(dict(zip(SIG.names, values))), p, {})
-    if d is not None and isinstance(got, int):
-        got = (got, 0)
-    return got
+def exact_value(poly: Polynomial, values: list, p: int):
+    return _residue(poly.evaluate(dict(zip(SIG.names, values))), p, {})
 
 
 @st.composite
@@ -112,8 +109,20 @@ class TestEvaluationMatchesExact:
     def test_quadratic_coefficients(self, d, data):
         poly = data.draw(polynomials(quadratic(d)))
         values = data.draw(points)
-        assert modular_value(poly, values, P, d) == \
-            exact_value(poly, values, P, d)
+        assert modular_value(poly, values, P) == exact_value(poly, values, P)
+
+    @pytest.mark.parametrize("d", [2, Fraction(1, 2), -1],
+                             ids=["2", "1/2", "-1"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_quadratic_points(self, d, data):
+        # the values a map over Q(sqrt(d)) carries a point to
+        poly = data.draw(polynomials(quadratic(d)))
+        values = data.draw(st.lists(quadratic(d), min_size=SIG.nvars,
+                                    max_size=SIG.nvars))
+        residues = [_residue(v, P, {}) for v in values]
+        assert modular_value(poly, residues, P) == \
+            exact_value(poly, values, P)
 
 
 def sig1():
@@ -170,6 +179,21 @@ class TestModuli:
         cert.record_composition("mixed", [], mixed, mixed, mixed)
         with pytest.raises(MixedDiscriminant, match="cannot mix"):
             run_schwartz_zippel(cert, random.Random(0), points=1)
+
+    def test_two_checks_in_two_fields_refused(self, monkeypatch):
+        s = sig1()
+        cert = Certificate("each check in its own field")
+        for d in (3, 2):
+            root = Polynomial.constant(s, quadext(0, 1, d))
+            cert.record(f"sqrt-{d}", root, root)
+        calls = []
+        inner = certificate.check_one_field
+        monkeypatch.setattr(certificate, "check_one_field",
+                            lambda coeffs: calls.append(1) or inner(coeffs))
+        with pytest.raises(MixedDiscriminant,
+                           match=r"^cannot mix sqrt\(2\) with sqrt\(3\)$"):
+            run_schwartz_zippel(cert, random.Random(0), points=1)
+        assert len(calls) == 1
 
 
 class TestSharedTransport:
@@ -241,6 +265,36 @@ class TestStableControl:
         verdicts = {c.name: c.passed for c in control.checks}
         assert verdicts["phi-sends-family-to-constant/sz"] is False
         assert verdicts["psi-sends-constant-to-family/sz"] is True
+
+
+class TestStoredMaps:
+    @pytest.fixture
+    def compose_off_by_one(self, monkeypatch):
+        """compose adds 1 to the z-image; the stored maps stay right."""
+        inner = RingEndomorphism.compose
+
+        def off_by_one(self, other):
+            composite = inner(self, other)
+            images = {name: composite.image(name)
+                      for name in composite.sig.names}
+            images["z"] = images["z"] + 1
+            return RingEndomorphism(composite.sig, images)
+
+        monkeypatch.setattr(RingEndomorphism, "compose", off_by_one)
+
+    @pytest.mark.parametrize("build,name", [
+        (lambda: theorem_certificate(1, 2), "cylinder-round-trip-z"),
+        (lambda: verify_fiber_isomorphism(
+            PqSpec(2, UnivariatePoly([1, -2, 1]), Fraction(1, 2))),
+         "round-trip-fixes-z"),
+    ], ids=["cylinder", "fiber"])
+    def test_round_trip_recheck_reads_the_stored_maps(
+            self, compose_off_by_one, build, name):
+        cert = build()
+        run_schwartz_zippel(cert, random.Random(0), points=5)
+        verdicts = {c.name: c.passed for c in cert.checks}
+        assert verdicts[name] is False
+        assert verdicts[name + "/sz"] is True
 
 
 class TestRecordingStaysSymbolic:
