@@ -13,13 +13,15 @@ the random point through the generator images of each map in turn, so the
 identity can be confirmed numerically even when the fully expanded composite
 would be enormous.
 
-Every polynomial is evaluated through its half-monomials: each exponent
-vector splits into the exponents of the first ceil(nvars/2) variables and
-those of the rest.  At each point every distinct half is valued once, and
-each term then costs two products, its coefficient times its two halves,
-summed in one pass of ``map``.  Coefficients in Q(sqrt(d)) map to
-F_p[s]/(s^2 - d) as :class:`_Quad` residues, which take the same products,
-sums and reductions mod p as ints, so both fields share this one path.
+Every polynomial is evaluated at all points of a re-check in one pass,
+through its half-monomials: each exponent vector splits into the
+exponents of the first ceil(nvars/2) variables and those of the rest, and
+each distinct half is valued once at every point.  The values of a high
+half at the P points are packed into one int, so the terms that share a
+low half cost one product each for all points together, and the packed
+sum is read back point by point.  Coefficients in Q(sqrt(d)) map to
+F_p[s]/(s^2 - d) as :class:`_Quad` residues, whose a and b parts are
+packed apart, so a term costs four products on the same path.
 
 By Schwartz (1980) and Zippel (1979), a residual of total degree deg whose
 image mod p is nonzero vanishes at a uniform point of F_p with probability
@@ -33,8 +35,8 @@ from __future__ import annotations
 
 import json
 import random
-from math import prod
-from operator import mul
+from itertools import repeat
+from operator import add, lshift, mul
 from typing import Sequence
 
 from .errors import StablyDistinctError
@@ -44,8 +46,6 @@ from .polyring import Polynomial, check_one_field, random_point
 # 2^61 - 1 first; each later one is the largest prime below its power of two,
 # taken only when every earlier one divides some coefficient's denominator
 MODULI = (2 ** 61 - 1, 2 ** 62 - 57, 2 ** 63 - 25, 2 ** 64 - 59)
-
-_getitem = list.__getitem__
 
 
 class _BadModulus(Exception):
@@ -110,23 +110,42 @@ def _residue(value, p: int, inverses: dict):
 
 
 class _Residues:
-    """A polynomial's coefficients reduced mod p and its degree in each
-    variable, with each exponent vector split into a low half (the first
-    ``half`` = ceil(nvars/2) variables) and a high half (the rest): ``low``
-    and ``high`` list the distinct halves, and ``low_at[i]`` and
-    ``high_at[i]`` point the coefficient ``coeffs[i]`` of term i to its two
-    halves.
+    """A polynomial's coefficients reduced mod p, its degree in each
+    variable, and its terms grouped by their low half.
+
+    Each exponent vector splits into a low half (the first ``half`` =
+    ceil(nvars/2) variables) and a high half (the rest); ``low`` and
+    ``high`` list the distinct halves.  ``groups`` holds, for each low
+    half, its index in ``low``, the coefficients of its terms and the
+    indices of their high halves in ``high``; ``largest`` is the size of
+    the largest group.  When a coefficient lies in Q(sqrt(d)), ``d`` is d
+    mod p and a group's coefficients are three lists, the a parts, the b
+    parts and b*d mod p; otherwise ``d`` is None and they are one list.
     """
 
-    __slots__ = ("coeffs", "degrees", "half", "low", "high", "low_at",
-                 "high_at")
+    __slots__ = ("coeffs", "degrees", "half", "low", "high", "groups",
+                 "largest", "d")
 
-    def __init__(self, coeffs: list, exps: list):
+    def __init__(self, coeffs: list, exps: list, p: int):
         self.coeffs = coeffs
         self.degrees = [max(column) for column in zip(*exps)]
         self.half = half = (len(self.degrees) + 1) // 2
-        self.low, self.low_at = _distinct(e[:half] for e in exps)
-        self.high, self.high_at = _distinct(e[half:] for e in exps)
+        self.low, low_at = _distinct(e[:half] for e in exps)
+        self.high, high_at = _distinct(e[half:] for e in exps)
+        self.d = d = next((c.d for c in coeffs if type(c) is _Quad), None)
+        members: list = [[] for _ in self.low]
+        for term, low in enumerate(low_at):
+            members[low].append(term)
+        self.largest = max(map(len, members), default=0)
+        self.groups = []
+        for low, terms in enumerate(members):
+            group = [coeffs[term] for term in terms]
+            if d is not None:
+                a, b = _parts(group)
+                group = (a, b, [v * d % p for v in b])
+            else:
+                group = (group,)
+            self.groups.append((low, group, [high_at[t] for t in terms]))
 
 
 def _distinct(keys) -> tuple[list, list]:
@@ -137,33 +156,99 @@ def _distinct(keys) -> tuple[list, list]:
     return list(index), at
 
 
+def _parts(values: list) -> tuple[list, list]:
+    """The a and b parts of residues that are ints or :class:`_Quad`."""
+    return ([v.a if type(v) is _Quad else v for v in values],
+            [v.b if type(v) is _Quad else 0 for v in values])
+
+
 def _residue_table(poly: Polynomial, p: int, inverses: dict) -> _Residues:
     return _Residues([_residue(c, p, inverses) for c in poly.terms.values()],
-                     list(poly.terms))
+                     list(poly.terms), p)
 
 
-def _powers(values: list, degrees: list, p: int) -> list:
-    """For each variable, the powers 0..degree of its value."""
+def _power_rows(columns: list, degrees: list, p: int) -> list:
+    """For each variable, row e holds its e-th power at every point, for
+    e = 1..degree (row 0 is never read)."""
     out = []
-    for v, top in zip(values, degrees):
-        pw = [1, v]
+    for column, top in zip(columns, degrees):
+        rows = [None, column]
         for _ in range(top - 1):
-            pw.append(pw[-1] * v % p)
-        out.append(pw)
+            rows.append([a * b % p for a, b in zip(rows[-1], column)])
+        out.append(rows)
     return out
 
 
-def _evaluate_mod(table: _Residues, values: list, p: int):
-    """The table's polynomial at ``values``, ints in F_p or :class:`_Quad`
-    residues: each distinct half-monomial once, then two products per
-    term."""
-    powers = _powers(values, table.degrees, p)
-    first, rest = powers[:table.half], powers[table.half:]
-    low = [prod(map(_getitem, first, e)) % p for e in table.low]
-    high = [prod(map(_getitem, rest, e)) % p for e in table.high]
-    return sum(map(mul, map(mul, table.coeffs,
-                            map(low.__getitem__, table.low_at)),
-                   map(high.__getitem__, table.high_at))) % p
+def _monomial(rows: list, exps, p: int, count: int) -> list:
+    """The monomial with exponents ``exps`` at every point."""
+    factors = [row[e] for row, e in zip(rows, exps) if e]
+    if not factors:
+        return [1] * count
+    out = factors[0]
+    for factor in factors[1:]:
+        out = [a * b % p for a, b in zip(out, factor)]
+    return out
+
+
+def _evaluate_mod(table: _Residues, columns: list, p: int) -> list:
+    """The table's polynomial at every point: ``columns[j]`` holds
+    variable j's residues at the points, ints in F_p or :class:`_Quad`.
+
+    Each variable's powers are taken once across all points, and each
+    distinct half-monomial is valued once at every point.  A one-term
+    table is its coefficient times its monomial.  Otherwise each high
+    half's values at the P points are packed into one int, slot i at bit
+    K*i, so a group of terms sharing a low half costs one product per term
+    for all points at once; a slot is then read back by shift and mask and
+    multiplied by that point's low value.  Over Q(sqrt(d)) the a and b
+    parts of the highs are packed apart and a term costs four products:
+    a += c_a*h_a + (c_b*d mod p)*h_b and b += c_a*h_b + c_b*h_a.  Every
+    factor is below p, so a slot sums at most m*g products below (p-1)^2,
+    for g the largest group and m = 1 (2 over Q(sqrt(d))); with
+    K = 2*bitlen(p) + bitlen(m*g) no slot carries into the next.
+    """
+    count = len(columns[0])
+    rows = _power_rows(columns, table.degrees, p)
+    if len(table.coeffs) == 1:
+        c = table.coeffs[0]
+        return [c * v % p for v in _monomial(
+            rows, table.low[0] + table.high[0], p, count)]
+    first, rest = rows[:table.half], rows[table.half:]
+    lows = [_monomial(first, e, p, count) for e in table.low]
+    highs = [_monomial(rest, e, p, count) for e in table.high]
+    d = table.d
+    if d is None:
+        d = next((v.d for column in columns for v in column
+                  if type(v) is _Quad), None)
+    width = 2 * p.bit_length() \
+        + (table.largest * (1 if d is None else 2)).bit_length()
+    shifts = range(0, width * count, width)
+    mask = (1 << width) - 1
+
+    def slots(total: int) -> list:
+        return [total >> s & mask for s in shifts]
+
+    out = [0] * count
+    if d is None:
+        packed = [sum(map(lshift, h, shifts)) for h in highs]
+        for low, (coeffs,), at in table.groups:
+            total = sum(map(mul, coeffs, map(packed.__getitem__, at)))
+            out = list(map(add, out, map(mul, slots(total), lows[low])))
+    else:
+        split = [_parts(h) for h in highs]
+        packed_a = [sum(map(lshift, a, shifts)) for a, _ in split]
+        packed_b = [sum(map(lshift, b, shifts)) for _, b in split]
+        for low, coeffs, at in table.groups:
+            high_a = list(map(packed_a.__getitem__, at))
+            high_b = list(map(packed_b.__getitem__, at))
+            a = sum(map(mul, coeffs[0], high_a))
+            b = sum(map(mul, coeffs[0], high_b))
+            if table.d is not None:
+                a += sum(map(mul, coeffs[2], high_b))
+                b += sum(map(mul, coeffs[1], high_a))
+            out = list(map(add, out, map(mul, map(
+                _Quad, slots(a), slots(b), repeat(d, count)), lows[low])))
+    return [v % p for v in out]
 
 
 class _Recheck:
@@ -172,10 +257,11 @@ class _Recheck:
     The residue table of every polynomial the hooks evaluate is built once,
     modulo the first prime in ``MODULI`` that divides no denominator; all
     of them lie in one Q(sqrt(d)) at most, so every residue shares one d.
-    One set of points is drawn per ring signature, and each point is
-    pushed through each prefix of a map chain once, keyed by the map
-    objects and the point's index, so checks that share a chain share
-    that work.  All of it goes when the object does, at the end of the call.
+    One set of points is drawn per ring signature, and all of them are
+    pushed through each prefix of a map chain at once, keyed by the map
+    objects, so checks that share a chain share that work: each table is
+    evaluated once per chain prefix, at every point.  All of it goes when
+    the object does, at the end of the call.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],
@@ -216,32 +302,35 @@ class _Recheck:
                         for c in poly.terms.values())
         self.p, self.tables, self.images = p, tables, images
 
-    def _moved(self, sig, maps: tuple, index: int) -> list:
-        """The values at sample ``index`` pushed through ``maps``."""
-        key = (sig, tuple(map(id, maps)), index)
+    def _moved(self, sig, maps: tuple) -> list:
+        """Each variable's residues at every sample of ``sig``, pushed
+        through ``maps``."""
+        key = (sig, tuple(map(id, maps)))
         got = self.moved.get(key)
         if got is None:
             if maps:
-                before = self._moved(sig, maps[:-1], index)
+                before = self._moved(sig, maps[:-1])
                 got = [_evaluate_mod(t, before, self.p)
                        for t in self.images[id(maps[-1])][1]]
             else:
-                got = list(self.samples[sig][index].values())
+                got = [[point[name] for point in self.samples[sig]]
+                       for name in sig.names]
             self.moved[key] = got
         return got
 
     def run(self, hook: "_CompositionSz") -> tuple[bool, str]:
-        source = self.tables[id(hook.source)][1]
-        expected = self.tables[id(hook.expected)][1]
+        """Evaluate source and expected at every point once each, and
+        report the first point, in sample order, where they differ."""
         sig = hook.source.sig
         if sig not in self.samples:
             self.samples[sig] = [random_point(sig, self.rng, self.p)
                                  for _ in range(self.points)]
-        for index, point in enumerate(self.samples[sig]):
-            if _evaluate_mod(source, self._moved(sig, hook.maps, index),
-                             self.p) != \
-                    _evaluate_mod(expected, self._moved(sig, (), index),
-                                  self.p):
+        got = _evaluate_mod(self.tables[id(hook.source)][1],
+                            self._moved(sig, hook.maps), self.p)
+        want = _evaluate_mod(self.tables[id(hook.expected)][1],
+                             self._moved(sig, ()), self.p)
+        for point, value, expected in zip(self.samples[sig], got, want):
+            if value != expected:
                 return False, f"mismatch at {_point_text(point)}"
         return True, f"agreed at {self.points} random points"
 
@@ -424,8 +513,17 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
     the identity holds.  A residual whose coefficients are all divisible
     by p would pass; the exact symbolic check rules that out.  The points,
     the reduced coefficients and the transported points are shared by all
-    checks of the call and dropped when it returns.
+    checks of the call and dropped when it returns.  With ``points`` = 0
+    nothing is added; a negative count or one that is not an int raises
+    :class:`StablyDistinctError`.
     """
+    if isinstance(points, bool) or not isinstance(points, int) \
+            or points < 0:
+        raise StablyDistinctError(
+            f"re-check point count must be an int of at least 0, "
+            f"got {points!r}")
+    if points == 0:
+        return 0
     targets = [check for check in cert.checks if check.sz_fn is not None]
     recheck = _Recheck([check.sz_fn for check in targets], rng, points)
     for check in targets:

@@ -1,17 +1,21 @@
 """The numeric re-check in F_p against exact evaluation and known faults.
 
-Residue-table evaluation must agree with ``Polynomial.evaluate`` reduced
-mod p: on rational coefficients with denominators, on crowded polynomials
-whose terms share half-monomials, on zero, on coefficients in Q(sqrt(2))
-and Q(sqrt(1/2)), and at points in Q(sqrt(d)) for d = 2, 1/2 and -1.
-Re-checks must still run when 2^61 - 1 divides a denominator (and raise
-when every modulus divides one), must refuse polynomials whose
-coefficients lie in two quadratic fields, in one check or across two,
-must fail exactly the corrupted one of two checks sharing a map chain,
-must fail on a phi(y) with one coefficient off by one, must push each
-point through a shared chain once, must read the stored maps of the
-round trips rather than their composites, and must stay out of the
-symbolic construction and verification.
+Residue-table evaluation at every point at once must agree, point by
+point, with a test-side loop over the terms in F_p[s]/(s^2 - d): on
+rational coefficients with denominators, on crowded polynomials whose
+terms share half-monomials, on zero, on coefficients in Q(sqrt(2)) and
+Q(sqrt(1/2)), and at points in Q(sqrt(d)) for d = 2, 1/2 and -1.  The
+packed slots must hold the worst case, every residue p - 1 and 200 terms
+sharing a low half, for every modulus.  Re-checks must still run when
+2^61 - 1 divides a denominator (and raise when every modulus divides
+one), must refuse polynomials whose coefficients lie in two quadratic
+fields, in one check or across two, must refuse point counts that are not
+ints of at least 0, must fail exactly the corrupted one of two checks
+sharing a map chain, must name the first point that mismatches, must fail
+on a phi(y) with one coefficient off by one, must evaluate each table of a
+shared chain once for all points, must read the stored maps of the round
+trips rather than their composites, and must stay out of the symbolic
+construction and verification.
 """
 
 from __future__ import annotations
@@ -26,18 +30,19 @@ from hypothesis import strategies as st
 
 from stably_distinct import certificate
 from stably_distinct.certificate import (MODULI, Certificate, _CompositionSz,
-                                         _evaluate_mod, _Recheck, _residue,
+                                         _evaluate_mod, _Quad, _Recheck,
                                          _residue_table, run_schwartz_zippel)
 from stably_distinct.equivalence import (StableEquivPair,
                                          build_stable_equivalence,
                                          theorem_certificate,
                                          verify_stable_equivalence)
 from stably_distinct.errors import MixedDiscriminant, StablyDistinctError
-from stably_distinct.exactfield import quadext
+from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, verify_fiber_isomorphism
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
-                                      UnivariatePoly, parse_polynomial)
+                                      UnivariatePoly, parse_polynomial,
+                                      random_point)
 
 SIG = RingSignature(2, has_w=True)
 P = MODULI[0]
@@ -56,73 +61,144 @@ def polynomials(coeffs):
         lambda terms: Polynomial(SIG, {e: c for e, c in terms.items() if c}))
 
 
-points = st.lists(st.integers(0, P - 1), min_size=SIG.nvars,
-                  max_size=SIG.nvars)
+def point_lists(values, nvars=SIG.nvars):
+    """1 to 5 points, each a list of one value per variable."""
+    return st.lists(st.lists(values, min_size=nvars, max_size=nvars),
+                    min_size=1, max_size=5)
 
 
-def modular_value(poly: Polynomial, values: list, p: int):
-    return _evaluate_mod(_residue_table(poly, p, {}), values, p)
+# -- the reference: a loop over terms in pairs (a, b) = a + b*sqrt(d) mod p,
+# sharing no code with certificate
+
+def pair(value, p: int) -> tuple:
+    if isinstance(value, QuadExt):
+        return pair(value.a, p)[0], pair(value.b, p)[0]
+    value = Fraction(value)
+    return value.numerator * pow(value.denominator, -1, p) % p, 0
 
 
-def exact_value(poly: Polynomial, values: list, p: int):
-    return _residue(poly.evaluate(dict(zip(SIG.names, values))), p, {})
+def reference(poly: Polynomial, points: list, p: int, d=0) -> list:
+    """poly at each point, given as pairs mod p, by a loop over terms."""
+    d = pair(d, p)[0]
+    terms = [(pair(c, p), [(j, e) for j, e in enumerate(exps) if e])
+             for exps, c in poly.terms.items()]
+    out = []
+    for point in points:
+        total_a = total_b = 0
+        for (a, b), factors in terms:
+            for j, e in factors:
+                u, v = point[j]
+                for _ in range(e):
+                    a, b = (a * u + d * b * v) % p, (a * v + b * u) % p
+            total_a, total_b = (total_a + a) % p, (total_b + b) % p
+        out.append((total_a, total_b))
+    return out
+
+
+def as_pair(residue) -> tuple:
+    if type(residue) is _Quad:
+        return residue.a, residue.b
+    return residue, 0
+
+
+def packed_values(poly: Polynomial, points: list, p: int, d=0) -> list:
+    """poly at every point through the residue table, as pairs."""
+    d = pair(d, p)[0]
+    columns = [[_Quad(*pair(v, p), d) if isinstance(v, QuadExt) else
+                pair(v, p)[0] for v in column] for column in zip(*points)]
+    return list(map(as_pair, _evaluate_mod(_residue_table(poly, p, {}),
+                                           columns, p)))
+
+
+def pairs(points: list, p: int) -> list:
+    return [[pair(v, p) for v in point] for point in points]
 
 
 @st.composite
 def crowded_polynomials(draw):
     """Up to 40 terms over n = 1..3, with or without w (3 to 6 variables,
     so both odd and even split points), exponents in 0..2 so that terms
-    share their halves; the zero polynomial included."""
+    share their halves; the zero polynomial included; at 1 to 5 points."""
     sig = RingSignature(draw(st.integers(1, 3)), has_w=draw(st.booleans()))
     terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * sig.nvars),
                                  rationals.filter(bool), max_size=40))
-    values = draw(st.lists(st.integers(0, P - 1), min_size=sig.nvars,
-                           max_size=sig.nvars))
-    return Polynomial(sig, terms), values
+    points = draw(point_lists(st.integers(0, P - 1), sig.nvars))
+    return Polynomial(sig, terms), points
 
 
 class TestEvaluationMatchesExact:
     @settings(deadline=None)
-    @given(polynomials(rationals), points, st.sampled_from(MODULI))
-    def test_rational_coefficients(self, poly, values, p):
-        values = [v % p for v in values]
-        assert modular_value(poly, values, p) == exact_value(poly, values, p)
+    @given(polynomials(rationals), point_lists(st.integers(0, 2 ** 64)),
+           st.sampled_from(MODULI))
+    def test_rational_coefficients(self, poly, points, p):
+        points = [[v % p for v in point] for point in points]
+        assert packed_values(poly, points, p) == \
+            reference(poly, pairs(points, p), p)
 
     @settings(deadline=None, max_examples=200)
     @given(crowded_polynomials())
     def test_shared_half_monomials(self, case):
-        poly, values = case
-        exact = _residue(poly.evaluate(dict(zip(poly.sig.names, values))),
-                         P, {})
-        assert _evaluate_mod(_residue_table(poly, P, {}), values, P) == exact
+        poly, points = case
+        assert packed_values(poly, points, P) == \
+            reference(poly, pairs(points, P), P)
 
     @pytest.mark.parametrize("n,has_w", [(1, False), (1, True), (2, False),
                                          (2, True), (3, False), (3, True)])
     def test_zero_polynomial(self, n, has_w):
         sig = RingSignature(n, has_w)
         table = _residue_table(Polynomial.zero(sig), P, {})
-        assert _evaluate_mod(table, list(range(1, sig.nvars + 1)), P) == 0
+        columns = [[i, i + 5, i * i] for i in range(1, sig.nvars + 1)]
+        assert _evaluate_mod(table, columns, P) == [0, 0, 0]
 
     @pytest.mark.parametrize("d", [2, Fraction(1, 2)], ids=["2", "1/2"])
     @settings(deadline=None)
     @given(data=st.data())
     def test_quadratic_coefficients(self, d, data):
         poly = data.draw(polynomials(quadratic(d)))
-        values = data.draw(points)
-        assert modular_value(poly, values, P) == exact_value(poly, values, P)
+        points = data.draw(point_lists(st.integers(0, P - 1)))
+        assert packed_values(poly, points, P, d) == \
+            reference(poly, pairs(points, P), P, d)
 
     @pytest.mark.parametrize("d", [2, Fraction(1, 2), -1],
                              ids=["2", "1/2", "-1"])
     @settings(deadline=None)
     @given(data=st.data())
     def test_quadratic_points(self, d, data):
-        # the values a map over Q(sqrt(d)) carries a point to
-        poly = data.draw(polynomials(quadratic(d)))
-        values = data.draw(st.lists(quadratic(d), min_size=SIG.nvars,
-                                    max_size=SIG.nvars))
-        residues = [_residue(v, P, {}) for v in values]
-        assert modular_value(poly, residues, P) == \
-            exact_value(poly, values, P)
+        # the values a map over Q(sqrt(d)) carries a point to, under
+        # rational and Q(sqrt(d)) coefficients
+        poly = data.draw(polynomials(st.one_of(rationals, quadratic(d))))
+        points = data.draw(point_lists(quadratic(d)))
+        assert packed_values(poly, points, P, d) == \
+            reference(poly, pairs(points, P), P, d)
+
+
+class TestPackingBound:
+    """Every coefficient residue and every point value p - 1 (over Q(sqrt(2)),
+    a and b parts both p - 1), 200 terms sharing the low half x1, each with
+    a high half of one variable, so a slot holds its largest sum."""
+
+    SIG = RingSignature(400, has_w=True)
+
+    def worst(self, coeff) -> Polynomial:
+        half = (self.SIG.nvars + 1) // 2
+        terms = {}
+        for j in range(half, half + 200):
+            exps = [0] * self.SIG.nvars
+            exps[0] = exps[j] = 1
+            terms[tuple(exps)] = coeff
+        return Polynomial(self.SIG, terms)
+
+    @pytest.mark.parametrize("count", [1, 2, 25, 100])
+    @pytest.mark.parametrize("p", MODULI)
+    @pytest.mark.parametrize("coeff,value", [
+        (-1, -1), (-1, quadext(-1, -1, 2)), (quadext(-1, -1, 2), -1),
+        (quadext(-1, -1, 2), quadext(-1, -1, 2))],
+        ids=["rational", "rational-at-sqrt2", "sqrt2-at-rational", "sqrt2"])
+    def test_largest_slot_does_not_carry(self, coeff, value, p, count):
+        poly = self.worst(coeff)
+        points = [[value] * self.SIG.nvars] * count
+        assert packed_values(poly, points, p, 2) == \
+            reference(poly, pairs(points, p), p, 2)
 
 
 def sig1():
@@ -216,7 +292,9 @@ class TestSharedTransport:
         assert verdicts["fixes-z/sz"] is True
         assert verdicts["fixes-y/sz"] is False
 
-    def test_each_point_crosses_a_shared_chain_once(self, monkeypatch):
+    @pytest.mark.parametrize("points", [1, 7])
+    def test_each_table_of_a_shared_chain_is_evaluated_once(
+            self, monkeypatch, points):
         s, f, _ = self.chain()
         g = RingEndomorphism(s, {"z": parse_polynomial(s, "z - y^2")})
         y, z = Polynomial.variable(s, "y"), Polynomial.variable(s, "z")
@@ -227,12 +305,54 @@ class TestSharedTransport:
         inner = certificate._evaluate_mod
         monkeypatch.setattr(certificate, "_evaluate_mod",
                             lambda *args: calls.append(1) or inner(*args))
-        points = 7
         run_schwartz_zippel(cert, random.Random(2), points=points)
         assert cert.passed
-        # per point: 3 images of f, then 3 of g, once for both checks;
+        # 3 images of f, then 3 of g, once for both checks and all points;
         # then source and expected of each check
-        assert len(calls) == points * (3 + 3 + 2 * 2)
+        assert len(calls) == 3 + 3 + 2 * 2
+
+
+class TestFirstMismatch:
+    @pytest.mark.parametrize("one_term", [False, True],
+                             ids=["packed", "one-term"])
+    def test_details_name_the_first_point_that_mismatches(self, one_term):
+        # x1 - v0 vanishes at the first sample only
+        s = sig1()
+        rng = random.Random(3)
+        samples = [random_point(s, rng, P) for _ in range(4)]
+        x1 = Polynomial.variable(s, "x1")
+        v0 = Polynomial.constant(s, samples[0]["x1"])
+        cert = Certificate("x1 is the first sample's x1")
+        if one_term:
+            cert.record_composition("x1-is-v0", [], x1, x1, v0)
+        else:
+            cert.record("x1-minus-v0", x1 - v0)
+        run_schwartz_zippel(cert, random.Random(3), points=4)
+        sz = cert.checks[-1]
+        assert not sz.passed
+        assert sz.details == "mismatch at " + ", ".join(
+            f"{name}={value}" for name, value in samples[1].items())
+
+
+class TestPointCount:
+    def cert(self):
+        z = Polynomial.variable(sig1(), "z")
+        cert = Certificate("z is z")
+        cert.record("z", z, z)
+        return cert
+
+    def test_zero_points_add_nothing(self):
+        cert = self.cert()
+        assert run_schwartz_zippel(cert, random.Random(0), points=0) == 0
+        assert [c.name for c in cert.checks] == ["z"]
+
+    @pytest.mark.parametrize("points", [-3, -1, True, False, 2.5, "3", None])
+    def test_bad_counts_are_refused(self, points):
+        cert = self.cert()
+        with pytest.raises(StablyDistinctError,
+                           match=r"point count .*got " + repr(points)):
+            run_schwartz_zippel(cert, random.Random(0), points=points)
+        assert [c.name for c in cert.checks] == ["z"]
 
 
 class TestStableControl:
