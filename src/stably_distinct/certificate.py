@@ -7,11 +7,15 @@ is rounded: a check passes only when its residual is identically zero.
 
 Checks built from a pair of polynomials also carry an optional numeric
 re-verification hook: the same identity evaluated at random points modulo a
-prime p (2^61 - 1 unless p divides a coefficient's denominator), independent
-of the symbolic equality code path.  For composed ring maps the hook pushes
-the random point through the generator images of each map in turn, so the
-identity can be confirmed numerically even when the fully expanded composite
-would be enormous.
+prime p, independent of the symbolic equality code path.  For composed ring
+maps the hook pushes the random point through the generator images of each
+map in turn, so the identity can be confirmed numerically even when the
+fully expanded composite would be enormous.
+
+p is the largest prime up to 2^61 - 1 that divides no coefficient's
+denominator and, when the coefficients lie in Q(sqrt(d)), in which d is a
+nonzero square, with a root r.  Sending sqrt(d) to r is a ring map from the
+coefficients into F_p, so every residue is an int.
 
 Every polynomial is evaluated at all points of a re-check in one pass,
 through its half-monomials: each exponent vector splits into the
@@ -19,23 +23,21 @@ exponents of the first ceil(nvars/2) variables and those of the rest, and
 each distinct half is valued once at every point.  The values of a high
 half at the P points are packed into one int, so the terms that share a
 low half cost one product each for all points together, and the packed
-sum is read back point by point.  Coefficients in Q(sqrt(d)) map to
-F_p[s]/(s^2 - d) as :class:`_Quad` residues, whose a and b parts are
-packed apart, so a term costs four products on the same path.
+sum is read back point by point.
 
 By Schwartz (1980) and Zippel (1979), a residual of total degree deg whose
-image mod p is nonzero vanishes at a uniform point of F_p with probability
-at most deg/p, below 2^-47 per point for any degree under 10^4.  A residual
-all of whose coefficients are divisible by p maps to zero and would pass
-every point; the exact symbolic check, which decides every verdict, rules
-that case out.
+image in F_p is nonzero vanishes at a uniform point of F_p with
+probability at most deg/p, below 2^-47 per point for any degree under
+10^4.  A residual whose coefficients all map to zero, because p divides
+them or because sqrt(d) -> r sends them to zero, would pass every point;
+the exact symbolic check, which decides every verdict, rules that case
+out.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from itertools import repeat
 from operator import add, lshift, mul
 from typing import Sequence
 
@@ -43,68 +45,96 @@ from .errors import StablyDistinctError
 from .exactfield import QuadExt
 from .polyring import Polynomial, check_one_field, random_point
 
-# 2^61 - 1 first; each later one is the largest prime below its power of two,
-# taken only when every earlier one divides some coefficient's denominator
-MODULI = (2 ** 61 - 1, 2 ** 62 - 57, 2 ** 63 - 25, 2 ** 64 - 59)
-
-
-class _BadModulus(Exception):
-    """The modulus divides a denominator, so the residue map is undefined."""
+# the first twelve primes: Miller-Rabin at these bases is exact below
+# psi_12 = 318,665,857,834,031,151,167,461 > 2^61 (Sorenson and Webster)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _point_text(point) -> str:
     return ", ".join(f"{name}={value}" for name, value in point.items())
 
 
-class _Quad:
-    """a + b*s in F_p[s]/(s^2 - d), with d reduced mod p.
+def _split_twos(n: int) -> tuple[int, int]:
+    """(odd, twos) with n = odd * 2^twos, for n > 0."""
+    twos = (n & -n).bit_length() - 1
+    return n >> twos, twos
 
-    Sums and products with ints or other residues of the same d leave a
-    and b unreduced until ``% p``; an int n equals it when b = 0 and a = n.
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin at every base in ``_BASES``;
+    exact for every n below psi_12."""
+    if n < 2:
+        return False
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    odd, twos = _split_twos(n - 1)
+    for a in _BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(d: int, p: int) -> int | None:
+    """A square root of d mod the odd prime p, or None when d is not a
+    nonzero square mod p (Tonelli-Shanks, Shanks 1973)."""
+    if pow(d, (p - 1) // 2, p) != 1:
+        return None
+    odd, twos = _split_twos(p - 1)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # r^2 = t*d throughout; t has order 2^i < 2^twos, c order 2^twos
+    c, t, r = pow(z, odd, p), pow(d, odd, p), pow(d, (odd + 1) // 2, p)
+    while t != 1:
+        i, s = 0, t
+        while s != 1:
+            s, i = s * s % p, i + 1
+        b = pow(c, 1 << (twos - i - 1), p)
+        twos, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _modulus(coeffs: list) -> tuple[int, int]:
+    """The largest prime p <= 2^61 - 1 that divides no denominator of
+    ``coeffs`` and in which the d of their field Q(sqrt(d)), if any, is a
+    nonzero square; and a root r of d mod p (0 when all are rational).
+
+    The root is verified before it is used, so a fault in finding it
+    refuses that prime instead of mis-mapping sqrt(d).
     """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a: int, b: int, d: int):
-        self.a = a
-        self.b = b
-        self.d = d
-
-    def __add__(self, other):
-        if type(other) is _Quad:
-            return _Quad(self.a + other.a, self.b + other.b, self.d)
-        return _Quad(self.a + other, self.b, self.d)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if type(other) is _Quad:
-            return _Quad(self.a * other.a + self.d * self.b * other.b,
-                         self.a * other.b + self.b * other.a, self.d)
-        return _Quad(self.a * other, self.b * other, self.d)
-
-    __rmul__ = __mul__
-
-    def __mod__(self, p: int):
-        return _Quad(self.a % p, self.b % p, self.d)
-
-    def __eq__(self, other):
-        if type(other) is _Quad:
-            return self.a == other.a and self.b == other.b
-        return self.b == 0 and self.a == other
+    d = check_one_field(coeffs)
+    denominators = {c.denominator for c in coeffs if type(c) is not QuadExt}
+    denominators.update(x.denominator for c in coeffs if type(c) is QuadExt
+                        for x in (c.a, c.b, c.d))
+    p = 2 ** 61 - 1
+    while True:
+        if _is_prime(p) and all(den % p for den in denominators):
+            if d is None:
+                return p, 0
+            square = _residue(d, p, 0, {})
+            root = _sqrt_mod(square, p)
+            if root is not None and root * root % p == square:
+                return p, root
+        p -= 2
 
 
-def _residue(value, p: int, inverses: dict):
-    """value mod p: an int, or a :class:`_Quad` for a value in Q(sqrt(d))."""
+def _residue(value, p: int, root: int, inverses: dict) -> int:
+    """value mod p, with sqrt(d) sent to ``root``; p divides no
+    denominator."""
     if isinstance(value, QuadExt):
-        return _Quad(_residue(value.a, p, inverses),
-                     _residue(value.b, p, inverses),
-                     _residue(value.d, p, inverses))
+        return (_residue(value.a, p, root, inverses)
+                + _residue(value.b, p, root, inverses) * root) % p
     den = value.denominator
     inv = inverses.get(den)
     if inv is None:
-        if den % p == 0:
-            raise _BadModulus
         inv = inverses[den] = pow(den, -1, p)
     return value.numerator * inv % p
 
@@ -116,36 +146,27 @@ class _Residues:
     Each exponent vector splits into a low half (the first ``half`` =
     ceil(nvars/2) variables) and a high half (the rest); ``low`` and
     ``high`` list the distinct halves.  ``groups`` holds, for each low
-    half, its index in ``low``, the coefficients of its terms and the
-    indices of their high halves in ``high``; ``largest`` is the size of
-    the largest group.  When a coefficient lies in Q(sqrt(d)), ``d`` is d
-    mod p and a group's coefficients are three lists, the a parts, the b
-    parts and b*d mod p; otherwise ``d`` is None and they are one list.
+    half, a triple: its index in ``low``, the coefficients of its terms
+    and the indices of their high halves in ``high``; ``largest`` is the
+    size of the largest group.
     """
 
     __slots__ = ("coeffs", "degrees", "half", "low", "high", "groups",
-                 "largest", "d")
+                 "largest")
 
-    def __init__(self, coeffs: list, exps: list, p: int):
+    def __init__(self, coeffs: list, exps: list):
         self.coeffs = coeffs
         self.degrees = [max(column) for column in zip(*exps)]
         self.half = half = (len(self.degrees) + 1) // 2
         self.low, low_at = _distinct(e[:half] for e in exps)
         self.high, high_at = _distinct(e[half:] for e in exps)
-        self.d = d = next((c.d for c in coeffs if type(c) is _Quad), None)
         members: list = [[] for _ in self.low]
         for term, low in enumerate(low_at):
             members[low].append(term)
         self.largest = max(map(len, members), default=0)
-        self.groups = []
-        for low, terms in enumerate(members):
-            group = [coeffs[term] for term in terms]
-            if d is not None:
-                a, b = _parts(group)
-                group = (a, b, [v * d % p for v in b])
-            else:
-                group = (group,)
-            self.groups.append((low, group, [high_at[t] for t in terms]))
+        self.groups = [(low, [coeffs[t] for t in terms],
+                        [high_at[t] for t in terms])
+                       for low, terms in enumerate(members)]
 
 
 def _distinct(keys) -> tuple[list, list]:
@@ -156,15 +177,10 @@ def _distinct(keys) -> tuple[list, list]:
     return list(index), at
 
 
-def _parts(values: list) -> tuple[list, list]:
-    """The a and b parts of residues that are ints or :class:`_Quad`."""
-    return ([v.a if type(v) is _Quad else v for v in values],
-            [v.b if type(v) is _Quad else 0 for v in values])
-
-
-def _residue_table(poly: Polynomial, p: int, inverses: dict) -> _Residues:
-    return _Residues([_residue(c, p, inverses) for c in poly.terms.values()],
-                     list(poly.terms), p)
+def _residue_table(poly: Polynomial, p: int, root: int,
+                   inverses: dict) -> _Residues:
+    return _Residues([_residue(c, p, root, inverses)
+                      for c in poly.terms.values()], list(poly.terms))
 
 
 def _power_rows(columns: list, degrees: list, p: int) -> list:
@@ -192,7 +208,7 @@ def _monomial(rows: list, exps, p: int, count: int) -> list:
 
 def _evaluate_mod(table: _Residues, columns: list, p: int) -> list:
     """The table's polynomial at every point: ``columns[j]`` holds
-    variable j's residues at the points, ints in F_p or :class:`_Quad`.
+    variable j's residues at the points, ints in [0, p).
 
     Each variable's powers are taken once across all points, and each
     distinct half-monomial is valued once at every point.  A one-term
@@ -200,12 +216,9 @@ def _evaluate_mod(table: _Residues, columns: list, p: int) -> list:
     half's values at the P points are packed into one int, slot i at bit
     K*i, so a group of terms sharing a low half costs one product per term
     for all points at once; a slot is then read back by shift and mask and
-    multiplied by that point's low value.  Over Q(sqrt(d)) the a and b
-    parts of the highs are packed apart and a term costs four products:
-    a += c_a*h_a + (c_b*d mod p)*h_b and b += c_a*h_b + c_b*h_a.  Every
-    factor is below p, so a slot sums at most m*g products below (p-1)^2,
-    for g the largest group and m = 1 (2 over Q(sqrt(d))); with
-    K = 2*bitlen(p) + bitlen(m*g) no slot carries into the next.
+    multiplied by that point's low value.  Every factor is below p, so a
+    slot sums at most g products below (p-1)^2, for g the largest group;
+    with K = 2*bitlen(p) + bitlen(g) no slot carries into the next.
     """
     count = len(columns[0])
     rows = _power_rows(columns, table.degrees, p)
@@ -216,91 +229,55 @@ def _evaluate_mod(table: _Residues, columns: list, p: int) -> list:
     first, rest = rows[:table.half], rows[table.half:]
     lows = [_monomial(first, e, p, count) for e in table.low]
     highs = [_monomial(rest, e, p, count) for e in table.high]
-    d = table.d
-    if d is None:
-        d = next((v.d for column in columns for v in column
-                  if type(v) is _Quad), None)
-    width = 2 * p.bit_length() \
-        + (table.largest * (1 if d is None else 2)).bit_length()
+    width = 2 * p.bit_length() + table.largest.bit_length()
     shifts = range(0, width * count, width)
     mask = (1 << width) - 1
-
-    def slots(total: int) -> list:
-        return [total >> s & mask for s in shifts]
-
+    packed = [sum(map(lshift, h, shifts)) for h in highs]
     out = [0] * count
-    if d is None:
-        packed = [sum(map(lshift, h, shifts)) for h in highs]
-        for low, (coeffs,), at in table.groups:
-            total = sum(map(mul, coeffs, map(packed.__getitem__, at)))
-            out = list(map(add, out, map(mul, slots(total), lows[low])))
-    else:
-        split = [_parts(h) for h in highs]
-        packed_a = [sum(map(lshift, a, shifts)) for a, _ in split]
-        packed_b = [sum(map(lshift, b, shifts)) for _, b in split]
-        for low, coeffs, at in table.groups:
-            high_a = list(map(packed_a.__getitem__, at))
-            high_b = list(map(packed_b.__getitem__, at))
-            a = sum(map(mul, coeffs[0], high_a))
-            b = sum(map(mul, coeffs[0], high_b))
-            if table.d is not None:
-                a += sum(map(mul, coeffs[2], high_b))
-                b += sum(map(mul, coeffs[1], high_a))
-            out = list(map(add, out, map(mul, map(
-                _Quad, slots(a), slots(b), repeat(d, count)), lows[low])))
+    for low, coeffs, at in table.groups:
+        total = sum(map(mul, coeffs, map(packed.__getitem__, at)))
+        out = list(map(add, out, map(
+            mul, [total >> s & mask for s in shifts], lows[low])))
     return [v % p for v in out]
 
 
 class _Recheck:
     """What one call of the numeric re-check shares between its checks.
 
-    The residue table of every polynomial the hooks evaluate is built once,
-    modulo the first prime in ``MODULI`` that divides no denominator; all
-    of them lie in one Q(sqrt(d)) at most, so every residue shares one d.
-    One set of points is drawn per ring signature, and all of them are
-    pushed through each prefix of a map chain at once, keyed by the map
-    objects, so checks that share a chain share that work: each table is
-    evaluated once per chain prefix, at every point.  All of it goes when
-    the object does, at the end of the call.
+    The residue table of every polynomial the hooks evaluate is built
+    once, modulo the prime ``p`` that :func:`_modulus` picks for all their
+    coefficients, with sqrt(d) sent to ``root``.  One set of points is
+    drawn per ring signature, and all of them are pushed through each
+    prefix of a map chain at once, keyed by the map objects, so checks
+    that share a chain share that work: each table is evaluated once per
+    chain prefix, at every point.  All of it goes when the object does,
+    at the end of the call.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],
                  rng: random.Random, points: int):
         self.rng = rng
         self.points = points
-        for p in MODULI:
-            try:
-                self._reduce(hooks, p)
-            except _BadModulus:
-                continue
-            break
-        else:
-            raise StablyDistinctError(
-                "every re-check modulus divides a coefficient denominator")
-        self.samples: dict = {}
-        self.moved: dict = {}
-
-    def _reduce(self, hooks, p: int) -> None:
-        inverses: dict = {}
         # keyed by id; each value keeps its object alive, so ids stay unique
-        tables: dict = {}
-        images: dict = {}
-
-        def table(poly):
-            if id(poly) not in tables:
-                tables[id(poly)] = (poly, _residue_table(poly, p, inverses))
-            return tables[id(poly)][1]
-
+        polys: dict = {}
+        maps: dict = {}
         for hook in hooks:
             for m in hook.maps:
-                if id(m) not in images:
-                    images[id(m)] = (m, [table(m.image(name))
-                                         for name in m.sig.names])
-            table(hook.source)
-            table(hook.expected)
-        check_one_field(c for poly, _ in tables.values()
-                        for c in poly.terms.values())
-        self.p, self.tables, self.images = p, tables, images
+                if id(m) not in maps:
+                    maps[id(m)] = m, [m.image(name) for name in m.sig.names]
+                    polys.update((id(g), g) for g in maps[id(m)][1])
+            polys[id(hook.source)] = hook.source
+            polys[id(hook.expected)] = hook.expected
+        self.p, self.root = _modulus(
+            [c for poly in polys.values() for c in poly.terms.values()])
+        inverses: dict = {}
+        self.tables = {key: (poly, _residue_table(poly, self.p, self.root,
+                                                  inverses))
+                       for key, poly in polys.items()}
+        self.images = {key: (m, [self.tables[id(g)][1] for g in images])
+                       for key, (m, images) in maps.items()}
+        self.samples: dict = {}
+        self.moved: dict = {}
 
     def _moved(self, sig, maps: tuple) -> list:
         """Each variable's residues at every sample of ``sig``, pushed
@@ -504,17 +481,19 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
     """Append a numeric re-check for every check that carries one.
 
     Each eligible check gains a sibling named ``<name>/sz`` that evaluates
-    the same identity at ``points`` points drawn uniformly from F_p, with
-    p = 2^61 - 1 unless p divides a coefficient's denominator (then the
-    next prime in ``MODULI``).  Returns the number of checks added.  A
-    residual of total degree deg that is nonzero mod p vanishes at one
-    point with probability at most deg/p, so agreement at every point
-    gives strong evidence, independent of the symbolic comparison, that
-    the identity holds.  A residual whose coefficients are all divisible
-    by p would pass; the exact symbolic check rules that out.  The points,
-    the reduced coefficients and the transported points are shared by all
-    checks of the call and dropped when it returns.  With ``points`` = 0
-    nothing is added; a negative count or one that is not an int raises
+    the same identity at ``points`` points drawn uniformly from F_p, for p
+    the largest prime up to 2^61 - 1 that divides no coefficient's
+    denominator and in which the d of the coefficients' field Q(sqrt(d)),
+    if any, is a nonzero square; sqrt(d) maps to a root of d mod p.
+    Returns the number of checks added.  A residual of total degree deg
+    whose image in F_p is nonzero vanishes at one point with probability
+    at most deg/p, so agreement at every point gives strong evidence,
+    independent of the symbolic comparison, that the identity holds.  A
+    residual whose coefficients all map to zero in F_p would pass; the
+    exact symbolic check rules that out.  The points, the reduced
+    coefficients and the transported points are shared by all checks of
+    the call and dropped when it returns.  With ``points`` = 0 nothing is
+    added; a negative count or one that is not an int raises
     :class:`StablyDistinctError`.
     """
     if isinstance(points, bool) or not isinstance(points, int) \

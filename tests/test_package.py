@@ -44,6 +44,10 @@ DELETED = (
     "polyring._PACKED_MIN_PAIRS",
     "polyring._split_surd",
     "polyring._cached_power",
+    "certificate._Quad",
+    "certificate._parts",
+    "certificate._BadModulus",
+    "certificate.MODULI",
 )
 
 

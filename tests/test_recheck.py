@@ -1,27 +1,34 @@
 """The numeric re-check in F_p against exact evaluation and known faults.
 
+The re-check works modulo the largest prime p up to 2^61 - 1 that divides
+no coefficient denominator and in which the d of the coefficients'
+Q(sqrt(d)), if any, is a nonzero square, and maps sqrt(d) to a root r of
+d mod p.  Its primality test must agree with trial division below 10^5
+and call known strong pseudoprimes composite; the modulus it picks for
+each field must be the one a test-side search confirms, with r^2 = d.
 Residue-table evaluation at every point at once must agree, point by
-point, with a test-side loop over the terms in F_p[s]/(s^2 - d): on
-rational coefficients with denominators, on crowded polynomials whose
-terms share half-monomials, on zero, on coefficients in Q(sqrt(2)) and
-Q(sqrt(1/2)), and at points in Q(sqrt(d)) for d = 2, 1/2 and -1.  The
-packed slots must hold the worst case, every residue p - 1 and 200 terms
-sharing a low half, for every modulus.  Re-checks must still run when
-2^61 - 1 divides a denominator (and raise when every modulus divides
-one), must refuse polynomials whose coefficients lie in two quadratic
-fields, in one check or across two, must refuse point counts that are not
-ints of at least 0, must fail exactly the corrupted one of two checks
-sharing a map chain, must name the first point that mismatches, must fail
-on a phi(y) with one coefficient off by one, must evaluate each table of a
-shared chain once for all points, must read the stored maps of the round
-trips rather than their composites, and must stay out of the symbolic
-construction and verification.
+point, with a test-side loop over the terms on ints mod p: on rational
+coefficients with denominators, on crowded polynomials whose terms share
+half-monomials, on zero, on coefficients in Q(sqrt(d)) for d = 2, 1/2, 3
+and -1, and at points in Q(sqrt(d)) for d = 2, 1/2 and -1.  The packed
+slots must hold the worst case, every residue p - 1 and 200 terms sharing
+a low half, at every modulus the fields pick.  Re-checks must move to the
+next prime when a candidate divides a denominator, must refuse
+polynomials whose coefficients lie in two quadratic fields, in one check
+or across two, must refuse point counts that are not ints of at least 0,
+must fail exactly the corrupted one of two checks sharing a map chain,
+must name the first point that mismatches, must fail on a phi(y) with one
+coefficient off by one, must evaluate each table of a shared chain once
+for all points, must read the stored maps of the round trips rather than
+their composites, and must stay out of the symbolic construction and
+verification.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import takewhile
 from math import prod
 
 import pytest
@@ -29,8 +36,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stably_distinct import certificate
-from stably_distinct.certificate import (MODULI, Certificate, _CompositionSz,
-                                         _evaluate_mod, _Quad, _Recheck,
+from stably_distinct.certificate import (Certificate, _CompositionSz,
+                                         _evaluate_mod, _is_prime, _Recheck,
                                          _residue_table, run_schwartz_zippel)
 from stably_distinct.equivalence import (StableEquivPair,
                                          build_stable_equivalence,
@@ -45,7 +52,8 @@ from stably_distinct.polyring import (Polynomial, RingSignature,
                                       random_point)
 
 SIG = RingSignature(2, has_w=True)
-P = MODULI[0]
+# 2^61 - 1 and the next two primes below it
+P, P31, P45 = 2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45
 
 exponents = st.tuples(*[st.integers(0, 4)] * SIG.nvars)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -67,51 +75,114 @@ def point_lists(values, nvars=SIG.nvars):
                     min_size=1, max_size=5)
 
 
-# -- the reference: a loop over terms in pairs (a, b) = a + b*sqrt(d) mod p,
+# -- the reference: a loop over terms on ints mod p, with sqrt(d) -> r,
 # sharing no code with certificate
 
-def pair(value, p: int) -> tuple:
+def residue(value, p: int, r: int = 0) -> int:
     if isinstance(value, QuadExt):
-        return pair(value.a, p)[0], pair(value.b, p)[0]
+        return (residue(value.a, p) + residue(value.b, p) * r) % p
     value = Fraction(value)
-    return value.numerator * pow(value.denominator, -1, p) % p, 0
+    return value.numerator * pow(value.denominator, -1, p) % p
 
 
-def reference(poly: Polynomial, points: list, p: int, d=0) -> list:
-    """poly at each point, given as pairs mod p, by a loop over terms."""
-    d = pair(d, p)[0]
-    terms = [(pair(c, p), [(j, e) for j, e in enumerate(exps) if e])
+def reference(poly: Polynomial, points: list, p: int, r: int = 0) -> list:
+    """poly at each point, given as ints mod p, by a loop over terms."""
+    terms = [(residue(c, p, r), [(j, e) for j, e in enumerate(exps) if e])
              for exps, c in poly.terms.items()]
     out = []
     for point in points:
-        total_a = total_b = 0
-        for (a, b), factors in terms:
+        total = 0
+        for value, factors in terms:
             for j, e in factors:
-                u, v = point[j]
                 for _ in range(e):
-                    a, b = (a * u + d * b * v) % p, (a * v + b * u) % p
-            total_a, total_b = (total_a + a) % p, (total_b + b) % p
-        out.append((total_a, total_b))
+                    value = value * point[j] % p
+            total = (total + value) % p
+        out.append(total)
     return out
 
 
-def as_pair(residue) -> tuple:
-    if type(residue) is _Quad:
-        return residue.a, residue.b
-    return residue, 0
+def packed_values(poly: Polynomial, points: list, p: int, r: int = 0) -> list:
+    """poly at every point through the residue table; ``points`` are ints
+    mod p."""
+    return _evaluate_mod(_residue_table(poly, p, r, {}),
+                         [list(column) for column in zip(*points)], p)
 
 
-def packed_values(poly: Polynomial, points: list, p: int, d=0) -> list:
-    """poly at every point through the residue table, as pairs."""
-    d = pair(d, p)[0]
-    columns = [[_Quad(*pair(v, p), d) if isinstance(v, QuadExt) else
-                pair(v, p)[0] for v in column] for column in zip(*points)]
-    return list(map(as_pair, _evaluate_mod(_residue_table(poly, p, {}),
-                                           columns, p)))
+def residues(points: list, p: int, r: int = 0) -> list:
+    return [[residue(v, p, r) for v in point] for point in points]
 
 
-def pairs(points: list, p: int) -> list:
-    return [[pair(v, p) for v in point] for point in points]
+def field(d) -> tuple[int, int]:
+    """The modulus p and root r the re-check picks for Q(sqrt(d)), with
+    r^2 = d mod p checked here."""
+    root = Polynomial.constant(SIG, quadext(0, 1, d))
+    recheck = _Recheck([_CompositionSz([], root, root)], random.Random(0), 1)
+    p, r = recheck.p, recheck.root
+    assert r * r % p == residue(d, p) != 0
+    return p, r
+
+
+def proven_prime(n: int) -> bool:
+    """Lucas: n is prime when some a has order n - 1 mod n; the prime
+    factors of n - 1 come from trial division."""
+    factors, rest, f = set(), n - 1, 2
+    while f * f <= rest:
+        while rest % f == 0:
+            factors.add(f)
+            rest //= f
+        f += 1
+    if rest > 1:
+        factors.add(rest)
+    return any(pow(a, n - 1, n) == 1
+               and all(pow(a, (n - 1) // q, n) != 1 for q in factors)
+               for a in range(2, 100))
+
+
+class TestNumberTheory:
+    def test_is_prime_matches_trial_division(self):
+        primes: list = []
+        for n in range(10 ** 5):
+            prime = n >= 2 and all(
+                n % q for q in takewhile(lambda q: q * q <= n, primes))
+            if prime:
+                primes.append(n)
+            assert _is_prime(n) == prime, n
+
+    @pytest.mark.parametrize("n,factors", [
+        (561, (3, 11, 17)), (3215031751, (151, 751, 28351)),
+        # a strong pseudoprime to every base 2..23
+        (3825123056546413051, (149491, 747451, 34233211))],
+        ids=["561", "3215031751", "3825123056546413051"])
+    def test_pseudoprimes_are_composite(self, n, factors):
+        assert prod(factors) == n
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n", [P, P31, P45],
+                             ids=["2^61-1", "2^61-31", "2^61-45"])
+    def test_moduli_are_prime(self, n):
+        assert proven_prime(n)
+        assert _is_prime(n)
+
+    @pytest.mark.parametrize("d,expected", [
+        (2, P), (Fraction(1, 2), P), (3, P31), (-1, P31),
+        (Fraction(-1, 4), P31), (-3, P), (7, P45)], ids=str)
+    def test_modulus_of_each_field(self, d, expected):
+        # the pick is a prime in which d is a nonzero square, and every odd
+        # q above it is composite (a Fermat witness) or has d as a
+        # non-residue (Euler's criterion)
+        assert proven_prime(expected)
+        assert pow(residue(d, expected), (expected - 1) // 2, expected) == 1
+        for q in range(expected + 2, P + 1, 2):
+            assert pow(2, q - 1, q) != 1 \
+                or pow(residue(d, q), (q - 1) // 2, q) == q - 1
+        assert field(d)[0] == expected
+
+    def test_minus_one_takes_the_root_loop(self):
+        # -1 is a square only when p = 1 mod 4, so Tonelli-Shanks enters
+        # the loop it skips when p = 3 mod 4; here 2^5 divides p - 1
+        p, r = field(-1)
+        assert p % 4 == 1 and (p - 1) % 32 == 0
+        assert r * r % p == p - 1
 
 
 @st.composite
@@ -129,53 +200,54 @@ def crowded_polynomials(draw):
 class TestEvaluationMatchesExact:
     @settings(deadline=None)
     @given(polynomials(rationals), point_lists(st.integers(0, 2 ** 64)),
-           st.sampled_from(MODULI))
+           st.sampled_from([P, P31, P45]))
     def test_rational_coefficients(self, poly, points, p):
-        points = [[v % p for v in point] for point in points]
-        assert packed_values(poly, points, p) == \
-            reference(poly, pairs(points, p), p)
+        points = residues(points, p)
+        assert packed_values(poly, points, p) == reference(poly, points, p)
 
     @settings(deadline=None, max_examples=200)
     @given(crowded_polynomials())
     def test_shared_half_monomials(self, case):
         poly, points = case
-        assert packed_values(poly, points, P) == \
-            reference(poly, pairs(points, P), P)
+        assert packed_values(poly, points, P) == reference(poly, points, P)
 
     @pytest.mark.parametrize("n,has_w", [(1, False), (1, True), (2, False),
                                          (2, True), (3, False), (3, True)])
     def test_zero_polynomial(self, n, has_w):
         sig = RingSignature(n, has_w)
-        table = _residue_table(Polynomial.zero(sig), P, {})
+        table = _residue_table(Polynomial.zero(sig), P, 0, {})
         columns = [[i, i + 5, i * i] for i in range(1, sig.nvars + 1)]
         assert _evaluate_mod(table, columns, P) == [0, 0, 0]
 
-    @pytest.mark.parametrize("d", [2, Fraction(1, 2)], ids=["2", "1/2"])
+    @pytest.mark.parametrize("d", [2, Fraction(1, 2), 3, -1], ids=str)
     @settings(deadline=None)
     @given(data=st.data())
     def test_quadratic_coefficients(self, d, data):
+        p, r = field(d)
         poly = data.draw(polynomials(quadratic(d)))
-        points = data.draw(point_lists(st.integers(0, P - 1)))
-        assert packed_values(poly, points, P, d) == \
-            reference(poly, pairs(points, P), P, d)
+        points = data.draw(point_lists(st.integers(0, p - 1)))
+        assert packed_values(poly, points, p, r) == \
+            reference(poly, points, p, r)
 
-    @pytest.mark.parametrize("d", [2, Fraction(1, 2), -1],
-                             ids=["2", "1/2", "-1"])
+    @pytest.mark.parametrize("d", [2, Fraction(1, 2), -1], ids=str)
     @settings(deadline=None)
     @given(data=st.data())
     def test_quadratic_points(self, d, data):
         # the values a map over Q(sqrt(d)) carries a point to, under
         # rational and Q(sqrt(d)) coefficients
+        p, r = field(d)
         poly = data.draw(polynomials(st.one_of(rationals, quadratic(d))))
-        points = data.draw(point_lists(quadratic(d)))
-        assert packed_values(poly, points, P, d) == \
-            reference(poly, pairs(points, P), P, d)
+        points = residues(data.draw(point_lists(quadratic(d))), p, r)
+        assert packed_values(poly, points, p, r) == \
+            reference(poly, points, p, r)
 
 
 class TestPackingBound:
-    """Every coefficient residue and every point value p - 1 (over Q(sqrt(2)),
-    a and b parts both p - 1), 200 terms sharing the low half x1, each with
-    a high half of one variable, so a slot holds its largest sum."""
+    """Every coefficient residue and every point value p - 1, 200 terms
+    sharing the low half x1, each with a high half of one variable, so a
+    slot holds its largest sum; at 2^61 - 1 (for Q(sqrt(2))) and at the
+    moduli that Q(sqrt(3)) and Q(sqrt(-1)) pick.  -1 - r + sqrt(d) is an
+    element of Q(sqrt(d)) whose residue is p - 1."""
 
     SIG = RingSignature(400, has_w=True)
 
@@ -189,16 +261,20 @@ class TestPackingBound:
         return Polynomial(self.SIG, terms)
 
     @pytest.mark.parametrize("count", [1, 2, 25, 100])
-    @pytest.mark.parametrize("p", MODULI)
-    @pytest.mark.parametrize("coeff,value", [
-        (-1, -1), (-1, quadext(-1, -1, 2)), (quadext(-1, -1, 2), -1),
-        (quadext(-1, -1, 2), quadext(-1, -1, 2))],
-        ids=["rational", "rational-at-sqrt2", "sqrt2-at-rational", "sqrt2"])
-    def test_largest_slot_does_not_carry(self, coeff, value, p, count):
-        poly = self.worst(coeff)
-        points = [[value] * self.SIG.nvars] * count
-        assert packed_values(poly, points, p, 2) == \
-            reference(poly, pairs(points, p), p, 2)
+    @pytest.mark.parametrize("d", [2, 3, -1], ids=str)
+    @pytest.mark.parametrize("coeff_in_field,value_in_field", [
+        (False, False), (False, True), (True, False), (True, True)],
+        ids=["rational", "rational-at-field", "field-at-rational", "field"])
+    def test_largest_slot_does_not_carry(self, coeff_in_field,
+                                         value_in_field, d, count):
+        p, r = field(d)
+        top = quadext(-1 - r, 1, d)
+        assert residue(top, p, r) == p - 1
+        poly = self.worst(top if coeff_in_field else -1)
+        points = residues([[top if value_in_field else -1]
+                           * self.SIG.nvars] * count, p, r)
+        assert packed_values(poly, points, p, r) == \
+            reference(poly, points, p, r)
 
 
 def sig1():
@@ -224,26 +300,30 @@ def recheck_fixes_z(maps) -> tuple[bool, str]:
 
 
 class TestModuli:
-    def test_denominator_divisible_by_first_modulus(self):
+    def recheck_over(self, den) -> int:
+        """The modulus picked for maps with a denominator ``den``, after
+        checking that their re-check passes and that of a corrupted twin
+        fails."""
         s = sig1()
-        f, g = shift_maps(s, Fraction(1, P))
-        assert _Recheck([_CompositionSz([f, g], Polynomial.variable(s, "z"),
-                                        Polynomial.variable(s, "z"))],
-                        random.Random(0), 1).p == MODULI[1]
+        f, g = shift_maps(s, Fraction(1, den))
         assert recheck_fixes_z([f, g]) == (True, "agreed at 10 random points")
-        # the corrupted twin applies f twice: z -> z + 2*y/p
+        # the corrupted twin applies f twice: z -> z + 2*y/den
         ok, details = recheck_fixes_z([f, f])
         assert not ok and details.startswith("mismatch at ")
+        z = Polynomial.variable(s, "z")
+        return _Recheck([_CompositionSz([f, g], z, z)],
+                        random.Random(0), 1).p
 
-    def test_no_modulus_left(self):
-        s = sig1()
-        f, g = shift_maps(s, Fraction(1, prod(MODULI)))
-        with pytest.raises(StablyDistinctError, match="every re-check modulus"):
-            recheck_fixes_z([f, g])
+    def test_denominator_divisible_by_first_modulus(self):
+        assert self.recheck_over(P) == P31
 
-    def test_quadratic_maps(self):
+    def test_denominator_divisible_by_first_two_moduli(self):
+        assert self.recheck_over(P * P31) == P45
+
+    @pytest.mark.parametrize("d", [2, 3, -1], ids=str)
+    def test_quadratic_maps(self, d):
         s = sig1()
-        f, g = shift_maps(s, quadext(0, 1, 2))
+        f, g = shift_maps(s, quadext(0, 1, d))
         assert recheck_fixes_z([f, g])[0]
         assert not recheck_fixes_z([f, f])[0]
 
