@@ -37,6 +37,13 @@ CASES = {
     "stable-equiv-sqrt2": ["--sz-points", "5", "--seed", "3",
                            "stable-equiv", "--n", "1",
                            "--q", "0+1*sqrt(2),1,-1/3", "--show-maps"],
+    # two x's make psi's y-image divide by x1^2*x2^2
+    "stable-equiv-n2-sqrt2": ["--sz-points", "5", "--seed", "3",
+                              "stable-equiv", "--n", "2",
+                              "--q", "0+1*sqrt(2),1,-1/3", "--show-maps"],
+    # constant q: the identity pair, whose round-trip checks interleave
+    "stable-equiv-constant": ["stable-equiv", "--n", "1", "--q", "3",
+                              "--show-maps"],
     "fiber-iso": ["fiber-iso", "--n", "2", "--q", "1,-2,1", "--c", "1/2",
                   "--show-maps"],
     # maps over Q(sqrt(3)): the re-check composes them in F_p[s]/(s^2 - 3)
