@@ -34,7 +34,8 @@ from .exactfield import (QuadExt, as_scalar, quadext, rational,
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic, z_part
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
-                       check_one_field, exact_divide, x_power_bracket)
+                       check_dimension, check_one_field, exact_divide,
+                       x_power_bracket)
 
 
 def _as_q(q) -> UnivariatePoly:
@@ -410,16 +411,31 @@ def _cylinder_zw(sign: int, rho: Polynomial, z: Polynomial, w: Polynomial):
     return z_img, w_img
 
 
-def _cylinder_y(z_img: Polynomial, target: Polynomial, q: UnivariatePoly):
-    """The y-image y' = (target - z_part(q, z')) / x^[2], z' = ``z_img``.
+def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
+                  target: Polynomial) -> RingEndomorphism:
+    """The cylinder map with twist ``sign`` that sends P_q to ``target``.
 
-    It makes the map send P_q (with this q) to ``target``; the division is
-    exact by construction (NotDivisible here would mean a genuine bug).
-    Given another map's image of z and of the target, the same formula
-    gives the image of the composite.
+    Its z- and w-images are :func:`_cylinder_zw`'s at rho = r(target), and
+    its y-image y' = (target - z_part(q, z')) / x^[2] solves the image
+    identity; the division is exact by construction.  All three are
+    expanded through a symbol S for the target in the y slot: with Z, W
+    the images at r(S) and N = S - z_part(q, Z), the ring homomorphism
+    S -> target gives z', w' and N(target) = x^[2]*y', the same
+    polynomials as the direct expansions at r(target), while N stays
+    small.  Z, W and N hold y only through r(S).
     """
-    return exact_divide(target - z_part(q, z_img),
-                        x_power_bracket(z_img.sig, 2))
+    sig = target.sig
+    sym = Polynomial.variable(sig, "y")     # the symbol S for the target
+    z_sym, w_sym = _cylinder_zw(sign, r.subs_into(sym),
+                                Polynomial.variable(sig, "z"),
+                                Polynomial.variable(sig, "w"))
+    at_target = {"y": target}
+    return RingEndomorphism(sig, {
+        "y": exact_divide((sym - z_part(q, z_sym)).substitute(at_target),
+                          x_power_bracket(sig, 2)),
+        "z": z_sym.substitute(at_target),
+        "w": w_sym.substitute(at_target),
+    })
 
 
 def build_stable_equivalence(q, n: int) -> StableEquivPair:
@@ -434,42 +450,24 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
         psi(w) = (1 - s*r(Pq))w + r(Pq)^2 z
 
     and the y-images are the unique solutions of phi(P_q) = P0 and
-    psi(P0) = P_q.  The z- and w-images and psi(y) come from
-    :func:`_cylinder_zw` and :func:`_cylinder_y`.
-
-    phi(y) = (P0 - z_part(q, phi(z))) / x^[2] is expanded through a
-    symbol S for the target P0: with Z the z-image of
-    :func:`_cylinder_zw` at r(S), N = S - z_part(q, Z) is small, and one
-    substitution S -> P0 followed by the exact division gives phi(y).
-    S -> P0 is a ring homomorphism, so this is the same polynomial as
-    the direct expansion of q(phi(z)^2), at a fraction of its term pairs.
-    S takes the y slot: Z and N hold y only through r(S), so nothing else
-    is substituted.
+    psi(P0) = P_q.  Both maps come from :func:`_cylinder_map`: phi with
+    sign 1, q and target P0, psi with sign -1, q(0) and target P_q.
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
     # (q(t) - q(0)) / t drops the constant and shifts the rest down
     r = UnivariatePoly([c / 2 for c in q.coeffs[1:]])
+    q_zero = UnivariatePoly([q(Fraction(0))])
     p_q = build_Pq(PqSpec(n, q, 0), has_w=True)
-    p_zero = build_Pq(PqSpec(n, [q(Fraction(0))], 0), has_w=True)
+    p_zero = build_Pq(PqSpec(n, q_zero, 0), has_w=True)
 
     if q.degree() <= 0:
         # constant q: the two members coincide, nothing to untwist
         ident = RingEndomorphism.identity(sig)
         return StableEquivPair(n, q, r, ident, ident, p_q, p_zero)
 
-    z = Polynomial.variable(sig, "z")
-    w = Polynomial.variable(sig, "w")
-    phi_z, phi_w = _cylinder_zw(1, r.subs_into(p_zero), z, w)
-    target = Polynomial.variable(sig, "y")  # the symbol S for P0
-    sym_z, _ = _cylinder_zw(1, r.subs_into(target), z, w)
-    phi_y = exact_divide((target - z_part(q, sym_z)).substitute({"y": p_zero}),
-                         x_power_bracket(sig, 2))
-    psi_z, psi_w = _cylinder_zw(-1, r.subs_into(p_q), z, w)
-    psi_y = _cylinder_y(psi_z, p_q, UnivariatePoly([q(Fraction(0))]))
-    phi = RingEndomorphism(sig, {"y": phi_y, "z": phi_z, "w": phi_w})
-    psi = RingEndomorphism(sig, {"y": psi_y, "z": psi_z, "w": psi_w})
-    return StableEquivPair(n, q, r, phi, psi, p_q, p_zero)
+    return StableEquivPair(n, q, r, _cylinder_map(1, r, q, p_zero),
+                           _cylinder_map(-1, r, q_zero, p_q), p_q, p_zero)
 
 
 def stable_equivalence_degree_bound(pair: StableEquivPair) -> int:
@@ -487,9 +485,10 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     """Certify the pair: exact images and identity round trips.
 
     The two image identities phi(P_q) = P0 and psi(P0) = P_q are checked
-    by direct substitution.  The round trips go through the builder of
-    the pair, by the substitution homomorphism property: phi(psi(v)) is
-    psi's formula with z, w, r(P_q) and P_q replaced by phi(z), phi(w),
+    by direct substitution.  The round trips use the formulas of
+    :func:`_cylinder_map` without its symbol, since the outer images hold
+    y, by the substitution homomorphism property: phi(psi(v)) is psi's
+    formula with z, w, r(P_q) and P_q replaced by phi(z), phi(w),
     r(phi(P_q)) and the already-computed phi(P_q), and symmetrically for
     psi(phi(v)).  Every intermediate object stays small (when the pair is
     right, the y-image dividend is the single term x^[2]y), while the
@@ -559,8 +558,9 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
         zw = [_record_fixes(cert, stem, maps, "z", z_img),
               _record_fixes(cert, stem, maps, "w", w_img)]
         blocker = next((c for c in zw if not c.passed), None)
-        y_img = (_cylinder_y(z_img, target, inner_q) if blocker is None
-                 else None)
+        y_img = (exact_divide(target - z_part(inner_q, z_img),
+                              x_power_bracket(sig, 2))
+                 if blocker is None else None)
         _record_fixes(cert, stem, maps, "y", y_img, blocker)
     return _finish_stable_certificate(cert, pair, sig)
 
@@ -615,8 +615,7 @@ def theorem_certificate(n: int, k_max: int, c_samples=None) -> Certificate:
     equivalent to its constant member; the constant members are linked by
     the sign automorphism, chaining all the P_(q_k) together.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_dimension(n)
     if k_max < 2:
         raise ValueError(
             f"need k_max >= 2 to exhibit at least two powers, got {k_max}")

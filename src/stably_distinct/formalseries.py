@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
 from .errors import NonzeroConstantTerm, ParseError
-from .polyring import Polynomial, RingSignature, x_power_bracket
+from .polyring import (Polynomial, RingSignature, check_dimension,
+                       x_power_bracket)
 
 
 def _x_degree(sig: RingSignature, exps) -> int:
@@ -120,8 +121,7 @@ def verify_biholomorphism(n: int, order: int) -> Certificate:
     round trips, which certify the change of coordinates is invertible
     in the same truncated sense.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_dimension(n)
     if order < 2:
         raise ValueError(
             f"order must be at least 2 to see the first corrections, "

@@ -28,8 +28,8 @@ from .errors import DimensionMismatch, ParseError
 from .exactfield import parse_scalar, rational
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
-                       difference_quotient, parse_json, rewrite_single_rule,
-                       x_power_bracket)
+                       check_dimension, difference_quotient, parse_json,
+                       rewrite_single_rule, x_power_bracket)
 
 
 class PqSpec:
@@ -38,9 +38,7 @@ class PqSpec:
     __slots__ = ("n", "q", "c")
 
     def __init__(self, n: int, q, c=0):
-        if n < 1:
-            raise ValueError(f"need at least one x variable, got n={n}")
-        self.n = int(n)
+        self.n = check_dimension(n)
         self.q = q if isinstance(q, UnivariatePoly) else UnivariatePoly(q)
         self.c = rational(c)
 

@@ -59,15 +59,23 @@ def term_limit() -> int:
     return limit
 
 
+def check_dimension(n) -> int:
+    """n, the number of x variables: ParseError naming a non-int (a float
+    is not truncated, a bool not read as 0 or 1), ValueError below 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError("the dimension n must be an int, got %r" % (n,))
+    if n < 1:
+        raise ValueError("need n >= 1, got %d" % n)
+    return n
+
+
 class RingSignature:
     """Shape of the ambient ring: n base variables, optional extra w."""
 
     __slots__ = ("n", "has_w", "names", "_index")
 
     def __init__(self, n: int, has_w: bool = False):
-        if n < 1:
-            raise ValueError("need at least one x variable")
-        self.n = n
+        self.n = check_dimension(n)
         self.has_w = bool(has_w)
         names = tuple("x%d" % (i + 1) for i in range(n)) + ("y", "z")
         if has_w:
@@ -656,7 +664,9 @@ def rewrite_single_rule(p: Polynomial, lhs_exps, rhs: Polynomial):
         if not reducible:
             break
         for exps in reducible:
-            coeff = current.pop(exps)
+            coeff = current.pop(exps, None)
+            if coeff is None:   # cancelled by a rewrite earlier this pass
+                continue
             shift = tuple(a - b for a, b in zip(exps, lhs_exps))
             _add_into(current, _mul_terms({shift: coeff}, rhs.terms))
             steps += 1

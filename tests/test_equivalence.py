@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
-    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _cylinder_y,
-    _cylinder_zw, _euclid_on_ratios,
+    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _euclid_on_ratios,
     build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
     decide_hypersurface_equivalence, decide_poly_equivalence,
@@ -25,7 +24,8 @@ from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, build_Pq
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
-                                      UnivariatePoly, x_power_bracket)
+                                      UnivariatePoly, exact_divide,
+                                      x_power_bracket)
 
 from conftest import (brute_force_hyper_mu, dense_mul, dense_power,
                       random_univariate, small_fraction)
@@ -461,23 +461,45 @@ DIRECT_BUILD_QS = {
 }
 
 
+def _direct_cylinder_map(sign, r, q, target):
+    """A map of the pair expanded straight from the formulas of
+    ``build_stable_equivalence``, with rho = r(target) and no symbol:
+    z' = (1 - sign*s*rho)z + sign*x^[2]w, w' = (1 + sign*s*rho)w -
+    sign*rho^2 z and y' = (target - z'^2 - s*q(z'^2)) / x^[2]."""
+    sig = target.sig
+    s1, s2 = x_power_bracket(sig, 1), x_power_bracket(sig, 2)
+    z = Polynomial.variable(sig, "z")
+    w = Polynomial.variable(sig, "w")
+    rho = Polynomial.zero(sig)
+    for i, c in enumerate(r.coeffs):
+        rho = rho + target ** i * c
+    z_img = (1 - s1 * rho * sign) * z + s2 * w * sign
+    w_img = (1 + s1 * rho * sign) * w - rho * rho * z * sign
+    zsq = z_img * z_img
+    q_at = Polynomial.zero(sig)
+    for i, c in enumerate(q.coeffs):
+        q_at = q_at + zsq ** i * c
+    y_img = exact_divide(target - zsq - s1 * q_at, s2)
+    return RingEndomorphism(sig, {"y": y_img, "z": z_img, "w": w_img})
+
+
+@pytest.mark.parametrize("side", ["phi", "psi"])
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("coeffs", DIRECT_BUILD_QS.values(),
                          ids=DIRECT_BUILD_QS.keys())
-def test_phi_matches_the_direct_expansion(coeffs, n):
-    # phi(y) straight from z_part(q, phi(z)), with no symbol for the target
+def test_maps_match_the_direct_expansion(coeffs, n, side):
+    # phi sends P_q to P0 with sign 1; psi sends P0 to P_q with sign -1,
+    # solving for y against the constant q(0)
     q = UnivariatePoly(coeffs)
-    p_zero = build_Pq(PqSpec(n, [q(0)], 0), has_w=True)
+    q_zero = UnivariatePoly([q(0)])
+    p_q = build_Pq(PqSpec(n, q, 0), has_w=True)
+    p_zero = build_Pq(PqSpec(n, q_zero, 0), has_w=True)
     r = UnivariatePoly([c / 2 for c in q.coeffs[1:]])
-    sig = p_zero.sig
-    phi_z, phi_w = _cylinder_zw(1, r.subs_into(p_zero),
-                                Polynomial.variable(sig, "z"),
-                                Polynomial.variable(sig, "w"))
-    phi_y = _cylinder_y(phi_z, p_zero, q)
-    phi = build_stable_equivalence(q, n).phi
-    assert phi.image("y").terms == phi_y.terms
-    assert phi == RingEndomorphism(sig, {"y": phi_y, "z": phi_z,
-                                         "w": phi_w})
+    expected = (_direct_cylinder_map(1, r, q, p_zero) if side == "phi"
+                else _direct_cylinder_map(-1, r, q_zero, p_q))
+    got = getattr(build_stable_equivalence(q, n), side)
+    assert got.image("y").terms == expected.image("y").terms
+    assert got == expected
 
 
 class TestStableEquivalence:
@@ -675,6 +697,13 @@ class TestTheoremCertificate:
             theorem_certificate(0, 2)
         with pytest.raises(ValueError):
             theorem_certificate(1, 1)
+
+    @pytest.mark.parametrize("n", [2.7, True, "2"])
+    def test_non_int_dimension_is_refused(self, n):
+        with pytest.raises(ParseError):
+            theorem_certificate(n, 2)
+        with pytest.raises(ParseError):
+            build_stable_equivalence([-1, 1], n)
 
     def test_custom_level_samples(self):
         cert = theorem_certificate(1, 2, c_samples=[0, 3])

@@ -171,6 +171,11 @@ class TestVerifyBiholomorphism:
         with pytest.raises(ValueError):
             verify_biholomorphism(1, 1)
 
+    @pytest.mark.parametrize("n", [2.7, True, "2"])
+    def test_non_int_dimension_is_refused(self, n):
+        with pytest.raises(ParseError):
+            verify_biholomorphism(n, 4)
+
     def test_numeric_hooks_attached(self):
         from stably_distinct.certificate import run_schwartz_zippel
         cert = verify_biholomorphism(1, 4)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,12 @@ class TestPqSpec:
         assert spec.c == Fraction(1)
         with pytest.raises(ValueError):
             PqSpec(0, [1])
+
+    @pytest.mark.parametrize("n", [2.7, True, "2"])
+    def test_non_int_dimension_is_refused(self, n):
+        # truncating 2.7 to n = 2 would certify a member nobody asked for
+        with pytest.raises(ParseError, match=re.escape(repr(n))):
+            PqSpec(n, [-1, 1], 1)
 
     def test_json_roundtrip(self):
         spec = PqSpec(3, [Fraction(1, 2), 0, 2], c=Fraction(-1, 3))

@@ -170,6 +170,17 @@ class TestDecompose:
             decompose_as_Delta_multiple(delta, spec)
         assert "x-only" in str(err.value) or "involves" in str(err.value)
 
+    def test_rejects_non_tangent_whose_reduction_cancels_a_queued_term(self):
+        # in Delta(P - c) = x1^2*Delta(y), rewriting 1/2*x1^3*y^2 gives
+        # -1/2*x1^2*y, which cancels a term still queued in the same pass
+        spec = PqSpec(1, [1, -1], 2)
+        sig = spec.signature()
+        delta = Derivation(sig, {"y": parse_polynomial(
+            sig, "-2*y*z^3 + 1/2*x1*y^2 + 1/2*y")})
+        with pytest.raises(NotAMultiple) as err:
+            decompose_as_Delta_multiple(delta, spec)
+        assert "tangent" in str(err.value)
+
     def test_rejects_y_mismatch(self):
         spec = PqSpec(1, [0], 0)
         sig = spec.signature()

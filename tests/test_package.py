@@ -48,6 +48,7 @@ DELETED = (
     "certificate._parts",
     "certificate._BadModulus",
     "certificate.MODULI",
+    "equivalence._cylinder_y",
 )
 
 

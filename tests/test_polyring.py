@@ -18,6 +18,7 @@ from stably_distinct.errors import (DivisionByZero, DivisionByZeroPolynomial,
                                     SignatureMismatch, StablyDistinctError,
                                     UnknownVariable)
 from stably_distinct.exactfield import quadext
+from stably_distinct.hypersurface import PqSpec, reduce_mod_relation, z_part
 from stably_distinct.morphisms import RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, difference_quotient,
@@ -34,7 +35,20 @@ def sig2():
     return RingSignature(2)
 
 
+# a float is not truncated, a bool not read as 0 or 1, a text not parsed
+NON_INT_DIMENSIONS = [2.7, 1.0, True, False, "2", None]
+
+
 class TestSignature:
+    @pytest.mark.parametrize("n", NON_INT_DIMENSIONS)
+    def test_non_int_dimension_is_refused(self, n):
+        with pytest.raises(ParseError, match=re.escape(repr(n))):
+            RingSignature(n)
+
+    def test_dimension_below_one(self):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            RingSignature(0)
+
     def test_names_and_order(self):
         s = RingSignature(3, has_w=True)
         assert s.names == ("x1", "x2", "x3", "y", "z", "w")
@@ -247,6 +261,31 @@ class TestRewriteRule:
         with pytest.raises(ValueError):
             rewrite_single_rule(Polynomial.variable(s, "y"), (0, 1, 0),
                                 parse_polynomial(s, "y^2"))
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_term_cancelled_earlier_in_a_pass_is_skipped(self, order):
+        # rewriting x1^4*y^2 first cancels the queued -x1^2*y; with the
+        # terms the other way round nothing is cancelled before its turn
+        s = sig1()
+        terms = list(parse_polynomial(s, "x1^4*y^2 - x1^2*y").terms.items())
+        p = Polynomial(s, dict(terms[::order]))
+        result, _ = reduce_mod_relation(p, PqSpec(1, [0], 1))
+        assert result == parse_polynomial(s, "z^4 - z^2")
+
+    # x1^(2k+a)*y^(k+b)*z^j: rewrites of such terms often land on others
+    @settings(deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 1),
+                                     st.integers(0, 1), st.integers(0, 2)).map(
+                               lambda t: (2 * t[0] + t[1], t[0] + t[2], t[3])),
+                           st.integers(-2, 2).filter(bool), max_size=6),
+           st.lists(st.integers(-2, 2), max_size=3), st.integers(-1, 2))
+    def test_normal_form_ignores_term_order(self, terms, q, c):
+        s = sig1()
+        p = from_terms(s, terms)
+        rhs = c - z_part(UnivariatePoly(q), Polynomial.variable(s, "z"))
+        flipped = Polynomial(s, dict(reversed(p.terms.items())))
+        assert (rewrite_single_rule(p, (2, 1, 0), rhs)[0]
+                == rewrite_single_rule(flipped, (2, 1, 0), rhs)[0])
 
 
 class TestRandomEvaluate:
