@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
+from functools import lru_cache
 from operator import add, lshift, mul
 from typing import Sequence
 
@@ -60,9 +62,11 @@ def _split_twos(n: int) -> tuple[int, int]:
     return n >> twos, twos
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     """Whether n is prime, by Miller-Rabin at every base in ``_BASES``;
-    exact for every n below psi_12."""
+    exact for every n below psi_12.  The last answers are kept for the
+    process: every re-check call asks about the same few candidates."""
     if n < 2:
         return False
     for a in _BASES:
@@ -114,9 +118,12 @@ def _modulus(coeffs: list) -> tuple[int, int]:
     denominators = {c.denominator for c in coeffs if type(c) is not QuadExt}
     denominators.update(x.denominator for c in coeffs if type(c) is QuadExt
                         for x in (c.a, c.b, c.d))
+    # a positive denominator below p cannot be divisible by p
+    denominators = sorted(denominators)
     p = 2 ** 61 - 1
     while True:
-        if _is_prime(p) and all(den % p for den in denominators):
+        large = denominators[bisect_left(denominators, p):]
+        if _is_prime(p) and all(den % p for den in large):
             if d is None:
                 return p, 0
             square = _residue(d, p, 0, {})

@@ -34,8 +34,8 @@ from .exactfield import (QuadExt, as_scalar, quadext, rational,
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic, z_part
 from .morphisms import RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
-                       check_dimension, check_one_field, exact_divide,
-                       x_power_bracket)
+                       check_dimension, check_int, check_one_field,
+                       exact_divide, x_power_bracket)
 
 
 def _as_q(q) -> UnivariatePoly:
@@ -411,6 +411,22 @@ def _cylinder_zw(sign: int, rho: Polynomial, z: Polynomial, w: Polynomial):
     return z_img, w_img
 
 
+def _cylinder_symbols(sign: int, r: UnivariatePoly, q: UnivariatePoly,
+                      sig: RingSignature):
+    """Z, W and N of the cylinder map with twist ``sign``, over a symbol S
+    for its target held in the y slot.
+
+    Z, W = :func:`_cylinder_zw` at rho = r(S) and N = S - z_part(q, Z).
+    They hold y only through r(S), and the ring homomorphism S -> target
+    sends them to the map's z-image, w-image and x^[2] times its y-image.
+    """
+    sym = Polynomial.variable(sig, "y")
+    z_sym, w_sym = _cylinder_zw(sign, r.subs_into(sym),
+                                Polynomial.variable(sig, "z"),
+                                Polynomial.variable(sig, "w"))
+    return z_sym, w_sym, sym - z_part(q, z_sym)
+
+
 def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
                   target: Polynomial) -> RingEndomorphism:
     """The cylinder map with twist ``sign`` that sends P_q to ``target``.
@@ -418,20 +434,16 @@ def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
     Its z- and w-images are :func:`_cylinder_zw`'s at rho = r(target), and
     its y-image y' = (target - z_part(q, z')) / x^[2] solves the image
     identity; the division is exact by construction.  All three are
-    expanded through a symbol S for the target in the y slot: with Z, W
-    the images at r(S) and N = S - z_part(q, Z), the ring homomorphism
+    expanded through :func:`_cylinder_symbols`: the substitution
     S -> target gives z', w' and N(target) = x^[2]*y', the same
     polynomials as the direct expansions at r(target), while N stays
-    small.  Z, W and N hold y only through r(S).
+    small.
     """
     sig = target.sig
-    sym = Polynomial.variable(sig, "y")     # the symbol S for the target
-    z_sym, w_sym = _cylinder_zw(sign, r.subs_into(sym),
-                                Polynomial.variable(sig, "z"),
-                                Polynomial.variable(sig, "w"))
+    z_sym, w_sym, n_sym = _cylinder_symbols(sign, r, q, sig)
     at_target = {"y": target}
     return RingEndomorphism(sig, {
-        "y": exact_divide((sym - z_part(q, z_sym)).substitute(at_target),
+        "y": exact_divide(n_sym.substitute(at_target),
                           x_power_bracket(sig, 2)),
         "z": z_sym.substitute(at_target),
         "w": w_sym.substitute(at_target),
@@ -481,23 +493,82 @@ def stable_equivalence_degree_bound(pair: StableEquivPair) -> int:
     return 2 * k * k * pair.p_zero.degree() + 2
 
 
+class _SymbolGate:
+    """A stored map of the pair held against the symbols of its build.
+
+    ``z_sym``, ``w_sym`` and ``n_sym`` are :func:`_cylinder_symbols` for
+    twist ``sign``, ``r`` and ``q``, recomputed from q, with S in the y
+    slot.  ``fixes_z``: the map fixes every x_i and its stored z-image is
+    Z(target); ``holds``: its stored w-image is W(target) as well.
+    """
+
+    __slots__ = ("z_sym", "w_sym", "n_sym", "fixes_z", "holds")
+
+    def __init__(self, m: RingEndomorphism, sign: int, r: UnivariatePoly,
+                 q: UnivariatePoly, target: Polynomial):
+        sig = m.sig
+        self.z_sym, self.w_sym, self.n_sym = _cylinder_symbols(sign, r, q,
+                                                               sig)
+        at_target = {"y": target}
+        self.fixes_z = (all(m.image(name) == Polynomial.variable(sig, name)
+                            for name in sig.names if name.startswith("x"))
+                        and self.z_sym.substitute(at_target) == m.image("z"))
+        self.holds = (self.fixes_z
+                      and self.w_sym.substitute(at_target) == m.image("w"))
+
+
+def _phi_of_family(pair: StableEquivPair, gate: _SymbolGate) -> Polynomial:
+    """phi(P_q), as x^[2]*phi(y) + P0 - N(P0) when phi passes ``gate``
+    (P0 itself when x^[2]*phi(y) and N(P0) agree), else by substitution."""
+    if not gate.fixes_z:
+        return pair.phi.apply(pair.p_q)
+    lifted = x_power_bracket(pair.phi.sig, 2) * pair.phi.image("y")
+    n_at = gate.n_sym.substitute({"y": pair.p_zero})
+    if lifted.terms == n_at.terms:
+        return pair.p_zero
+    return lifted + pair.p_zero - n_at
+
+
 def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     """Certify the pair: exact images and identity round trips.
 
-    The two image identities phi(P_q) = P0 and psi(P0) = P_q are checked
-    by direct substitution.  The round trips use the formulas of
-    :func:`_cylinder_map` without its symbol, since the outer images hold
-    y, by the substitution homomorphism property: phi(psi(v)) is psi's
-    formula with z, w, r(P_q) and P_q replaced by phi(z), phi(w),
-    r(phi(P_q)) and the already-computed phi(P_q), and symmetrically for
-    psi(phi(v)).  Every intermediate object stays small (when the pair is
-    right, the y-image dividend is the single term x^[2]y), while the
-    result is an exact computation of the same polynomial as blind
-    composition.  Each composite check also carries a numeric hook that
-    re-verifies it from the generator images alone.  A round trip whose
-    outer map fails its image identity is not built: its three checks are
-    recorded as failed, naming that identity.  Likewise its y-image is not
-    built when its z or w check fails.
+    psi(P0) = P_q is checked by direct substitution.  phi(P_q) = P0 is
+    checked through the symbols of phi's build when phi passes its gate:
+    with Z, W and N = S - z_part(q, Z) of :func:`_cylinder_symbols` for
+    sign 1, recomputed here from q, phi must fix every x_i and its stored
+    z-image must equal Z(P0).  S -> P0 is a ring homomorphism, so then
+    z_part(q, phi(z)) = P0 - N(P0), and as phi fixes x^[2],
+
+        phi(P_q) = x^[2]*phi(y) + P0 - N(P0)
+
+    as polynomials, whatever the stored phi(y) is; the right side is
+    recorded as phi(P_q), without expanding q(phi(z)^2).  The check shares
+    the build's homomorphism argument, not its output: of the build it
+    reads only the stored images.
+
+    The round trips use the formulas of :func:`_cylinder_map` without its
+    symbol, since the outer images hold y, by the substitution
+    homomorphism property: phi(psi(v)) is psi's formula with z, w, r(P_q)
+    and P_q replaced by phi(z), phi(w), r(phi(P_q)) and the
+    already-computed phi(P_q), and symmetrically for psi(phi(v)).  When
+    the outer map's image identity holds and the map passes its gate with
+    the w-image too (phi against S -> P0; psi against sign -1, q(0) and a
+    symbol T -> P_q), the inner formula is applied to Z and W over the
+    outer map's symbol instead, and the symbol then sent to the target.
+    That gives the same polynomials as the stored images would, and they
+    are z and w identically: with x^[2] = s^2, (1 - s*rho)((1 + s*rho)z
+    - s^2 w) + s^2((1 - s*rho)w + rho^2 z) = z, and likewise for w.  Their
+    y-image, (target - z_part(q', z)) / x^[2], is then a few terms.  When
+    a gate fails, the check takes the direct route, phi.apply(P_q) or the
+    formula at the stored images, so a failing check prints the same
+    residual either way.
+
+    Each composite check also carries a numeric hook that re-verifies it
+    from the stored generator images alone: the ``/sz`` siblings evaluate
+    the stored maps and never see S or T.  A round trip whose outer map
+    fails its image identity is not built: its three checks are recorded
+    as failed, naming that identity.  Likewise its y-image is not built
+    when its z or w check fails.
 
     The exact round trips read only the outer map's stored images; the
     inner map enters through its formula.  So ``phi-after-psi-fixes-v``
@@ -516,17 +587,13 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
         "one cylinder variable",
         {"n": str(pair.n), "q": str(q_poly)})
 
-    phi_of_pq = phi.apply(pair.p_q)
-    psi_of_p0 = psi.apply(pair.p_zero)
-    phi_image = cert.record_composition("phi-sends-family-to-constant",
-                                        [phi], pair.p_q, phi_of_pq,
-                                        pair.p_zero)
-    psi_image = cert.record_composition("psi-sends-constant-to-family",
-                                        [psi], pair.p_zero, psi_of_p0,
-                                        pair.p_q)
-
     if q_poly.degree() <= 0:
         # constant q: the pair is the identity and composing it costs little
+        cert.record_composition("phi-sends-family-to-constant", [phi],
+                                pair.p_q, phi.apply(pair.p_q), pair.p_zero)
+        cert.record_composition("psi-sends-constant-to-family", [psi],
+                                pair.p_zero, psi.apply(pair.p_zero),
+                                pair.p_q)
         fwd = phi.compose(psi)
         bwd = psi.compose(phi)
         for name in ("z", "w", "y"):
@@ -537,21 +604,41 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
                                     [psi, phi], var, bwd.image(name), var)
         return _finish_stable_certificate(cert, pair, sig)
 
+    q_zero = UnivariatePoly([q_poly(Fraction(0))])
+    phi_gate = _SymbolGate(phi, 1, r, q_poly, pair.p_zero)
+    psi_gate = _SymbolGate(psi, -1, r, q_zero, pair.p_q)
+    phi_of_pq = _phi_of_family(pair, phi_gate)
+    psi_of_p0 = psi.apply(pair.p_zero)
+    phi_image = cert.record_composition("phi-sends-family-to-constant",
+                                        [phi], pair.p_q, phi_of_pq,
+                                        pair.p_zero)
+    psi_image = cert.record_composition("psi-sends-constant-to-family",
+                                        [psi], pair.p_zero, psi_of_p0,
+                                        pair.p_q)
+
     # a round trip reads the outer map's image of the target; when that
     # image identity fails, r of it is large and squaring it in the
     # builder can take minutes, so the round trip is recorded as failed
     round_trips = (
-        ("phi-after-psi", [phi, psi], phi_image, -1, phi_of_pq,
-         UnivariatePoly([q_poly(Fraction(0))])),
-        ("psi-after-phi", [psi, phi], psi_image, 1, psi_of_p0, q_poly))
-    for stem, maps, image_check, sign, target, inner_q in round_trips:
+        ("phi-after-psi", [phi, psi], phi_image, phi_gate, -1, phi_of_pq,
+         q_zero),
+        ("psi-after-phi", [psi, phi], psi_image, psi_gate, 1, psi_of_p0,
+         q_poly))
+    for stem, maps, image_check, gate, sign, target, inner_q in round_trips:
         if not image_check.passed:
             for name in "zwy":
                 _record_fixes(cert, stem, maps, name, blocker=image_check)
             continue
-        outer = maps[0]
-        z_img, w_img = _cylinder_zw(sign, r.subs_into(target),
-                                    outer.image("z"), outer.image("w"))
+        if gate.holds:
+            # the inner formula over the outer map's symbol: z and w
+            sym = Polynomial.variable(sig, "y")
+            z_img, w_img = (img.substitute({"y": target}) for img in
+                            _cylinder_zw(sign, r.subs_into(sym),
+                                         gate.z_sym, gate.w_sym))
+        else:
+            outer = maps[0]
+            z_img, w_img = _cylinder_zw(sign, r.subs_into(target),
+                                        outer.image("z"), outer.image("w"))
         # psi(P0) sees psi(z) only through its square, so a wrong psi(z)
         # can pass the image identity; squaring the wrong z' for y' then
         # takes seconds, so y' is built only once z' and w' check out
@@ -616,6 +703,7 @@ def theorem_certificate(n: int, k_max: int, c_samples=None) -> Certificate:
     the sign automorphism, chaining all the P_(q_k) together.
     """
     check_dimension(n)
+    check_int(k_max, "k_max")
     if k_max < 2:
         raise ValueError(
             f"need k_max >= 2 to exhibit at least two powers, got {k_max}")

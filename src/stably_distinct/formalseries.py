@@ -24,7 +24,7 @@ from fractions import Fraction
 from .certificate import Certificate, CheckResult
 from .errors import NonzeroConstantTerm, ParseError
 from .polyring import (Polynomial, RingSignature, check_dimension,
-                       x_power_bracket)
+                       check_int, x_power_bracket)
 
 
 def _x_degree(sig: RingSignature, exps) -> int:
@@ -122,6 +122,7 @@ def verify_biholomorphism(n: int, order: int) -> Certificate:
     in the same truncated sense.
     """
     check_dimension(n)
+    check_int(order, "the order")
     if order < 2:
         raise ValueError(
             f"order must be at least 2 to see the first corrections, "
@@ -170,6 +171,8 @@ def truncation_coherence(n: int, high_order: int,
     the coefficients are stable under refinement — raising the order
     only appends new terms, it never revises old ones.
     """
+    check_int(high_order, "the high order")
+    check_int(low_order, "the low order")
     if low_order < 2 or high_order <= low_order:
         raise ValueError(
             f"need 2 <= low < high, got low={low_order} "

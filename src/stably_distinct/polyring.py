@@ -35,7 +35,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .errors import (DivisionByZero, DivisionByZeroPolynomial,
                      MixedDiscriminant, NotDivisible, ParseError,
@@ -59,11 +59,18 @@ def term_limit() -> int:
     return limit
 
 
+def check_int(value, what: str) -> int:
+    """``value`` if it is an int; anything else raises ParseError naming
+    ``what`` (a float is not truncated, a bool not read as 0 or 1)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError("%s must be an int, got %r" % (what, value))
+    return value
+
+
 def check_dimension(n) -> int:
-    """n, the number of x variables: ParseError naming a non-int (a float
-    is not truncated, a bool not read as 0 or 1), ValueError below 1."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError("the dimension n must be an int, got %r" % (n,))
+    """n, the number of x variables: ParseError naming a non-int,
+    ValueError below 1."""
+    check_int(n, "the dimension n")
     if n < 1:
         raise ValueError("need n >= 1, got %d" % n)
     return n
@@ -176,8 +183,12 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]),
-                      reverse=True)
+        terms = self.terms
+        if len(terms) < 2:
+            return list(terms.items())
+        # exponent tuples are distinct, so (degree, exponents) never tie
+        return [(exps, terms[exps]) for _, exps in
+                sorted(zip(map(sum, terms), terms), reverse=True)]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -631,8 +642,9 @@ def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     bad = [qexps for qexps in quotient if min(qexps) < 0]
     if bad:
         qexps = max(bad, key=_grlex_key)
-        raise NotDivisible("remainder has leading term %s" % _monomial_text(
-            p.sig.names, tuple(map(add, qexps, lead_exps)), quotient[qexps]))
+        raise NotDivisible("remainder has leading term %s" % _signed_sum(
+            p.sig.names,
+            [(tuple(map(add, qexps, lead_exps)), quotient[qexps])]))
     if lead_coeff != 1:
         quotient = {exps: coeff / lead_coeff
                     for exps, coeff in quotient.items()}
@@ -689,27 +701,15 @@ def random_point(sig: RingSignature, rng, modulus: int = 2 ** 61 - 1) -> dict:
 
 # -- canonical text form --------------------------------------------------
 
-def _coeff_text(coeff) -> str:
-    if isinstance(coeff, QuadExt):
-        return "(%s)" % scalar_to_text(coeff)
-    return scalar_to_text(coeff)
+class _PowerTexts(dict):
+    """Power texts by (name, exponent), each made on first use: 'x1' for
+    exponent 1, 'x1^5' for 5."""
 
+    __slots__ = ()
 
-def _monomial_text(names, exps, coeff) -> str:
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append("%s^%d" % (name, e))
-    if not factors:
-        return _coeff_text(coeff)
-    body = "*".join(factors)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return "%s*%s" % (_coeff_text(coeff), body)
+    def __missing__(self, key) -> str:
+        text = self[key] = "%s^%d" % key if key[1] > 1 else key[0]
+        return text
 
 
 def _signed_sum(names, terms) -> str:
@@ -717,19 +717,37 @@ def _signed_sum(names, terms) -> str:
 
     The sign of a negative rational coefficient is pulled out in front of
     its monomial; coefficients in Q(sqrt(d)) keep theirs in parentheses.
+    A rational is read by its numerator and denominator, and each
+    variable's power text is made once per call.
     """
+    powers = _PowerTexts()
     out = []
     for exps, coeff in terms:
-        negative = isinstance(coeff, Fraction) and coeff < 0
+        body = "*".join(map(powers.__getitem__,
+                            filter(itemgetter(1), zip(names, exps))))
+        if type(coeff) is QuadExt:
+            negative, text = False, "(%s)" % scalar_to_text(coeff)
+        else:
+            num, den = coeff.numerator, coeff.denominator
+            negative = num < 0
+            if negative:
+                num = -num
+            if den != 1:
+                text = "%d/%d" % (num, den)
+            else:
+                text = "" if num == 1 and body else str(num)
         if out:
             out.append(" - " if negative else " + ")
         elif negative:
             out.append("-")
-        out.append(_monomial_text(names, exps, -coeff if negative else coeff))
+        out.append(body if not text else
+                   "%s*%s" % (text, body) if body else text)
     return "".join(out) or "0"
 
 
 def poly_to_text(p: Polynomial) -> str:
+    if not p.terms:
+        return "0"
     return _signed_sum(p.sig.names, p.sorted_terms())
 
 

@@ -6,7 +6,9 @@ derive expected values for division- and quotient-style operations.
 The sparse reference kernel is the plain term-pair product loop, the
 leading-term-scan division that the library's fast kernel replaced, and
 a term-by-term substitution on that product loop; the property tests
-compare them with the library.  The brute-force search for a rational
+compare them with the library.  ``reference_text`` is the text form as
+first written, on Fraction arithmetic and a sort through a key function.
+The brute-force search for a rational
 mu is the reference for the hypersurface-equivalence decider; it shares
 no code with it.
 """
@@ -18,7 +20,7 @@ import random
 from fractions import Fraction
 
 from stably_distinct.errors import NotDivisible
-from stably_distinct.exactfield import as_scalar
+from stably_distinct.exactfield import QuadExt, as_scalar, scalar_to_text
 from stably_distinct.polyring import Polynomial, RingSignature, UnivariatePoly
 
 
@@ -117,6 +119,33 @@ def reference_substitute(terms: dict, images: dict) -> dict:
 
 def _grlex(exps):
     return (sum(exps), exps)
+
+
+def reference_text(p: Polynomial) -> str:
+    """Canonical text of p: terms in descending graded-lex order, the sign
+    of a negative rational pulled out in front of its monomial, a Q(sqrt(d))
+    coefficient in parentheses, a unit coefficient left out."""
+    out = []
+    for exps, coeff in sorted(p.terms.items(), key=lambda kv: _grlex(kv[0]),
+                              reverse=True):
+        negative = isinstance(coeff, Fraction) and coeff < 0
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        coeff = -coeff if negative else coeff
+        factors = [name if e == 1 else "%s^%d" % (name, e)
+                   for name, e in zip(p.sig.names, exps) if e]
+        text = scalar_to_text(coeff)
+        if isinstance(coeff, QuadExt):
+            text = "(%s)" % text
+        if not factors:
+            out.append(text)
+        elif coeff == 1:
+            out.append("*".join(factors))
+        else:
+            out.append("%s*%s" % (text, "*".join(factors)))
+    return "".join(out) or "0"
 
 
 def reference_divide(sig: RingSignature, p: dict, d: dict) -> dict:

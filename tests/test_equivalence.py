@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stably_distinct import equivalence
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
-    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _euclid_on_ratios,
-    build_hyper_equiv_automorphism,
+    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _SymbolGate,
+    _euclid_on_ratios, _phi_of_family, build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
     decide_hypersurface_equivalence, decide_poly_equivalence,
     stable_equivalence_degree_bound, theorem_certificate,
@@ -440,7 +441,7 @@ def _corrupt(pair: StableEquivPair, side: str, gen: str,
              corruption: str) -> StableEquivPair:
     """The pair with one stored image of phi or psi corrupted."""
     maps = {"phi": pair.phi, "psi": pair.psi}
-    images = {name: maps[side].image(name) for name in ("y", "z", "w")}
+    images = {name: maps[side].image(name) for name in pair.phi.sig.names}
     images[gen] = CORRUPTIONS[corruption](images[gen])
     maps[side] = RingEndomorphism(pair.phi.sig, images)
     return StableEquivPair(pair.n, pair.q, pair.r, maps["phi"], maps["psi"],
@@ -655,6 +656,120 @@ class TestStableEquivalence:
             assert cert.passed, [c.name for c in cert.failed_checks()]
 
 
+# q for the symbolic checks: rational, with denominators, and in Q(sqrt(2))
+SYMBOL_QS = {"(t-1)^3": dense_power([-1, 1], 3), "1+2t-t^3": [1, 2, 0, -1],
+             "sqrt2": [Fraction(1, 3), 2, quadext(0, 1, 2), -1]}
+
+
+def _gates(pair: StableEquivPair):
+    q_zero = UnivariatePoly([pair.q(0)])
+    return (_SymbolGate(pair.phi, 1, pair.r, pair.q, pair.p_zero),
+            _SymbolGate(pair.psi, -1, pair.r, q_zero, pair.p_q))
+
+
+class TestSymbolicTargets:
+    """The image identity phi(P_q) = P0 and the round trips are certified
+    through the symbols of the build when the stored maps pass their gates;
+    otherwise the direct route, the fallback, runs.  The fallback guards
+    ``phi-sends-family-to-constant`` when phi moves an x_i or has a wrong
+    z-image, and the ``*-after-*-fixes-*`` round trips when the outer map
+    has a wrong z- or w-image."""
+
+    @pytest.mark.parametrize("corruption", [None, *sorted(CORRUPTIONS)])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("coeffs", SYMBOL_QS.values(),
+                             ids=SYMBOL_QS.keys())
+    def test_image_identity_matches_substitution(self, coeffs, n,
+                                                 corruption):
+        # x^[2]*phi(y) + P0 - N(P0) is phi(P_q) for any stored phi(y)
+        pair = build_stable_equivalence(coeffs, n)
+        if corruption is not None:
+            pair = _corrupt(pair, "phi", "y", corruption)
+        gate = _gates(pair)[0]
+        assert gate.fixes_z and gate.holds
+        got = _phi_of_family(pair, gate)
+        assert got.terms == pair.phi.apply(pair.p_q).terms
+        assert (got is pair.p_zero) == (corruption is None)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("gen", ["x1", "z", "w"])
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    def test_corrupted_image_trips_its_gate(self, side, gen, corruption):
+        pair = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), side,
+                        gen, corruption)
+        gate = _gates(pair)[side == "psi"]
+        assert not gate.holds
+        assert gate.fixes_z == (gen == "w")
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_fallback_image_identity_keeps_the_residual(self, corruption):
+        # a wrong phi(z) fails phi-sends-family-to-constant with the
+        # residual of direct substitution; P_q holds z only through its
+        # square, so the negated phi(z) passes it
+        bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), "phi",
+                       "z", corruption)
+        checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
+        check = checks["phi-sends-family-to-constant"]
+        assert check.passed == (corruption == "negated")
+        assert check.residual == str(bad.phi.apply(bad.p_q) - bad.p_zero)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    def test_fallback_round_trip_keeps_the_residual(self, side, corruption):
+        # a wrong w-image leaves the image identities passing; the round
+        # trip with that outer map fails on the formula at the stored
+        # images: z' = (1 - s*rho)z~ + x^[2]w~, w' = (1 + s*rho)w~ -
+        # rho^2 z~ with the inner twist, z~, w~ the outer map's images
+        # and rho = r(outer map's image of its source)
+        bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), side,
+                       "w", corruption)
+        outer, inner_sign, source, stem = (
+            (bad.phi, -1, bad.p_q, "phi-after-psi") if side == "phi"
+            else (bad.psi, 1, bad.p_zero, "psi-after-phi"))
+        sig = outer.sig
+        s1, s2 = x_power_bracket(sig, 1), x_power_bracket(sig, 2)
+        rho = bad.r.subs_into(outer.apply(source))
+        z_old, w_old = outer.image("z"), outer.image("w")
+        z_new = (1 - s1 * rho * inner_sign) * z_old + s2 * w_old * inner_sign
+        w_new = (1 + s1 * rho * inner_sign) * w_old \
+            - rho * rho * z_old * inner_sign
+        checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
+        for gen, image in (("z", z_new), ("w", w_new)):
+            var = Polynomial.variable(sig, gen)
+            assert checks[f"{stem}-fixes-{gen}"].residual == str(image - var)
+        assert not checks[f"{stem}-fixes-w"].passed
+
+    def _spy(self, monkeypatch):
+        applied, zw_args = [], []
+        apply = RingEndomorphism.apply
+        cylinder_zw = equivalence._cylinder_zw
+        monkeypatch.setattr(RingEndomorphism, "apply", lambda m, p: (
+            applied.append((m, p)), apply(m, p))[1])
+        monkeypatch.setattr(equivalence, "_cylinder_zw",
+                            lambda sign, rho, z, w: (zw_args.append((z, w)),
+                                                     cylinder_zw(sign, rho,
+                                                                 z, w))[1])
+        return applied, zw_args
+
+    @pytest.mark.parametrize("coeffs", SYMBOL_QS.values(),
+                             ids=SYMBOL_QS.keys())
+    def test_gates_that_hold_expand_no_image(self, monkeypatch, coeffs):
+        pair = build_stable_equivalence(coeffs, 2)
+        applied, zw_args = self._spy(monkeypatch)
+        assert verify_stable_equivalence(pair).passed
+        assert not [m for m, p in applied if p is pair.p_q]
+        stored = [m.image(g) for m in (pair.phi, pair.psi) for g in "zw"]
+        assert not [a for args in zw_args for a in args
+                    if any(a is img for img in stored)]
+
+    def test_spy_sees_the_fallback(self, monkeypatch):
+        bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 1), "phi",
+                       "z", "plus-1")
+        applied, zw_args = self._spy(monkeypatch)
+        verify_stable_equivalence(bad)
+        assert [m for m, p in applied if p is bad.p_q] == [bad.phi]
+
+
 class TestTheoremCertificate:
     def test_passes_for_small_dimensions(self):
         cert = theorem_certificate(1, 2)
@@ -697,6 +812,12 @@ class TestTheoremCertificate:
             theorem_certificate(0, 2)
         with pytest.raises(ValueError):
             theorem_certificate(1, 1)
+
+    @pytest.mark.parametrize("k_max", [2.5, 3.0, "3", True, None])
+    def test_non_int_k_max_is_refused(self, k_max):
+        # True was read as 1 and refused only as below 2
+        with pytest.raises(ParseError, match="k_max must be an int"):
+            theorem_certificate(1, k_max)
 
     @pytest.mark.parametrize("n", [2.7, True, "2"])
     def test_non_int_dimension_is_refused(self, n):

@@ -176,6 +176,11 @@ class TestVerifyBiholomorphism:
         with pytest.raises(ParseError):
             verify_biholomorphism(n, 4)
 
+    @pytest.mark.parametrize("order", [4.5, 4.0, "4", True, None])
+    def test_non_int_order_is_refused(self, order):
+        with pytest.raises(ParseError, match="order must be an int"):
+            verify_biholomorphism(1, order)
+
     def test_numeric_hooks_attached(self):
         from stably_distinct.certificate import run_schwartz_zippel
         cert = verify_biholomorphism(1, 4)
@@ -200,3 +205,9 @@ class TestTruncationCoherence:
             truncation_coherence(1, 6, 6)
         with pytest.raises(ValueError):
             truncation_coherence(1, 6, 1)
+
+    @pytest.mark.parametrize("high, low", [(6.0, 4), (6, 4.0), ("6", 4),
+                                           (6, True)])
+    def test_non_int_orders_are_refused(self, high, low):
+        with pytest.raises(ParseError, match="order must be an int"):
+            truncation_coherence(1, high, low)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (dense_divmod, dense_eval, dense_mul, dense_sub,
                       dense_trim, from_terms, random_polynomial,
-                      random_univariate, small_fraction)
+                      random_univariate, reference_text, small_fraction)
 
 from stably_distinct.errors import (DivisionByZero, DivisionByZeroPolynomial,
                                     MixedDiscriminant, NotDivisible,
@@ -425,6 +425,23 @@ class TestTextRoundtrip:
         for _ in range(60):
             p = random_polynomial(s, rng, max_deg=5, max_terms=7)
             assert parse_polynomial(s, str(p)) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.booleans(), st.data())
+    def test_text_matches_the_reference_formatter(self, n, has_w, data):
+        # rational and Q(sqrt(2)) coefficients, negative and non-unit ones,
+        # constants and the zero polynomial
+        sig = RingSignature(n, has_w=has_w)
+        rationals = st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=7)
+        coeffs = rationals | st.sampled_from([1, -1]) | st.builds(
+            lambda a, b: quadext(a, b, 2), rationals, rationals)
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * sig.nvars), coeffs,
+            max_size=8))
+        p = from_terms(sig, terms)
+        assert str(p) == reference_text(p)
+        assert parse_polynomial(sig, str(p)) == p
 
     def test_parse_flexible_whitespace(self):
         s = sig1()
