@@ -26,6 +26,9 @@ GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 CASES = {
     "verify-theorem": ["--seed", "7", "verify-theorem", "--n", "1",
                        "--k-max", "2"],
+    # k = 4 at the default 25 points: the re-check of the largest maps
+    "verify-theorem-k4": ["--seed", "7", "verify-theorem", "--n", "1",
+                          "--k-max", "4"],
     "classify": ["classify", "--n", "2", "--q", "-1,1", "--c", "1"],
     "stable-equiv": ["stable-equiv", "--n", "1", "--q", "1,-2,1",
                      "--show-maps"],
