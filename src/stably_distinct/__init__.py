@@ -49,7 +49,6 @@ from .exactfield import (
 from .formalseries import (
     exp_series,
     second_tail_series,
-    truncate,
     truncation_coherence,
     verify_biholomorphism,
 )
@@ -80,6 +79,7 @@ from .polyring import (
     exact_divide,
     parse_polynomial,
     poly_to_text,
+    truncate,
     x_power_bracket,
 )
 

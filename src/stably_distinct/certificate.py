@@ -252,39 +252,94 @@ class _Recheck:
     """What one call of the numeric re-check shares between its checks.
 
     The residue table of every polynomial the hooks evaluate is built
-    once, modulo the prime ``p`` that :func:`_modulus` picks for all their
-    coefficients, with sqrt(d) sent to ``root``.  One set of points is
-    drawn per ring signature, and all of them are pushed through each
-    prefix of a map chain at once, keyed by the map objects, so checks
-    that share a chain share that work: each table is evaluated once per
-    chain prefix, at every point.  All of it goes when the object does,
+    once per distinct value, modulo the prime ``p`` that :func:`_modulus`
+    picks for all their coefficients, with sqrt(d) sent to ``root``.  One
+    set of points is drawn per ring signature, and all of them are pushed
+    through each prefix of a map chain at once, keyed by the map objects,
+    so checks that share a chain share that work: each image is evaluated
+    once per chain prefix, at every point, and each distinct source or
+    expected side once per chain.  All of it goes when the object does,
     at the end of the call.
+
+    A map's deferred image (``morphisms.DeferredImage``) is evaluated from
+    its data: the numerator at the point with the target's value in the
+    symbol's slot, times the inverse of the divisor's value.  Where the
+    divisor vanishes mod p, it is evaluated from the expanded image
+    instead, so every image is valued at the same points.  p divides no
+    denominator of the numerator or the target, so none of the expanded
+    image's, whose coefficients are sums of their products.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],
                  rng: random.Random, points: int):
         self.rng = rng
         self.points = points
-        # keyed by id; each value keeps its object alive, so ids stay unique
-        polys: dict = {}
-        maps: dict = {}
+        # (signature, exponent set) -> [[polynomial, table or None], ...]
+        self.tables: dict = {}
+        # keyed by id; each value keeps its map alive, so ids stay unique
+        self.maps: dict = {}
         for hook in hooks:
             for m in hook.maps:
-                if id(m) not in maps:
-                    maps[id(m)] = m, [m.image(name) for name in m.sig.names]
-                    polys.update((id(g), g) for g in maps[id(m)][1])
-            polys[id(hook.source)] = hook.source
-            polys[id(hook.expected)] = hook.expected
+                if id(m) not in self.maps:
+                    self.maps[id(m)] = m, [m.deferred.get(name)
+                                           or self._entry(m.image(name))[0]
+                                           for name in m.sig.names]
+                    for later in m.deferred.values():
+                        for part in (later.numerator, later.target,
+                                     later.divisor):
+                            self._entry(part)
+            self._entry(hook.source)
+            self._entry(hook.expected)
         self.p, self.root = _modulus(
-            [c for poly in polys.values() for c in poly.terms.values()])
-        inverses: dict = {}
-        self.tables = {key: (poly, _residue_table(poly, self.p, self.root,
-                                                  inverses))
-                       for key, poly in polys.items()}
-        self.images = {key: (m, [self.tables[id(g)][1] for g in images])
-                       for key, (m, images) in maps.items()}
+            [c for bucket in self.tables.values() for poly, _ in bucket
+             for c in poly.terms.values()])
+        self.inverses: dict = {}
         self.samples: dict = {}
         self.moved: dict = {}
+        self.values: dict = {}
+
+    def _entry(self, poly: Polynomial) -> list:
+        """The [polynomial, table] entry of ``poly``'s value."""
+        bucket = self.tables.setdefault((poly.sig, frozenset(poly.terms)),
+                                        [])
+        for entry in bucket:
+            if entry[0].terms == poly.terms:
+                return entry
+        bucket.append([poly, None])
+        return bucket[-1]
+
+    def _table(self, poly: Polynomial) -> _Residues:
+        entry = self._entry(poly)
+        if entry[1] is None:
+            entry[1] = _residue_table(entry[0], self.p, self.root,
+                                      self.inverses)
+        return entry[1]
+
+    def _image_at(self, m, name: str, image, columns: list) -> list:
+        """m's image of ``name`` at every point of ``columns``; ``image``
+        is a polynomial or a deferred image."""
+        p = self.p
+        if isinstance(image, Polynomial):
+            return _evaluate_mod(self._table(image), columns, p)
+        divisor = _evaluate_mod(self._table(image.divisor), columns, p)
+        at_target = list(columns)
+        at_target[m.sig.index(image.symbol)] = _evaluate_mod(
+            self._table(image.target), columns, p)
+        values = _evaluate_mod(self._table(image.numerator), at_target, p)
+        inverses = self.inverses
+        for d in divisor:
+            if d and d not in inverses:
+                inverses[d] = pow(d, -1, p)
+        out = [v * inverses[d] % p if d else None
+               for v, d in zip(values, divisor)]
+        vanish = [i for i, d in enumerate(divisor) if not d]
+        if vanish:
+            expanded = _evaluate_mod(self._table(m.image(name)),
+                                     [[column[i] for i in vanish]
+                                      for column in columns], p)
+            for i, value in zip(vanish, expanded):
+                out[i] = value
+        return out
 
     def _moved(self, sig, maps: tuple) -> list:
         """Each variable's residues at every sample of ``sig``, pushed
@@ -294,25 +349,35 @@ class _Recheck:
         if got is None:
             if maps:
                 before = self._moved(sig, maps[:-1])
-                got = [_evaluate_mod(t, before, self.p)
-                       for t in self.images[id(maps[-1])][1]]
+                m, images = self.maps[id(maps[-1])]
+                got = [self._image_at(m, name, image, before)
+                       for name, image in zip(m.sig.names, images)]
             else:
                 got = [[point[name] for point in self.samples[sig]]
                        for name in sig.names]
             self.moved[key] = got
         return got
 
+    def _value(self, poly: Polynomial, maps: tuple) -> list:
+        """``poly`` at every sample pushed through ``maps``, evaluated
+        once per distinct value and chain."""
+        table = self._table(poly)
+        key = (id(table), tuple(map(id, maps)))
+        got = self.values.get(key)
+        if got is None:
+            got = self.values[key] = _evaluate_mod(
+                table, self._moved(poly.sig, maps), self.p)
+        return got
+
     def run(self, hook: "_CompositionSz") -> tuple[bool, str]:
-        """Evaluate source and expected at every point once each, and
-        report the first point, in sample order, where they differ."""
+        """Evaluate source and expected at every point, and report the
+        first point, in sample order, where they differ."""
         sig = hook.source.sig
         if sig not in self.samples:
             self.samples[sig] = [random_point(sig, self.rng, self.p)
                                  for _ in range(self.points)]
-        got = _evaluate_mod(self.tables[id(hook.source)][1],
-                            self._moved(sig, hook.maps), self.p)
-        want = _evaluate_mod(self.tables[id(hook.expected)][1],
-                             self._moved(sig, ()), self.p)
+        got = self._value(hook.source, hook.maps)
+        want = self._value(hook.expected, ())
         for point, value, expected in zip(self.samples[sig], got, want):
             if value != expected:
                 return False, f"mismatch at {_point_text(point)}"

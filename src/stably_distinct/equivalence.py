@@ -32,10 +32,10 @@ from .errors import (InvalidWitness, NotASquare, NotDecidableInField,
 from .exactfield import (QuadExt, as_scalar, quadext, rational,
                          rational_nth_root, sqrt_in_field)
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic, z_part
-from .morphisms import RingEndomorphism
+from .morphisms import DeferredImage, RingEndomorphism
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
                        check_dimension, check_int, check_one_field,
-                       exact_divide, x_power_bracket)
+                       exact_divide, truncate, x_power_bracket)
 
 
 def _as_q(q) -> UnivariatePoly:
@@ -428,26 +428,26 @@ def _cylinder_symbols(sign: int, r: UnivariatePoly, q: UnivariatePoly,
 
 
 def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
-                  target: Polynomial) -> RingEndomorphism:
+                  target: Polynomial, label: str) -> RingEndomorphism:
     """The cylinder map with twist ``sign`` that sends P_q to ``target``.
 
-    Its z- and w-images are :func:`_cylinder_zw`'s at rho = r(target), and
-    its y-image y' = (target - z_part(q, z')) / x^[2] solves the image
-    identity; the division is exact by construction.  All three are
+    Its z- and w-images are :func:`_cylinder_zw`'s at rho = r(target),
     expanded through :func:`_cylinder_symbols`: the substitution
-    S -> target gives z', w' and N(target) = x^[2]*y', the same
-    polynomials as the direct expansions at r(target), while N stays
-    small.
+    S -> target gives the same polynomials as the direct expansions at
+    r(target).  Its y-image y' = (target - z_part(q, z')) / x^[2] solves
+    the image identity and is N(target) / x^[2], the division exact by
+    construction; it is kept as that data, N, S -> target and x^[2], and
+    expanded on first read.  ``label`` names the map in the error that
+    expansion raises past the term limit.
     """
     sig = target.sig
     z_sym, w_sym, n_sym = _cylinder_symbols(sign, r, q, sig)
     at_target = {"y": target}
-    return RingEndomorphism(sig, {
-        "y": exact_divide(n_sym.substitute(at_target),
-                          x_power_bracket(sig, 2)),
-        "z": z_sym.substitute(at_target),
-        "w": w_sym.substitute(at_target),
-    })
+    y_img = DeferredImage(n_sym, "y", target, x_power_bracket(sig, 2),
+                          f"{label}(y) of the stable pair")
+    return RingEndomorphism(sig, {"z": z_sym.substitute(at_target),
+                                  "w": w_sym.substitute(at_target)},
+                            deferred={"y": y_img})
 
 
 def build_stable_equivalence(q, n: int) -> StableEquivPair:
@@ -463,7 +463,8 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
 
     and the y-images are the unique solutions of phi(P_q) = P0 and
     psi(P0) = P_q.  Both maps come from :func:`_cylinder_map`: phi with
-    sign 1, q and target P0, psi with sign -1, q(0) and target P_q.
+    sign 1, q and target P0, psi with sign -1, q(0) and target P_q.  Their
+    y-images stay unexpanded until read.
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
@@ -478,8 +479,9 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
         ident = RingEndomorphism.identity(sig)
         return StableEquivPair(n, q, r, ident, ident, p_q, p_zero)
 
-    return StableEquivPair(n, q, r, _cylinder_map(1, r, q, p_zero),
-                           _cylinder_map(-1, r, q_zero, p_q), p_q, p_zero)
+    return StableEquivPair(n, q, r, _cylinder_map(1, r, q, p_zero, "phi"),
+                           _cylinder_map(-1, r, q_zero, p_q, "psi"),
+                           p_q, p_zero)
 
 
 def stable_equivalence_degree_bound(pair: StableEquivPair) -> int:
@@ -517,6 +519,74 @@ class _SymbolGate:
                       and self.w_sym.substitute(at_target) == m.image("w"))
 
 
+def _x_exponents_equal(p: Polynomial) -> bool:
+    """Whether every term of ``p`` has the same exponent in each x_i."""
+    n = p.sig.n
+    return all(exps[:n].count(exps[0]) == n for exps in p.terms)
+
+
+def _x2_divides_at(numerator: Polynomial, target: Polynomial) -> bool:
+    """Whether x^[2] divides N(target), for N = ``numerator`` with S in
+    the y slot, decided without expanding N(target).
+
+    B = target - x^[2]*y differs from the target by a multiple of
+    x^[2], hence so do N(B) and N(target): x^[2] divides one iff it
+    divides the other.  The gate: every term of N and of B has equal x
+    exponents, as when the x's enter only through s = x^[1].  Then so
+    does every term of N(B), and x^[2] divides such a term iff its
+    x-degree is at least 2n.  Those terms span an ideal that S -> B maps
+    into itself, so truncating N to x-degree below 2n first leaves the
+    rest of N(B) below 2n unchanged; x^[2] divides N(B) iff nothing is
+    left.
+    """
+    sig = target.sig
+    base = target - x_power_bracket(sig, 2) * Polynomial.variable(sig, "y")
+    if not (_x_exponents_equal(numerator) and _x_exponents_equal(base)):
+        return False
+    below = 2 * sig.n - 1
+    low = truncate(numerator, below).substitute({"y": base})
+    return truncate(low, below).is_zero()
+
+
+def _quotient_proved(m: RingEndomorphism, gate: _SymbolGate,
+                     target: Polynomial) -> bool:
+    """Whether ``m`` passes its gate and keeps its y-image as N(target)
+    / x^[2], for N the gate's recomputed symbol, and x^[2] | N(target)
+    holds by :func:`_x2_divides_at`.
+
+    Then the y-image is a polynomial and, as for :func:`_phi_of_family`,
+    m(x^[2]*y + z_part(q, z)) = N(target) + target - N(target) = target,
+    without expanding it.
+    """
+    later = m.deferred.get("y")
+    sig = m.sig
+    return (gate.fixes_z and later is not None and later.symbol == "y"
+            and later.divisor == x_power_bracket(sig, 2)
+            and later.target == target and later.numerator == gate.n_sym
+            and _x2_divides_at(later.numerator, target))
+
+
+def _y_degree(m: RingEndomorphism, proved: bool) -> int:
+    """The degree of m's y-image; from N without expanding it when
+    :func:`_quotient_proved` holds and B = target - x^[2]*y has degree
+    below 2n + 1.
+
+    N holds y only through S, and the top form of the target is then
+    x^[2]*y alone, so each term c*m*S^e of N contributes the top form
+    c*m*(x^[2]*y)^e to N(target), and these sit on distinct monomials:
+    deg N(target) = max(deg m + e*(2n + 1)), less 2n for the quotient.
+    """
+    if proved:
+        later = m.deferred["y"]
+        sig = m.sig
+        n, y = sig.n, sig.index("y")
+        lift = x_power_bracket(sig, 2) * Polynomial.variable(sig, "y")
+        if (later.target - lift).degree() < 2 * n + 1:
+            return max(sum(exps) + 2 * n * exps[y]
+                       for exps in later.numerator.terms) - 2 * n
+    return m.image("y").degree()
+
+
 def _phi_of_family(pair: StableEquivPair, gate: _SymbolGate) -> Polynomial:
     """phi(P_q), as x^[2]*phi(y) + P0 - N(P0) when phi passes ``gate``
     (P0 itself when x^[2]*phi(y) and N(P0) agree), else by substitution."""
@@ -545,6 +615,15 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     recorded as phi(P_q), without expanding q(phi(z)^2).  The check shares
     the build's homomorphism argument, not its output: of the build it
     reads only the stored images.
+
+    When a map keeps its y-image as the build leaves it, N(target) /
+    x^[2] unexpanded, and its N and target equal the recomputed symbol
+    and the member of q or q(0), the identity is certified without
+    reading that image: :func:`_x2_divides_at` proves that x^[2] divides
+    N(target), so the image is a polynomial and x^[2] times it is
+    N(target); then phi(P_q) = N(P0) + P0 - N(P0) = P0, and psi(P0) = P_q
+    likewise.  ``degree-growth-bound`` then reads phi's y-degree off N
+    (:func:`_y_degree`).  Any other stored map takes the routes above.
 
     The round trips use the formulas of :func:`_cylinder_map` without its
     symbol, since the outer images hold y, by the substitution
@@ -607,8 +686,14 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     q_zero = UnivariatePoly([q_poly(Fraction(0))])
     phi_gate = _SymbolGate(phi, 1, r, q_poly, pair.p_zero)
     psi_gate = _SymbolGate(psi, -1, r, q_zero, pair.p_q)
-    phi_of_pq = _phi_of_family(pair, phi_gate)
-    psi_of_p0 = psi.apply(pair.p_zero)
+    # the quotient route reads P_q and P0 as the members of q and q(0)
+    members = (pair.p_q == build_Pq(PqSpec(pair.n, q_poly, 0), True)
+               and pair.p_zero == build_Pq(PqSpec(pair.n, q_zero, 0), True))
+    proved = (members and _quotient_proved(phi, phi_gate, pair.p_zero),
+              members and _quotient_proved(psi, psi_gate, pair.p_q))
+    phi_of_pq = (pair.p_zero if proved[0]
+                 else _phi_of_family(pair, phi_gate))
+    psi_of_p0 = pair.p_q if proved[1] else psi.apply(pair.p_zero)
     phi_image = cert.record_composition("phi-sends-family-to-constant",
                                         [phi], pair.p_q, phi_of_pq,
                                         pair.p_zero)
@@ -649,7 +734,7 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
                               x_power_bracket(sig, 2))
                  if blocker is None else None)
         _record_fixes(cert, stem, maps, "y", y_img, blocker)
-    return _finish_stable_certificate(cert, pair, sig)
+    return _finish_stable_certificate(cert, pair, sig, proved)
 
 
 def _record_fixes(cert: Certificate, stem: str, maps: list, name: str,
@@ -667,7 +752,8 @@ def _record_fixes(cert: Certificate, stem: str, maps: list, name: str,
 
 
 def _finish_stable_certificate(cert: Certificate, pair: StableEquivPair,
-                               sig: RingSignature) -> Certificate:
+                               sig: RingSignature,
+                               proved=(False, False)) -> Certificate:
     for i in range(1, sig.n + 1):
         name = f"x{i}"
         var = Polynomial.variable(sig, name)
@@ -675,7 +761,8 @@ def _finish_stable_certificate(cert: Certificate, pair: StableEquivPair,
         cert.record(f"psi-fixes-{name}", pair.psi.image(name), var)
 
     bound = stable_equivalence_degree_bound(pair)
-    actual = max(pair.phi.image("y").degree(), pair.psi.image("y").degree())
+    actual = max(_y_degree(pair.phi, proved[0]),
+                 _y_degree(pair.psi, proved[1]))
     cert.record_bool("degree-growth-bound", actual <= bound,
                      details=f"max y-image degree {actual}, bound {bound}")
     return cert

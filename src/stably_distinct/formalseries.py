@@ -23,20 +23,8 @@ from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
 from .errors import NonzeroConstantTerm, ParseError
-from .polyring import (Polynomial, RingSignature, check_dimension,
-                       check_int, x_power_bracket)
-
-
-def _x_degree(sig: RingSignature, exps) -> int:
-    return sum(exps[:sig.n])
-
-
-def truncate(p: Polynomial, order: int) -> Polynomial:
-    """``p`` without its terms of total x-degree above ``order``."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    return Polynomial(p.sig, {e: c for e, c in p.terms.items()
-                              if _x_degree(p.sig, e) <= order})
+from .polyring import (Polynomial, RingSignature, _x_degree, check_dimension,
+                       check_int, truncate, x_power_bracket)
 
 
 def _power_series(u, order: int, coeff) -> Polynomial:

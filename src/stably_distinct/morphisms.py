@@ -1,10 +1,12 @@
 """Ring endomorphisms and derivations of the polynomial rings.
 
 An endomorphism is stored by its images on the generators; applying it is
-simultaneous substitution.  A derivation is likewise stored by its values on
-the generators and extended to the whole ring by the Leibniz rule.  Both
-serialize to JSON as ``{generator name: polynomial text}`` so that every
-witness map produced by this package can be persisted and re-checked.
+simultaneous substitution.  An image may also be kept as the data that
+defines it, a :class:`DeferredImage`, and expanded on first read.  A
+derivation is likewise stored by its values on the generators and extended
+to the whole ring by the Leibniz rule.  Both serialize to JSON as
+``{generator name: polynomial text}`` so that every witness map produced by
+this package can be persisted and re-checked.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 import json
 from typing import Mapping, Union
 
-from .errors import ParseError, SignatureMismatch, UnknownVariable
+from .errors import (ParseError, ResourceLimit, SignatureMismatch,
+                     UnknownVariable)
 from .exactfield import Scalar
-from .polyring import (Polynomial, RingSignature, check_one_field, parse_json,
-                       parse_polynomial)
+from .polyring import (Polynomial, RingSignature, check_one_field,
+                       exact_divide, parse_json, parse_polynomial)
 
 PolyLike = Union[Polynomial, Scalar, int]
 
@@ -120,17 +123,75 @@ class _GeneratorMap:
     def __repr__(self) -> str:
         moved = {name: str(img) for name, img in self.images.items()
                  if img != self._default_image(name)}
+        for name in getattr(self, "deferred", ()):
+            moved.setdefault(name, "deferred")
         return f"{type(self).__name__}({moved or self._unmoved})"
 
 
-class RingEndomorphism(_GeneratorMap):
-    """A ring map determined by where it sends each generator."""
+class DeferredImage:
+    """A generator image kept as the data that defines it: ``numerator``
+    with its generator ``symbol`` sent to ``target``, divided exactly by
+    the one-term ``divisor``.
 
-    __slots__ = ()
+    ``stage`` names the image in the :class:`ResourceLimit` that its
+    expansion raises when an intermediate passes the term limit.
+    """
+
+    __slots__ = ("numerator", "symbol", "target", "divisor", "stage")
+
+    def __init__(self, numerator: Polynomial, symbol: str,
+                 target: Polynomial, divisor: Polynomial, stage: str):
+        numerator.sig.index(symbol)
+        for part in (target, divisor):
+            if part.sig != numerator.sig:
+                raise SignatureMismatch(
+                    f"{stage}: {part.sig.names} against "
+                    f"{numerator.sig.names}")
+        self.numerator = numerator
+        self.symbol = symbol
+        self.target = target
+        self.divisor = divisor
+        self.stage = stage
+
+    def expand(self) -> Polynomial:
+        try:
+            return exact_divide(
+                self.numerator.substitute({self.symbol: self.target}),
+                self.divisor)
+        except ResourceLimit as err:
+            raise ResourceLimit(f"expanding {self.stage}: {err}") from None
+
+
+class RingEndomorphism(_GeneratorMap):
+    """A ring map determined by where it sends each generator.
+
+    ``deferred`` holds the images kept as :class:`DeferredImage`; each is
+    expanded on its first read, through :meth:`image` or any method that
+    reads every image, and the expansion is then stored with the others.
+    The defining data stays, so a verifier can still read it.
+    """
+
+    __slots__ = ("deferred",)
     _unmoved = "identity"
+
+    def __init__(self, sig: RingSignature,
+                 images: Mapping[str, PolyLike] | None = None,
+                 deferred: Mapping[str, DeferredImage] | None = None):
+        super().__init__(sig, images)
+        self.deferred = dict(deferred or {})
+        for name, later in self.deferred.items():
+            sig.index(name)
+            if name in self.images or later.numerator.sig != sig:
+                raise SignatureMismatch(
+                    f"deferred image of {name} conflicts with the map")
 
     def _default_image(self, name: str) -> Polynomial:
         return Polynomial.variable(self.sig, name)
+
+    def image(self, name: str) -> Polynomial:
+        if name in self.deferred and name not in self.images:
+            self.images[name] = self.deferred[name].expand()
+        return super().image(name)
 
     @classmethod
     def identity(cls, sig: RingSignature) -> "RingEndomorphism":
@@ -138,6 +199,8 @@ class RingEndomorphism(_GeneratorMap):
 
     def apply(self, p: Polynomial) -> Polynomial:
         self._check_argument(p)
+        for name in self.deferred:
+            self.image(name)
         return p.substitute(self.images)
 
     def compose(self, other: "RingEndomorphism") -> "RingEndomorphism":

@@ -620,6 +620,23 @@ def x_power_bracket(sig: RingSignature, k: int) -> Polynomial:
     return Polynomial(sig, {exps: Fraction(1)})
 
 
+def _x_degree(sig: RingSignature, exps) -> int:
+    return sum(exps[:sig.n])
+
+
+def truncate(p: Polynomial, order: int) -> Polynomial:
+    """``p`` without its terms of total x-degree above ``order``.
+
+    The terms of x-degree above ``order`` span an ideal, so truncating is
+    a ring homomorphism, and truncate(f(p)) = truncate(f(truncate(p)))
+    for any substitution f of polynomials for y, z or w.
+    """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    return Polynomial(p.sig, {e: c for e, c in p.terms.items()
+                              if _x_degree(p.sig, e) <= order})
+
+
 def exact_divide(p: Polynomial, d: Polynomial) -> Polynomial:
     """Quotient p/d for a one-term d that divides p; otherwise NotDivisible.
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stably_distinct import (UnivariatePoly, build_stable_equivalence,
+                             run_schwartz_zippel, verify_stable_equivalence)
 from stably_distinct.certificate import Certificate
 from stably_distinct.cli import _merge_negative_values, main
 from stably_distinct.exactfield import quadext
@@ -228,6 +231,22 @@ class TestCertificateCommands:
                                "--q", "-1,1", "--show-maps")
         assert code == 0
         assert "phi:" in out and "psi:" in out
+
+    def test_phi_y_past_the_limit_names_its_stage(self, capsys,
+                                                  monkeypatch):
+        # build, verify and re-check of (t-1)^4 stay under 5,000 terms;
+        # only printing phi(y) expands N(P0), 10,715 terms
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "5000")
+        code, out, err = run_cli(capsys, "stable-equiv", "--n", "1",
+                                 "--q", "1,-4,6,-4,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: expanding phi(y) of the stable pair: "
+                              "substitution of y (3 terms) into 707 terms "
+                              "exceeded 5000 terms")
+        pair = build_stable_equivalence(UnivariatePoly([1, -4, 6, -4, 1]), 1)
+        cert = verify_stable_equivalence(pair)
+        run_schwartz_zippel(cert, random.Random(0), points=25)
+        assert cert.passed
 
     def test_fiber_iso(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "fiber-iso",

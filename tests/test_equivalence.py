@@ -12,20 +12,23 @@ from hypothesis import strategies as st
 from stably_distinct import equivalence
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
-    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _SymbolGate,
-    _euclid_on_ratios, _phi_of_family, build_hyper_equiv_automorphism,
+    HyperEquivWitness, PolyEquivWitness, StableEquivPair, _cylinder_symbols,
+    _euclid_on_ratios, _phi_of_family, _quotient_proved, _SymbolGate,
+    _x2_divides_at, _x_exponents_equal, _y_degree,
+    build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
     decide_hypersurface_equivalence, decide_poly_equivalence,
     stable_equivalence_degree_bound, theorem_certificate,
     verify_hyper_equivalence, verify_stable_equivalence)
 from stably_distinct.errors import (InvalidWitness, MixedDiscriminant,
-                                    NotDecidableInField, ParseError,
-                                    StablyDistinctError)
+                                    NotDecidableInField, NotDivisible,
+                                    ParseError, StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, build_Pq
-from stably_distinct.morphisms import RingEndomorphism
+from stably_distinct.morphisms import DeferredImage, RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, exact_divide,
+                                      parse_polynomial, truncate,
                                       x_power_bracket)
 
 from conftest import (brute_force_hyper_mu, dense_mul, dense_power,
@@ -454,9 +457,9 @@ def small_pairs():
             build_stable_equivalence([1, -2, 1], 2)]
 
 
-# (t - 1)^k for k = 1..4, a q with denominators, and a Q(sqrt(2)) q
+# (t - 1)^k for k = 1..5, a q with denominators, and a Q(sqrt(2)) q
 DIRECT_BUILD_QS = {
-    **{f"(t-1)^{k}": dense_power([-1, 1], k) for k in range(1, 5)},
+    **{f"(t-1)^{k}": dense_power([-1, 1], k) for k in range(1, 6)},
     "denominators": [Fraction(1, 3), 2, 0, -1],
     "sqrt2": [Fraction(1, 3), 2, quadext(0, 1, 2), -1],
 }
@@ -499,6 +502,8 @@ def test_maps_match_the_direct_expansion(coeffs, n, side):
     expected = (_direct_cylinder_map(1, r, q, p_zero) if side == "phi"
                 else _direct_cylinder_map(-1, r, q_zero, p_q))
     got = getattr(build_stable_equivalence(q, n), side)
+    # the y-image is kept as N, S -> target and x^[2] until read
+    assert "y" in got.deferred and "y" not in got.images
     assert got.image("y").terms == expected.image("y").terms
     assert got == expected
 
@@ -768,6 +773,119 @@ class TestSymbolicTargets:
         applied, zw_args = self._spy(monkeypatch)
         verify_stable_equivalence(bad)
         assert [m for m, p in applied if p is bad.p_q] == [bad.phi]
+
+
+class TestDeferredYImage:
+    """The build keeps each y-image as N, S -> target and x^[2]; the
+    verifier proves x^[2] | N(target) by a truncated test and reads the
+    degree off N, so no verdict expands a y-image it can prove."""
+
+    @staticmethod
+    def symbols(coeffs, n):
+        pair = build_stable_equivalence(coeffs, n)
+        return pair, _gates(pair)[0].n_sym
+
+    @pytest.mark.parametrize("n, coeffs", [
+        *[(1, dense_power([-1, 1], k)) for k in range(1, 7)],
+        *[(2, dense_power([-1, 1], k)) for k in range(1, 5)],
+        *[(n, SYMBOL_QS[name]) for n in (1, 2)
+          for name in ("1+2t-t^3", "sqrt2")]])
+    def test_degree_formula_matches_the_expansion(self, n, coeffs):
+        pair = build_stable_equivalence(coeffs, n)
+        for m, gate, target in zip((pair.phi, pair.psi), _gates(pair),
+                                   (pair.p_zero, pair.p_q)):
+            proved = _quotient_proved(m, gate, target)
+            assert proved
+            assert _y_degree(m, proved) == m.image("y").degree()
+
+    def test_phi_y_stays_unexpanded_through_verify_and_recheck(self):
+        pair = build_stable_equivalence(dense_power([-1, 1], 4), 2)
+        cert = verify_stable_equivalence(pair)
+        run_schwartz_zippel(cert, random.Random(0), points=25)
+        assert cert.passed
+        assert "y" not in pair.phi.images
+
+    def test_k8_passes_with_its_recheck(self):
+        # the expanded phi(y) would pass the default 10^6-term limit
+        pair = build_stable_equivalence(dense_power([-1, 1], 8), 1)
+        cert = verify_stable_equivalence(pair)
+        run_schwartz_zippel(cert, random.Random(0), points=25)
+        assert cert.passed, [c.name for c in cert.failed_checks()]
+        checks = {c.name: c for c in cert.checks}
+        assert checks["degree-growth-bound"].details \
+            == "max y-image degree 367, bound 386"
+        assert "y" not in pair.phi.images
+
+    @pytest.mark.parametrize("control", ["N + x^[1]*z", "N + z^2*w",
+                                         "q(0) + 1 in B", "r halved"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_negative_controls_fail_the_truncated_test(self, n, control):
+        q = UnivariatePoly(dense_power([-1, 1], 3))
+        pair, n_sym = self.symbols(q, n)
+        sig = n_sym.sig
+        lift = x_power_bracket(sig, 2)
+        z, w = (Polynomial.variable(sig, name) for name in "zw")
+        assert _x2_divides_at(n_sym, pair.p_zero)
+        numerator, target = {
+            "N + x^[1]*z": (n_sym + x_power_bracket(sig, 1) * z,
+                            pair.p_zero),
+            "N + z^2*w": (n_sym + z * z * w, pair.p_zero),
+            "q(0) + 1 in B": (n_sym, build_Pq(PqSpec(n, [q(0) + 1], 0),
+                                              has_w=True)),
+            "r halved": (_cylinder_symbols(
+                1, UnivariatePoly([c / 2 for c in pair.r.coeffs]), q,
+                sig)[2], pair.p_zero),
+        }[control]
+        assert not _x2_divides_at(numerator, target)
+        with pytest.raises(NotDivisible):
+            exact_divide(numerator.substitute({"y": target}), lift)
+
+    @pytest.mark.parametrize("stray", ["x1*z", "x1^4*z"])
+    def test_equal_exponent_gate_refuses_a_stray_x1_term(self, stray):
+        pair, n_sym = self.symbols(dense_power([-1, 1], 3), 2)
+        sig = n_sym.sig
+        lift = x_power_bracket(sig, 2)
+        bad = n_sym + parse_polynomial(sig, stray)
+        assert _x_exponents_equal(n_sym) and not _x_exponents_equal(bad)
+        assert not _x2_divides_at(bad, pair.p_zero)
+        with pytest.raises(NotDivisible):
+            exact_divide(bad.substitute({"y": pair.p_zero}), lift)
+        # x1^4*z has x-degree 2n = 4, so truncation alone would pass it
+        base = pair.p_zero - lift * Polynomial.variable(sig, "y")
+        low = truncate(truncate(bad, 3).substitute({"y": base}), 3)
+        assert low.is_zero() == (stray == "x1^4*z")
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("gen", ["y", "z"])
+    def test_plain_corrupted_map_keeps_the_residual(self, gen, corruption):
+        bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), "phi",
+                       gen, corruption)
+        assert not bad.phi.deferred
+        checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
+        check = checks["phi-sends-family-to-constant"]
+        residual = bad.phi.apply(bad.p_q) - bad.p_zero
+        assert check.passed == residual.is_zero()
+        assert check.residual == str(residual)
+        assert check.passed == (gen == "z" and corruption == "negated")
+
+    def test_deferred_data_off_the_symbol_takes_the_direct_route(self):
+        # N + x^[2]*z still divides, but phi(y) gains z and phi(P_q) != P0
+        pair = build_stable_equivalence([1, 2, 0, -1], 2)
+        sig = pair.phi.sig
+        later = pair.phi.deferred["y"]
+        shifted = later.numerator + x_power_bracket(sig, 2) \
+            * Polynomial.variable(sig, "z")
+        phi = RingEndomorphism(sig, {g: pair.phi.image(g) for g in "zw"},
+                               deferred={"y": DeferredImage(
+                                   shifted, "y", later.target,
+                                   later.divisor, "phi(y)")})
+        bad = StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
+                              pair.p_q, pair.p_zero)
+        assert not _quotient_proved(phi, _gates(bad)[0], bad.p_zero)
+        checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
+        check = checks["phi-sends-family-to-constant"]
+        assert not check.passed
+        assert check.residual == str(phi.apply(bad.p_q) - bad.p_zero)
 
 
 class TestTheoremCertificate:

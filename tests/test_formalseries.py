@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from stably_distinct.certificate import Certificate
 from stably_distinct.errors import NonzeroConstantTerm, ParseError
 from stably_distinct.formalseries import (_record_series, exp_series,
-                                          second_tail_series, truncate,
+                                          second_tail_series,
                                           truncation_coherence,
                                           verify_biholomorphism)
 from stably_distinct.polyring import (Polynomial, RingSignature,
-                                      parse_polynomial, x_power_bracket)
+                                      parse_polynomial, truncate,
+                                      x_power_bracket)
 
 from conftest import from_terms
 

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 from conftest import random_polynomial
 
-from stably_distinct.errors import (MixedDiscriminant, ParseError,
+from stably_distinct.errors import (MixedDiscriminant, NotDivisible,
+                                    ParseError, ResourceLimit,
                                     SignatureMismatch, UnknownVariable)
 from stably_distinct.exactfield import parse_scalar, quadext
 from stably_distinct.hypersurface import PqSpec
-from stably_distinct.morphisms import Derivation, RingEndomorphism
+from stably_distinct.morphisms import (DeferredImage, Derivation,
+                                      RingEndomorphism)
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       parse_polynomial)
 
@@ -134,6 +136,81 @@ class TestEndomorphism:
         with pytest.raises(UnknownVariable):
             RingEndomorphism.from_dict({"x1": "x1", "x3": "x3",
                                         "y": "y", "z": "z"})
+
+
+class TestDeferredImage:
+    """y -> (x1^2*y + x1^2*z^2)(y -> y + 1) / x1^2 = y + 1 + z^2."""
+
+    def deferred(self, s=None, numerator="x1^2*y + x1^2*z^2"):
+        s = s or sig1()
+        return DeferredImage(parse_polynomial(s, numerator), "y",
+                             parse_polynomial(s, "y + 1"),
+                             parse_polynomial(s, "x1^2"), "y of the test map")
+
+    def lazy(self):
+        s = sig1()
+        return RingEndomorphism(s, {"z": parse_polynomial(s, "2*z")},
+                                deferred={"y": self.deferred(s)})
+
+    def test_first_read_expands_once_and_keeps_the_data(self):
+        m = self.lazy()
+        assert "y" not in m.images
+        assert repr(m) == "RingEndomorphism({'z': '2*z', 'y': 'deferred'})"
+        got = m.image("y")
+        assert got == parse_polynomial(m.sig, "y + z^2 + 1")
+        assert m.image("y") is got
+        assert "y" in m.deferred
+
+    @pytest.mark.parametrize("read", [
+        lambda m: m.apply(Polynomial.variable(m.sig, "y")),
+        lambda m: m.compose(RingEndomorphism.identity(m.sig)),
+        lambda m: m.to_dict(),
+        lambda m: m == RingEndomorphism.identity(m.sig),
+    ], ids=["apply", "compose", "to_dict", "eq"])
+    def test_every_reader_expands(self, read):
+        m = self.lazy()
+        read(m)
+        assert m.images["y"] == parse_polynomial(m.sig, "y + z^2 + 1")
+
+    def test_equal_to_the_expanded_map(self):
+        m = self.lazy()
+        plain = RingEndomorphism(m.sig, {
+            "y": parse_polynomial(m.sig, "y + z^2 + 1"),
+            "z": parse_polynomial(m.sig, "2*z")})
+        assert m.to_dict() == plain.to_dict()
+        assert m.apply(parse_polynomial(m.sig, "y*z")) \
+            == plain.apply(parse_polynomial(m.sig, "y*z"))
+
+    def test_inexact_division_raises_on_read(self):
+        s = sig1()
+        m = RingEndomorphism(s, deferred={"y": self.deferred(s, "y + z")})
+        with pytest.raises(NotDivisible):
+            m.image("y")
+
+    def test_limit_names_the_stage_and_keeps_the_data(self, monkeypatch):
+        m = self.lazy()
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "1")
+        for _ in range(2):
+            with pytest.raises(ResourceLimit,
+                               match=r"^expanding y of the test map: "
+                                     r"substitution of y"):
+                m.image("y")
+        monkeypatch.delenv("STABLY_DISTINCT_TERM_LIMIT")
+        assert m.image("y") == parse_polynomial(m.sig, "y + z^2 + 1")
+
+    def test_conflicts_are_refused(self):
+        s = sig1()
+        with pytest.raises(SignatureMismatch):
+            RingEndomorphism(s, {"y": Polynomial.variable(s, "y")},
+                             deferred={"y": self.deferred(s)})
+        with pytest.raises(SignatureMismatch):
+            RingEndomorphism(sig2(), deferred={"y": self.deferred(s)})
+        with pytest.raises(UnknownVariable):
+            RingEndomorphism(s, deferred={"w": self.deferred(s)})
+        with pytest.raises(SignatureMismatch):
+            DeferredImage(Polynomial.variable(s, "y"), "y",
+                          Polynomial.variable(sig2(), "y"),
+                          Polynomial.constant(s, 1), "mixed")
 
 
 class TestDerivation:

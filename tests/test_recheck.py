@@ -510,3 +510,91 @@ class TestRecordingStaysSymbolic:
         cert.record_composition("psi-phi-z", [pair.psi, pair.phi], z, z, z)
         with pytest.raises(AssertionError, match="outside the re-check"):
             run_schwartz_zippel(cert, random.Random(0), points=1)
+
+
+class _ZeroAt(random.Random):
+    """Draws as ``random.Random(seed)``, except that the draws numbered in
+    ``zero`` (from 0) come out 0."""
+
+    def __init__(self, seed, zero):
+        super().__init__(seed)
+        self.zero = set(zero)
+        self.count = 0
+
+    def randrange(self, *args, **kwargs):
+        value = super().randrange(*args, **kwargs)
+        self.count += 1
+        return 0 if self.count - 1 in self.zero else value
+
+
+class TestDeferredImages:
+    """A deferred y-image is re-checked as N(x, S = target(pt), z, w) times
+    x^[2](pt)^-1, and from its expansion where x^[2](pt) = 0."""
+
+    @staticmethod
+    def moved(m, rng) -> list:
+        y = Polynomial.variable(m.sig, "y")
+        hook = _CompositionSz([m], y, y)
+        recheck = _Recheck([hook], rng, 25)
+        recheck.run(hook)
+        return recheck._moved(m.sig, (m,))
+
+    @staticmethod
+    def expanded(m) -> RingEndomorphism:
+        return RingEndomorphism(m.sig, {name: m.image(name)
+                                        for name in m.sig.names})
+
+    @pytest.mark.parametrize("coeffs", [
+        [-1, 3, -3, 1], [Fraction(1, 3), 2, quadext(0, 1, 2), -1]],
+        ids=["(t-1)^3", "sqrt2"])
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    def test_lazy_values_match_the_expanded_map(self, side, coeffs):
+        m = getattr(build_stable_equivalence(coeffs, 2), side)
+        lazy = self.moved(m, random.Random(4))
+        assert "y" not in m.images
+        assert self.moved(self.expanded(m), random.Random(4)) == lazy
+
+    def test_point_with_a_zero_x_takes_the_expanded_route(self):
+        # SIG draws x1, x2, y, z, w per point: draw 16 is x2 of point 3
+        m = build_stable_equivalence([-1, 3, -3, 1], 2).phi
+        lazy = self.moved(m, _ZeroAt(4, {16}))
+        assert "y" in m.images
+        assert self.moved(self.expanded(m), _ZeroAt(4, {16})) == lazy
+
+    def test_stable_recheck_is_unchanged_by_a_zero_x(self):
+        pair = build_stable_equivalence([-1, 3, -3, 1], 2)
+        cert = verify_stable_equivalence(pair)
+        run_schwartz_zippel(cert, _ZeroAt(2, {0, 6}), points=5)
+        assert cert.passed
+        assert "y" in pair.phi.images
+
+
+class TestTablesByValue:
+    def test_one_table_per_distinct_polynomial(self, monkeypatch):
+        built = []
+        inner = certificate._residue_table
+        monkeypatch.setattr(certificate, "_residue_table",
+                            lambda poly, *args: built.append(poly)
+                            or inner(poly, *args))
+        cert = theorem_certificate(2, 3)
+        run_schwartz_zippel(cert, random.Random(0), points=25)
+        assert cert.passed
+        assert len({(poly.sig, frozenset(poly.terms.items()))
+                    for poly in built}) == len(built)
+
+    def test_equal_sides_are_evaluated_once(self, monkeypatch):
+        s = sig1()
+        f = RingEndomorphism(s, {"z": parse_polynomial(s, "z + y^2")})
+        cert = Certificate("f moves z, twice over")
+        for name in ("first", "second"):
+            z = Polynomial.variable(s, "z")
+            cert.record_composition(name, [f], z, z + Polynomial.variable(
+                s, "y") ** 2, parse_polynomial(s, "z + y^2"))
+        calls = []
+        inner = certificate._evaluate_mod
+        monkeypatch.setattr(certificate, "_evaluate_mod",
+                            lambda *args: calls.append(1) or inner(*args))
+        run_schwartz_zippel(cert, random.Random(2), points=3)
+        assert cert.passed
+        # 3 images of f, then one source and one expected for both checks
+        assert len(calls) == 3 + 1 + 1
