@@ -265,9 +265,10 @@ class _Recheck:
     its data: the numerator at the point with the target's value in the
     symbol's slot, times the inverse of the divisor's value.  Where the
     divisor vanishes mod p, it is evaluated from the expanded image
-    instead, so every image is valued at the same points.  p divides no
-    denominator of the numerator or the target, so none of the expanded
-    image's, whose coefficients are sums of their products.
+    instead, so every image is valued at the same points.  The divisor
+    is a monomial, so the expanded image's coefficients are those of the
+    numerator at the target, sums of products of their coefficients, and
+    p divides none of their denominators.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],

@@ -15,7 +15,7 @@ import json
 from typing import Mapping, Union
 
 from .errors import (ParseError, ResourceLimit, SignatureMismatch,
-                     UnknownVariable)
+                     StablyDistinctError, UnknownVariable)
 from .exactfield import Scalar
 from .polyring import (Polynomial, RingSignature, check_one_field,
                        exact_divide, parse_json, parse_polynomial)
@@ -131,7 +131,7 @@ class _GeneratorMap:
 class DeferredImage:
     """A generator image kept as the data that defines it: ``numerator``
     with its generator ``symbol`` sent to ``target``, divided exactly by
-    the one-term ``divisor``.
+    the monomial ``divisor`` (coefficient 1).
 
     ``stage`` names the image in the :class:`ResourceLimit` that its
     expansion raises when an intermediate passes the term limit.
@@ -147,6 +147,9 @@ class DeferredImage:
                 raise SignatureMismatch(
                     f"{stage}: {part.sig.names} against "
                     f"{numerator.sig.names}")
+        if list(divisor.terms.values()) != [1]:
+            raise StablyDistinctError(
+                f"{stage}: the divisor must be a monomial, got {divisor}")
         self.numerator = numerator
         self.symbol = symbol
         self.target = target

@@ -9,7 +9,8 @@ from conftest import random_polynomial
 
 from stably_distinct.errors import (MixedDiscriminant, NotDivisible,
                                     ParseError, ResourceLimit,
-                                    SignatureMismatch, UnknownVariable)
+                                    SignatureMismatch, StablyDistinctError,
+                                    UnknownVariable)
 from stably_distinct.exactfield import parse_scalar, quadext
 from stably_distinct.hypersurface import PqSpec
 from stably_distinct.morphisms import (DeferredImage, Derivation,
@@ -211,6 +212,11 @@ class TestDeferredImage:
             DeferredImage(Polynomial.variable(s, "y"), "y",
                           Polynomial.variable(sig2(), "y"),
                           Polynomial.constant(s, 1), "mixed")
+        for divisor in ("2*x1^2", "x1 + 1", "0"):
+            with pytest.raises(StablyDistinctError, match="monomial"):
+                DeferredImage(Polynomial.variable(s, "y"), "y",
+                              Polynomial.variable(s, "y"),
+                              parse_polynomial(s, divisor), "not monic")
 
 
 class TestDerivation:
