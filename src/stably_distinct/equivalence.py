@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .certificate import Certificate, CheckResult
 from .errors import (InvalidWitness, NotASquare, NotDecidableInField,
-                     StablyDistinctError)
+                     NotDivisible, StablyDistinctError)
 from .exactfield import (QuadExt, as_scalar, quadext, rational,
                          rational_nth_root, sqrt_in_field)
 from .hypersurface import PqSpec, build_Pq, classify, isomorphic, z_part
@@ -500,11 +500,11 @@ class _SymbolGate:
 
     ``z_sym``, ``w_sym`` and ``n_sym`` are :func:`_cylinder_symbols` for
     twist ``sign``, ``r`` and ``q``, recomputed from q, with S in the y
-    slot.  ``fixes_z``: the map fixes every x_i and its stored z-image is
-    Z(target); ``holds``: its stored w-image is W(target) as well.
+    slot.  ``holds``: the map fixes every x_i, and its stored z- and
+    w-images are Z(target) and W(target).
     """
 
-    __slots__ = ("z_sym", "w_sym", "n_sym", "fixes_z", "holds")
+    __slots__ = ("z_sym", "w_sym", "n_sym", "holds")
 
     def __init__(self, m: RingEndomorphism, sign: int, r: UnivariatePoly,
                  q: UnivariatePoly, target: Polynomial):
@@ -512,10 +512,9 @@ class _SymbolGate:
         self.z_sym, self.w_sym, self.n_sym = _cylinder_symbols(sign, r, q,
                                                                sig)
         at_target = {"y": target}
-        self.fixes_z = (all(m.image(name) == Polynomial.variable(sig, name)
-                            for name in sig.names if name.startswith("x"))
-                        and self.z_sym.substitute(at_target) == m.image("z"))
-        self.holds = (self.fixes_z
+        self.holds = (all(m.image(name) == Polynomial.variable(sig, name)
+                          for name in sig.names if name.startswith("x"))
+                      and self.z_sym.substitute(at_target) == m.image("z")
                       and self.w_sym.substitute(at_target) == m.image("w"))
 
 
@@ -554,13 +553,14 @@ def _quotient_proved(m: RingEndomorphism, gate: _SymbolGate,
     / x^[2], for N the gate's recomputed symbol, and x^[2] | N(target)
     holds by :func:`_x2_divides_at`.
 
-    Then the y-image is a polynomial and, as for :func:`_phi_of_family`,
-    m(x^[2]*y + z_part(q, z)) = N(target) + target - N(target) = target,
-    without expanding it.
+    Then the y-image is a polynomial, and m fixes x^[2] and sends z to
+    Z(target).  S -> target is a ring homomorphism, so z_part(q, m(z)) =
+    target - N(target), and m(x^[2]*y + z_part(q, z)) = N(target) +
+    target - N(target) = target, without expanding the y-image.
     """
     later = m.deferred.get("y")
     sig = m.sig
-    return (gate.fixes_z and later is not None and later.symbol == "y"
+    return (gate.holds and later is not None and later.symbol == "y"
             and later.divisor == x_power_bracket(sig, 2)
             and later.target == target and later.numerator == gate.n_sym
             and _x2_divides_at(later.numerator, target))
@@ -587,60 +587,45 @@ def _y_degree(m: RingEndomorphism, proved: bool) -> int:
     return m.image("y").degree()
 
 
-def _phi_of_family(pair: StableEquivPair, gate: _SymbolGate) -> Polynomial:
-    """phi(P_q), as x^[2]*phi(y) + P0 - N(P0) when phi passes ``gate``
-    (P0 itself when x^[2]*phi(y) and N(P0) agree), else by substitution."""
-    if not gate.fixes_z:
-        return pair.phi.apply(pair.p_q)
-    lifted = x_power_bracket(pair.phi.sig, 2) * pair.phi.image("y")
-    n_at = gate.n_sym.substitute({"y": pair.p_zero})
-    if lifted.terms == n_at.terms:
-        return pair.p_zero
-    return lifted + pair.p_zero - n_at
-
-
 def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     """Certify the pair: exact images and identity round trips.
 
-    psi(P0) = P_q is checked by direct substitution.  phi(P_q) = P0 is
-    checked through the symbols of phi's build when phi passes its gate:
-    with Z, W and N = S - z_part(q, Z) of :func:`_cylinder_symbols` for
-    sign 1, recomputed here from q, phi must fix every x_i and its stored
-    z-image must equal Z(P0).  S -> P0 is a ring homomorphism, so then
-    z_part(q, phi(z)) = P0 - N(P0), and as phi fixes x^[2],
-
-        phi(P_q) = x^[2]*phi(y) + P0 - N(P0)
-
-    as polynomials, whatever the stored phi(y) is; the right side is
-    recorded as phi(P_q), without expanding q(phi(z)^2).  The check shares
-    the build's homomorphism argument, not its output: of the build it
-    reads only the stored images.
-
-    When a map keeps its y-image as the build leaves it, N(target) /
-    x^[2] unexpanded, and its N and target equal the recomputed symbol
-    and the member of q or q(0), the identity is certified without
-    reading that image: :func:`_x2_divides_at` proves that x^[2] divides
-    N(target), so the image is a polynomial and x^[2] times it is
-    N(target); then phi(P_q) = N(P0) + P0 - N(P0) = P0, and psi(P0) = P_q
-    likewise.  ``degree-growth-bound`` then reads phi's y-degree off N
-    (:func:`_y_degree`).  Any other stored map takes the routes above.
+    Each image identity, phi(P_q) = P0 and psi(P0) = P_q, takes one of
+    two routes.  The proof route is for a map as the build leaves it,
+    when :func:`_quotient_proved` holds.  The map passes its
+    :class:`_SymbolGate`: with Z, W and N = S - z_part(q', Z) of
+    :func:`_cylinder_symbols`, recomputed here from q (phi: sign 1, q and
+    S -> P0; psi: sign -1, q(0) and a symbol T -> P_q), it fixes every
+    x_i and its z- and w-images are Z and W at the target.  It keeps its
+    y-image as N(target) / x^[2], unexpanded, with N the recomputed
+    symbol and the target the member of q(0) or q.  And
+    :func:`_x2_divides_at` proves that x^[2] divides N(target), so the
+    y-image is a polynomial and x^[2] times it is N(target).  The
+    substitution S -> target is a ring homomorphism and the map fixes
+    x^[2], so it sends the source x^[2]*y + z_part(q', z) to N(target) +
+    target - N(target) = target: the target itself is recorded as the
+    image, without reading the y-image.  The check shares the build's
+    homomorphism argument, not its output: of the build it reads only
+    the stored maps.  ``degree-growth-bound`` then reads the y-degree off
+    N (:func:`_y_degree`).  Every other map takes the direct route,
+    ``apply``, so a failing identity prints the residual of direct
+    substitution.  A deferred y-image that does not divide records its
+    identity as not built and the degree bound as failed.
 
     The round trips use the formulas of :func:`_cylinder_map` without its
     symbol, since the outer images hold y, by the substitution
     homomorphism property: phi(psi(v)) is psi's formula with z, w, r(P_q)
-    and P_q replaced by phi(z), phi(w), r(phi(P_q)) and the
-    already-computed phi(P_q), and symmetrically for psi(phi(v)).  When
-    the outer map's image identity holds and the map passes its gate with
-    the w-image too (phi against S -> P0; psi against sign -1, q(0) and a
-    symbol T -> P_q), the inner formula is applied to Z and W over the
-    outer map's symbol instead, and the symbol then sent to the target.
-    That gives the same polynomials as the stored images would, and they
-    are z and w identically: with x^[2] = s^2, (1 - s*rho)((1 + s*rho)z
-    - s^2 w) + s^2((1 - s*rho)w + rho^2 z) = z, and likewise for w.  Their
-    y-image, (target - z_part(q', z)) / x^[2], is then a few terms.  When
-    a gate fails, the check takes the direct route, phi.apply(P_q) or the
-    formula at the stored images, so a failing check prints the same
-    residual either way.
+    and P_q replaced by phi(z), phi(w), r(P0) and P0, and symmetrically
+    for psi(phi(v)); a round trip runs only once its outer map's image
+    identity holds, so P0 is phi(P_q).  When the outer map passes its
+    gate, the inner formula is applied to Z and W over the outer map's
+    symbol instead, and the symbol then sent to the target.  That gives
+    the same polynomials as the stored images would, and they are z and
+    w identically: with x^[2] = s^2, (1 - s*rho)((1 + s*rho)z - s^2 w) +
+    s^2((1 - s*rho)w + rho^2 z) = z, and likewise for w.  Their y-image,
+    (target - z_part(q', z)) / x^[2], is then a few terms.  When a gate
+    fails, the check takes the formula at the stored images, so a failing
+    check prints the same residual either way.
 
     Each composite check also carries a numeric hook that re-verifies it
     from the stored generator images alone: the ``/sz`` siblings evaluate
@@ -684,32 +669,37 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
         return _finish_stable_certificate(cert, pair, sig)
 
     q_zero = UnivariatePoly([q_poly(Fraction(0))])
-    phi_gate = _SymbolGate(phi, 1, r, q_poly, pair.p_zero)
-    psi_gate = _SymbolGate(psi, -1, r, q_zero, pair.p_q)
     # the quotient route reads P_q and P0 as the members of q and q(0)
     members = (pair.p_q == build_Pq(PqSpec(pair.n, q_poly, 0), True)
                and pair.p_zero == build_Pq(PqSpec(pair.n, q_zero, 0), True))
-    proved = (members and _quotient_proved(phi, phi_gate, pair.p_zero),
-              members and _quotient_proved(psi, psi_gate, pair.p_q))
-    phi_of_pq = (pair.p_zero if proved[0]
-                 else _phi_of_family(pair, phi_gate))
-    psi_of_p0 = pair.p_q if proved[1] else psi.apply(pair.p_zero)
-    phi_image = cert.record_composition("phi-sends-family-to-constant",
-                                        [phi], pair.p_q, phi_of_pq,
-                                        pair.p_zero)
-    psi_image = cert.record_composition("psi-sends-constant-to-family",
-                                        [psi], pair.p_zero, psi_of_p0,
-                                        pair.p_q)
+    # per map: its image check, its round trip's stem, the round trip's
+    # maps with it outermost, its twist, its q, and its identity
+    # map(source) = target
+    table = (
+        ("phi-sends-family-to-constant", "phi-after-psi", [phi, psi], 1,
+         q_poly, pair.p_q, pair.p_zero),
+        ("psi-sends-constant-to-family", "psi-after-phi", [psi, phi], -1,
+         q_zero, pair.p_zero, pair.p_q))
+    gates, proved, image_checks = [], [], []
+    for name, _, (m, _), sign, q, source, target in table:
+        gates.append(_SymbolGate(m, sign, r, q, target))
+        proved.append(members and _quotient_proved(m, gates[-1], target))
+        try:
+            image = target if proved[-1] else m.apply(source)
+        except NotDivisible as err:
+            # a deferred image that does not divide
+            image_checks.append(cert.record_not_built(name, [m], source,
+                                                      target, str(err)))
+            continue
+        image_checks.append(cert.record_composition(name, [m], source,
+                                                    image, target))
 
     # a round trip reads the outer map's image of the target; when that
     # image identity fails, r of it is large and squaring it in the
-    # builder can take minutes, so the round trip is recorded as failed
-    round_trips = (
-        ("phi-after-psi", [phi, psi], phi_image, phi_gate, -1, phi_of_pq,
-         q_zero),
-        ("psi-after-phi", [psi, phi], psi_image, psi_gate, 1, psi_of_p0,
-         q_poly))
-    for stem, maps, image_check, gate, sign, target, inner_q in round_trips:
+    # builder can take minutes, so the round trip is recorded as failed;
+    # the inner map's formula has twist -sign and the other map's q
+    for (_, stem, maps, sign, _, _, target), gate, image_check, inner_q in \
+            zip(table, gates, image_checks, (q_zero, q_poly)):
         if not image_check.passed:
             for name in "zwy":
                 _record_fixes(cert, stem, maps, name, blocker=image_check)
@@ -718,11 +708,11 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
             # the inner formula over the outer map's symbol: z and w
             sym = Polynomial.variable(sig, "y")
             z_img, w_img = (img.substitute({"y": target}) for img in
-                            _cylinder_zw(sign, r.subs_into(sym),
+                            _cylinder_zw(-sign, r.subs_into(sym),
                                          gate.z_sym, gate.w_sym))
         else:
             outer = maps[0]
-            z_img, w_img = _cylinder_zw(sign, r.subs_into(target),
+            z_img, w_img = _cylinder_zw(-sign, r.subs_into(target),
                                         outer.image("z"), outer.image("w"))
         # psi(P0) sees psi(z) only through its square, so a wrong psi(z)
         # can pass the image identity; squaring the wrong z' for y' then
@@ -761,10 +751,14 @@ def _finish_stable_certificate(cert: Certificate, pair: StableEquivPair,
         cert.record(f"psi-fixes-{name}", pair.psi.image(name), var)
 
     bound = stable_equivalence_degree_bound(pair)
-    actual = max(_y_degree(pair.phi, proved[0]),
-                 _y_degree(pair.psi, proved[1]))
-    cert.record_bool("degree-growth-bound", actual <= bound,
-                     details=f"max y-image degree {actual}, bound {bound}")
+    try:
+        actual = max(_y_degree(pair.phi, proved[0]),
+                     _y_degree(pair.psi, proved[1]))
+        ok, details = actual <= bound, \
+            f"max y-image degree {actual}, bound {bound}"
+    except NotDivisible as err:
+        ok, details = False, f"not built: {err}"
+    cert.record_bool("degree-growth-bound", ok, details=details)
     return cert
 
 

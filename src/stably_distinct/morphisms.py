@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from typing import Mapping, Union
 
-from .errors import (ParseError, ResourceLimit, SignatureMismatch,
-                     StablyDistinctError, UnknownVariable)
+from .errors import (NotDivisible, ParseError, ResourceLimit,
+                     SignatureMismatch, StablyDistinctError, UnknownVariable)
 from .exactfield import Scalar
 from .polyring import (Polynomial, RingSignature, check_one_field,
                        exact_divide, parse_json, parse_polynomial)
@@ -134,7 +134,8 @@ class DeferredImage:
     the monomial ``divisor`` (coefficient 1).
 
     ``stage`` names the image in the :class:`ResourceLimit` that its
-    expansion raises when an intermediate passes the term limit.
+    expansion raises when an intermediate passes the term limit, and in
+    the :class:`NotDivisible` it raises when the division is not exact.
     """
 
     __slots__ = ("numerator", "symbol", "target", "divisor", "stage")
@@ -161,8 +162,8 @@ class DeferredImage:
             return exact_divide(
                 self.numerator.substitute({self.symbol: self.target}),
                 self.divisor)
-        except ResourceLimit as err:
-            raise ResourceLimit(f"expanding {self.stage}: {err}") from None
+        except (ResourceLimit, NotDivisible) as err:
+            raise type(err)(f"expanding {self.stage}: {err}") from None
 
 
 class RingEndomorphism(_GeneratorMap):

@@ -13,7 +13,7 @@ from stably_distinct import equivalence
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
     HyperEquivWitness, PolyEquivWitness, StableEquivPair, _cylinder_symbols,
-    _euclid_on_ratios, _phi_of_family, _quotient_proved, _SymbolGate,
+    _euclid_on_ratios, _quotient_proved, _SymbolGate,
     _x2_divides_at, _x_exponents_equal, _y_degree,
     build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
@@ -575,7 +575,7 @@ class TestStableEquivalence:
         assert "phi-after-psi-fixes-w" in failed
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    @pytest.mark.parametrize("gen", ["y", "z", "w"])
+    @pytest.mark.parametrize("gen", ["x1", "y", "z", "w"])
     @pytest.mark.parametrize("side", ["phi", "psi"])
     def test_every_corrupted_image_fails_an_exact_check(
             self, small_pairs, side, gen, corruption):
@@ -673,28 +673,13 @@ def _gates(pair: StableEquivPair):
 
 
 class TestSymbolicTargets:
-    """The image identity phi(P_q) = P0 and the round trips are certified
-    through the symbols of the build when the stored maps pass their gates;
-    otherwise the direct route, the fallback, runs.  The fallback guards
-    ``phi-sends-family-to-constant`` when phi moves an x_i or has a wrong
-    z-image, and the ``*-after-*-fixes-*`` round trips when the outer map
-    has a wrong z- or w-image."""
-
-    @pytest.mark.parametrize("corruption", [None, *sorted(CORRUPTIONS)])
-    @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("coeffs", SYMBOL_QS.values(),
-                             ids=SYMBOL_QS.keys())
-    def test_image_identity_matches_substitution(self, coeffs, n,
-                                                 corruption):
-        # x^[2]*phi(y) + P0 - N(P0) is phi(P_q) for any stored phi(y)
-        pair = build_stable_equivalence(coeffs, n)
-        if corruption is not None:
-            pair = _corrupt(pair, "phi", "y", corruption)
-        gate = _gates(pair)[0]
-        assert gate.fixes_z and gate.holds
-        got = _phi_of_family(pair, gate)
-        assert got.terms == pair.phi.apply(pair.p_q).terms
-        assert (got is pair.p_zero) == (corruption is None)
+    """The image identities phi(P_q) = P0 and psi(P0) = P_q are certified
+    by the quotient proof, and the round trips through the symbols of the
+    build, when the stored maps pass their gates; otherwise the direct
+    route, the fallback, runs.  The fallback guards an image identity for
+    any map that is not as the build leaves it, and the
+    ``*-after-*-fixes-*`` round trips when the outer map has a wrong z- or
+    w-image."""
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("gen", ["x1", "z", "w"])
@@ -704,22 +689,45 @@ class TestSymbolicTargets:
                         gen, corruption)
         gate = _gates(pair)[side == "psi"]
         assert not gate.holds
-        assert gate.fixes_z == (gen == "w")
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("gen", ["y", "z"])
-    def test_fallback_image_identity_keeps_the_residual(self, gen,
+    @pytest.mark.parametrize("side", ["phi", "psi"])
+    def test_fallback_image_identity_keeps_the_residual(self, side, gen,
                                                         corruption):
-        # a wrong stored phi(y) or phi(z) fails phi-sends-family-to-constant
-        # with the residual of direct substitution; P_q holds z only
-        # through its square, so the negated phi(z) passes it
-        bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), "phi",
+        # a wrong stored y- or z-image fails the map's image identity with
+        # the residual of direct substitution; P_q and P0 hold z only
+        # through its square, so a negated z-image passes it
+        bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), side,
                        gen, corruption)
-        assert not bad.phi.deferred
+        m, source, target, name = (
+            (bad.phi, bad.p_q, bad.p_zero, "phi-sends-family-to-constant")
+            if side == "phi" else
+            (bad.psi, bad.p_zero, bad.p_q, "psi-sends-constant-to-family"))
+        assert not m.deferred
         checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
-        check = checks["phi-sends-family-to-constant"]
+        check = checks[name]
         assert check.passed == (gen == "z" and corruption == "negated")
-        assert check.residual == str(bad.phi.apply(bad.p_q) - bad.p_zero)
+        assert check.residual == str(m.apply(source) - target)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("coeffs", [*SYMBOL_QS.values(), [7]],
+                             ids=[*SYMBOL_QS.keys(), "7"])
+    def test_proof_route_prints_the_direct_route_certificate(self, coeffs,
+                                                             n):
+        # the same maps with every image expanded take the direct route:
+        # apply for the image identities, the expansion for the degree
+        pair = build_stable_equivalence(coeffs, n)
+        plain = [RingEndomorphism(m.sig, {g: m.image(g) for g in m.sig.names})
+                 for m in (pair.phi, pair.psi)]
+        direct = StableEquivPair(pair.n, pair.q, pair.r, *plain, pair.p_q,
+                                 pair.p_zero)
+        texts = []
+        for which in (pair, direct):
+            cert = verify_stable_equivalence(which)
+            run_schwartz_zippel(cert, random.Random(0), points=25)
+            texts.append(cert.to_json())
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("side", ["phi", "psi"])
@@ -857,6 +865,30 @@ class TestDeferredYImage:
         base = pair.p_zero - lift * Polynomial.variable(sig, "y")
         low = truncate(truncate(bad, 3).substitute({"y": base}), 3)
         assert low.is_zero() == (stray == "x1^4*z")
+
+    def test_deferred_image_that_does_not_divide_fails_its_certificate(
+            self):
+        # N + x^[1]*z at (t - 1)^3: reading phi(y) raises NotDivisible
+        pair = build_stable_equivalence(dense_power([-1, 1], 3), 1)
+        sig = pair.phi.sig
+        later = pair.phi.deferred["y"]
+        phi = RingEndomorphism(sig, {g: pair.phi.image(g) for g in "zw"},
+                               deferred={"y": DeferredImage(
+                                   later.numerator + x_power_bracket(sig, 1)
+                                   * Polynomial.variable(sig, "z"), "y",
+                                   later.target, later.divisor, later.stage)})
+        bad = StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
+                              pair.p_q, pair.p_zero)
+        cert = verify_stable_equivalence(bad)
+        checks = {c.name: c for c in cert.checks}
+        for name in ("phi-sends-family-to-constant", "degree-growth-bound"):
+            assert not checks[name].passed
+            assert "phi(y) of the stable pair" in checks[name].details
+        for gen in "zwy":
+            assert checks[f"phi-after-psi-fixes-{gen}"].details \
+                == "not built: phi-sends-family-to-constant failed"
+        assert run_schwartz_zippel(cert, random.Random(0), points=3) == 10
+        assert not cert.passed
 
     def test_deferred_data_off_the_symbol_takes_the_direct_route(self):
         # N + x^[2]*z still divides, but phi(y) gains z and phi(P_q) != P0

@@ -49,6 +49,8 @@ DELETED = (
     "certificate._BadModulus",
     "certificate.MODULI",
     "equivalence._cylinder_y",
+    "equivalence._phi_of_family",
+    "equivalence._SymbolGate.fixes_z",
 )
 
 
