@@ -681,6 +681,27 @@ class TestSymbolicTargets:
     ``*-after-*-fixes-*`` round trips when the outer map has a wrong z- or
     w-image."""
 
+    @pytest.mark.parametrize("corruption", [None, *sorted(CORRUPTIONS)])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("coeffs", SYMBOL_QS.values(),
+                             ids=SYMBOL_QS.keys())
+    def test_image_identity_matches_substitution(self, coeffs, n,
+                                                 corruption):
+        # the build's phi takes the proof route and a wrong stored phi(y)
+        # the direct one; either way the recorded identity is the one of
+        # direct substitution
+        pair = build_stable_equivalence(coeffs, n)
+        if corruption is not None:
+            pair = _corrupt(pair, "phi", "y", corruption)
+        gate = _gates(pair)[0]
+        assert gate.holds
+        assert (_quotient_proved(pair.phi, gate, pair.p_zero)
+                == (corruption is None))
+        check = verify_stable_equivalence(pair).checks[0]
+        assert check.name == "phi-sends-family-to-constant"
+        assert check.passed == (corruption is None)
+        assert check.residual == str(pair.phi.apply(pair.p_q) - pair.p_zero)
+
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("gen", ["x1", "z", "w"])
     @pytest.mark.parametrize("side", ["phi", "psi"])
@@ -692,23 +713,24 @@ class TestSymbolicTargets:
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("gen", ["y", "z"])
-    @pytest.mark.parametrize("side", ["phi", "psi"])
-    def test_fallback_image_identity_keeps_the_residual(self, side, gen,
+    def test_fallback_image_identity_keeps_the_residual(self, gen,
                                                         corruption):
-        # a wrong stored y- or z-image fails the map's image identity with
-        # the residual of direct substitution; P_q and P0 hold z only
-        # through its square, so a negated z-image passes it
-        bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), side,
-                       gen, corruption)
-        m, source, target, name = (
-            (bad.phi, bad.p_q, bad.p_zero, "phi-sends-family-to-constant")
-            if side == "phi" else
-            (bad.psi, bad.p_zero, bad.p_q, "psi-sends-constant-to-family"))
-        assert not m.deferred
-        checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
-        check = checks[name]
-        assert check.passed == (gen == "z" and corruption == "negated")
-        assert check.residual == str(m.apply(source) - target)
+        # a wrong stored y- or z-image of phi or psi fails the map's image
+        # identity with the residual of direct substitution; P_q and P0
+        # hold z only through its square, so a negated z-image passes it
+        pair = build_stable_equivalence([1, 2, 0, -1], 2)
+        for side in ("phi", "psi"):
+            bad = _corrupt(pair, side, gen, corruption)
+            m, source, target, name = (
+                (bad.phi, bad.p_q, bad.p_zero, "phi-sends-family-to-constant")
+                if side == "phi" else
+                (bad.psi, bad.p_zero, bad.p_q, "psi-sends-constant-to-family"))
+            assert not m.deferred
+            checks = {c.name: c
+                      for c in verify_stable_equivalence(bad).checks}
+            check = checks[name]
+            assert check.passed == (gen == "z" and corruption == "negated")
+            assert check.residual == str(m.apply(source) - target)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("coeffs", [*SYMBOL_QS.values(), [7]],
