@@ -1,5 +1,6 @@
 """Tests for the equivalence deciders, witness maps, and stable pairs."""
 
+import hashlib
 import math
 import random
 import time
@@ -586,6 +587,29 @@ class TestStableEquivalence:
             exact = [c.name for c in cert.failed_checks()
                      if not c.name.endswith("/sz")]
             assert exact, (pair.q, pair.n)
+
+    def test_corrupted_pair_sweep_prints_the_pinned_bytes(self):
+        # every one-image corruption of five pairs at n = 1, 2, verified and
+        # re-checked at 3 points: the 360 certificates, in this order, are
+        # pinned by their sha256, so a change of route prints the same bytes
+        digest = hashlib.sha256()
+        count = 0
+        for q in ([-1, 1], dense_power([-1, 1], 3), [1, 2, 0, -1],
+                  SYMBOL_QS["sqrt2"], [1, -2, 1]):
+            for n in (1, 2):
+                base = build_stable_equivalence(q, n)
+                for side in ("phi", "psi"):
+                    for gen in base.phi.sig.names:
+                        for corruption in sorted(CORRUPTIONS):
+                            cert = verify_stable_equivalence(
+                                _corrupt(base, side, gen, corruption))
+                            run_schwartz_zippel(cert, random.Random(0),
+                                                points=3)
+                            digest.update(cert.to_json().encode())
+                            count += 1
+        assert count == 360
+        assert digest.hexdigest() == ("d88d9a803d96ab623a40c4a19d51ebc0"
+                                      "6024d21b2027909740203df9aa54595a")
 
     def test_psi_z_sign_flip_is_caught_by_the_round_trips(self):
         # psi(P0) sees psi(z) only through its square, so the image
