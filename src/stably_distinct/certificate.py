@@ -261,14 +261,16 @@ class _Recheck:
     expected side once per chain.  All of it goes when the object does,
     at the end of the call.
 
-    A map's deferred image (``morphisms.DeferredImage``) is evaluated from
-    its data: the numerator at the point with the target's value in the
-    symbol's slot, times the inverse of the divisor's value.  Where the
-    divisor vanishes mod p, it is evaluated from the expanded image
-    instead, so every image is valued at the same points.  The divisor
-    is a monomial, so the expanded image's coefficients are those of the
-    numerator at the target, sums of products of their coefficients, and
-    p divides none of their denominators.
+    A map's deferred y-image (``morphisms.DeferredImage``) is evaluated
+    from its data, in O(deg q) operations per point and with no table for
+    N: Z at the point with S = t, the target's value, then y' = (t - Z^2 -
+    s*q(Z^2)) * x^[2]^(-1), with s = x^[1] and q by Horner on the
+    residues of its coefficients.  Where the divisor vanishes mod p, it is
+    evaluated from the expanded image instead, so every image is valued
+    at the same points.  The divisor is a monic monomial, so the expanded
+    image's coefficients are sums of products of the coefficients of Z,
+    q and the target, and p, picked with q's coefficients among the
+    rest, divides none of their denominators.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],
@@ -279,6 +281,7 @@ class _Recheck:
         self.tables: dict = {}
         # keyed by id; each value keeps its map alive, so ids stay unique
         self.maps: dict = {}
+        scalars: list = []
         for hook in hooks:
             for m in hook.maps:
                 if id(m) not in self.maps:
@@ -286,14 +289,15 @@ class _Recheck:
                                            or self._entry(m.image(name))[0]
                                            for name in m.sig.names]
                     for later in m.deferred.values():
-                        for part in (later.numerator, later.target,
+                        for part in (later.z_sym, later.target,
                                      later.divisor):
                             self._entry(part)
+                        scalars.extend(later.q.coeffs)
             self._entry(hook.source)
             self._entry(hook.expected)
         self.p, self.root = _modulus(
             [c for bucket in self.tables.values() for poly, _ in bucket
-             for c in poly.terms.values()])
+             for c in poly.terms.values()] + scalars)
         self.inverses: dict = {}
         self.samples: dict = {}
         self.moved: dict = {}
@@ -322,11 +326,21 @@ class _Recheck:
         p = self.p
         if isinstance(image, Polynomial):
             return _evaluate_mod(self._table(image), columns, p)
+        sig = m.sig
         divisor = _evaluate_mod(self._table(image.divisor), columns, p)
         at_target = list(columns)
-        at_target[m.sig.index(image.symbol)] = _evaluate_mod(
+        target = at_target[sig.index("y")] = _evaluate_mod(
             self._table(image.target), columns, p)
-        values = _evaluate_mod(self._table(image.numerator), at_target, p)
+        z = _evaluate_mod(self._table(image.z_sym), at_target, p)
+        z_sq = [v * v % p for v in z]
+        s = columns[0]
+        for column in columns[1:sig.n]:
+            s = [a * b % p for a, b in zip(s, column)]
+        q_at = [0] * len(z)
+        for c in reversed(image.q.coeffs):
+            c = _residue(c, p, self.root, self.inverses)
+            q_at = [(a * b + c) % p for a, b in zip(q_at, z_sq)]
+        values = [t - a - b * c for t, a, b, c in zip(target, z_sq, s, q_at)]
         inverses = self.inverses
         for d in divisor:
             if d and d not in inverses:

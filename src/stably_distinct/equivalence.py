@@ -411,20 +411,16 @@ def _cylinder_zw(sign: int, rho: Polynomial, z: Polynomial, w: Polynomial):
     return z_img, w_img
 
 
-def _cylinder_symbols(sign: int, r: UnivariatePoly, q: UnivariatePoly,
-                      sig: RingSignature):
-    """Z, W and N of the cylinder map with twist ``sign``, over a symbol S
-    for its target held in the y slot.
+def _cylinder_symbols(sign: int, r: UnivariatePoly, sig: RingSignature):
+    """Z and W of the cylinder map with twist ``sign``, over a symbol S
+    for its target held in the y slot: :func:`_cylinder_zw` at rho = r(S).
 
-    Z, W = :func:`_cylinder_zw` at rho = r(S) and N = S - z_part(q, Z).
     They hold y only through r(S), and the ring homomorphism S -> target
-    sends them to the map's z-image, w-image and x^[2] times its y-image.
+    sends them to the map's z- and w-images.
     """
     sym = Polynomial.variable(sig, "y")
-    z_sym, w_sym = _cylinder_zw(sign, r.subs_into(sym),
-                                Polynomial.variable(sig, "z"),
-                                Polynomial.variable(sig, "w"))
-    return z_sym, w_sym, sym - z_part(q, z_sym)
+    return _cylinder_zw(sign, r.subs_into(sym), Polynomial.variable(sig, "z"),
+                        Polynomial.variable(sig, "w"))
 
 
 def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
@@ -435,15 +431,15 @@ def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
     expanded through :func:`_cylinder_symbols`: the substitution
     S -> target gives the same polynomials as the direct expansions at
     r(target).  Its y-image y' = (target - z_part(q, z')) / x^[2] solves
-    the image identity and is N(target) / x^[2], the division exact by
-    construction; it is kept as that data, N, S -> target and x^[2], and
-    expanded on first read.  ``label`` names the map in the error that
-    expansion raises past the term limit.
+    the image identity whatever z' is; it is kept as that data, Z over
+    the symbol, q, the target and x^[2] (:class:`DeferredImage`), and
+    expanded on first read.  ``label`` names the map in the errors of
+    that expansion.
     """
     sig = target.sig
-    z_sym, w_sym, n_sym = _cylinder_symbols(sign, r, q, sig)
+    z_sym, w_sym = _cylinder_symbols(sign, r, sig)
     at_target = {"y": target}
-    y_img = DeferredImage(n_sym, "y", target, x_power_bracket(sig, 2),
+    y_img = DeferredImage(z_sym, q, target, x_power_bracket(sig, 2),
                           f"{label}(y) of the stable pair")
     return RingEndomorphism(sig, {"z": z_sym.substitute(at_target),
                                   "w": w_sym.substitute(at_target)},
@@ -498,19 +494,18 @@ def stable_equivalence_degree_bound(pair: StableEquivPair) -> int:
 class _SymbolGate:
     """A stored map of the pair held against the symbols of its build.
 
-    ``z_sym``, ``w_sym`` and ``n_sym`` are :func:`_cylinder_symbols` for
-    twist ``sign``, ``r`` and ``q``, recomputed from q, with S in the y
-    slot.  ``holds``: the map fixes every x_i, and its stored z- and
-    w-images are Z(target) and W(target).
+    ``z_sym`` and ``w_sym`` are :func:`_cylinder_symbols` for twist
+    ``sign`` and ``r``, recomputed here, with S in the y slot.  ``holds``:
+    the map fixes every x_i, and its stored z- and w-images are Z(target)
+    and W(target).
     """
 
-    __slots__ = ("z_sym", "w_sym", "n_sym", "holds")
+    __slots__ = ("z_sym", "w_sym", "holds")
 
     def __init__(self, m: RingEndomorphism, sign: int, r: UnivariatePoly,
-                 q: UnivariatePoly, target: Polynomial):
+                 target: Polynomial):
         sig = m.sig
-        self.z_sym, self.w_sym, self.n_sym = _cylinder_symbols(sign, r, q,
-                                                               sig)
+        self.z_sym, self.w_sym = _cylinder_symbols(sign, r, sig)
         at_target = {"y": target}
         self.holds = (all(m.image(name) == Polynomial.variable(sig, name)
                           for name in sig.names if name.startswith("x"))
@@ -524,66 +519,117 @@ def _x_exponents_equal(p: Polynomial) -> bool:
     return all(exps[:n].count(exps[0]) == n for exps in p.terms)
 
 
-def _x2_divides_at(numerator: Polynomial, target: Polynomial) -> bool:
-    """Whether x^[2] divides N(target), for N = ``numerator`` with S in
-    the y slot, decided without expanding N(target).
+def _x2_divides_at(z_sym: Polynomial, q: UnivariatePoly,
+                   target: Polynomial) -> bool:
+    """Whether x^[2] divides N(target), for N = S - z_part(q, Z) and Z =
+    ``z_sym`` with S in the y slot, decided without forming N.
 
     B = target - x^[2]*y differs from the target by a multiple of
     x^[2], hence so do N(B) and N(target): x^[2] divides one iff it
-    divides the other.  The gate: every term of N and of B has equal x
+    divides the other.  The gate: every term of Z and of B has equal x
     exponents, as when the x's enter only through s = x^[1].  Then so
-    does every term of N(B), and x^[2] divides such a term iff its
-    x-degree is at least 2n.  Those terms span an ideal that S -> B maps
-    into itself, so truncating N to x-degree below 2n first leaves the
-    rest of N(B) below 2n unchanged; x^[2] divides N(B) iff nothing is
-    left.
+    does every term of N and of N(B), and x^[2] divides such a term iff
+    its x-degree is at least 2n.  Those terms span an ideal, so
+    truncating to x-degree below 2n is a ring homomorphism, and S -> B
+    maps the ideal into itself.  So the truncation of N is built from the
+    truncation of Z, z_part's z^2 + s*q(z^2) with q by Horner and a
+    truncation after each product; after S -> B, x^[2] divides N(B) iff
+    nothing below 2n is left.
     """
     sig = target.sig
     base = target - x_power_bracket(sig, 2) * Polynomial.variable(sig, "y")
-    if not (_x_exponents_equal(numerator) and _x_exponents_equal(base)):
+    if not (_x_exponents_equal(z_sym) and _x_exponents_equal(base)):
         return False
     below = 2 * sig.n - 1
-    low = truncate(numerator, below).substitute({"y": base})
-    return truncate(low, below).is_zero()
+    z_low = truncate(z_sym, below)
+    z_sq = truncate(z_low * z_low, below)
+    q_low = Polynomial.zero(sig)
+    for c in reversed(q.coeffs):
+        q_low = truncate(q_low * z_sq, below) + c
+    n_low = (Polynomial.variable(sig, "y") - z_sq
+             - truncate(x_power_bracket(sig, 1) * q_low, below))
+    return truncate(n_low.substitute({"y": base}), below).is_zero()
 
 
 def _quotient_proved(m: RingEndomorphism, gate: _SymbolGate,
-                     target: Polynomial) -> bool:
+                     q: UnivariatePoly, target: Polynomial) -> bool:
     """Whether ``m`` passes its gate and keeps its y-image as N(target)
-    / x^[2], for N the gate's recomputed symbol, and x^[2] | N(target)
-    holds by :func:`_x2_divides_at`.
+    / x^[2], for N = S - z_part(q, Z) with the gate's recomputed Z, and
+    x^[2] | N(target) holds by :func:`_x2_divides_at`.
 
-    Then the y-image is a polynomial, and m fixes x^[2] and sends z to
-    Z(target).  S -> target is a ring homomorphism, so z_part(q, m(z)) =
-    target - N(target), and m(x^[2]*y + z_part(q, z)) = N(target) +
-    target - N(target) = target, without expanding the y-image.
+    The deferred data is compared with the pair's, a few coefficients:
+    its Z with the gate's, its q with ``q`` and its target with the
+    member ``target``.  Then the y-image is a polynomial, and m fixes
+    x^[2] and sends z to Z(target).  S -> target is a ring homomorphism,
+    so z_part(q, m(z)) = target - N(target), and m(x^[2]*y + z_part(q,
+    z)) = N(target) + target - N(target) = target, without expanding the
+    y-image.
     """
     later = m.deferred.get("y")
-    sig = m.sig
-    return (gate.holds and later is not None and later.symbol == "y"
-            and later.divisor == x_power_bracket(sig, 2)
-            and later.target == target and later.numerator == gate.n_sym
-            and _x2_divides_at(later.numerator, target))
+    return (gate.holds and later is not None
+            and later.divisor == x_power_bracket(m.sig, 2)
+            and later.target == target and later.q == q
+            and later.z_sym == gate.z_sym
+            and _x2_divides_at(later.z_sym, q, target))
+
+
+def _top_form(p: Polynomial) -> Polynomial:
+    """The terms of ``p`` of its total degree."""
+    top = p.degree()
+    return Polynomial(p.sig, {exps: c for exps, c in p.terms.items()
+                              if sum(exps) == top})
+
+
+def _top_of_sum(parts: list):
+    """The degree and top form of a sum, from each nonzero summand's
+    degree and a thunk that gives its top form; None when the top forms
+    of the highest degree cancel, since the degree then rests on lower
+    forms.  A thunk is called only where degrees tie."""
+    top = max(degree for degree, _ in parts)
+    tied = [form for degree, form in parts if degree == top]
+    if len(tied) == 1:
+        return top, tied[0]
+    total = tied[0]()
+    for form in tied[1:]:
+        total = total + form()
+    return None if total.is_zero() else (top, lambda: total)
 
 
 def _y_degree(m: RingEndomorphism, proved: bool) -> int:
-    """The degree of m's y-image; from N without expanding it when
-    :func:`_quotient_proved` holds and B = target - x^[2]*y has degree
-    below 2n + 1.
+    """The degree of m's y-image; read off top forms, without expanding
+    it, when :func:`_quotient_proved` holds.
 
-    N holds y only through S, and the top form of the target is then
-    x^[2]*y alone, so each term c*m*S^e of N contributes the top form
-    c*m*(x^[2]*y)^e to N(target), and these sit on distinct monomials:
-    deg N(target) = max(deg m + e*(2n + 1)), less 2n for the quotient.
+    Q[x, y, z, w] is a domain, so the top form of a product is the
+    product of the top forms, and its degree the sum.  With T the target:
+    a term c*u*S^e of Z (u free of y) gives c*u*top(T)^e in Z(T); Z's
+    terms all hold z or w, so deg Z(T) >= 1 and the top form of
+    q(Z(T)^2) is q's leading coefficient times top(Z(T))^(2 deg q).  Then
+    N(T) = T - Z(T)^2 - s*q(Z(T)^2) is x^[2] times the y-image.  Where
+    summands tie at the highest degree their top forms are added; if
+    they cancel, the y-image is expanded instead.
     """
     if proved:
         later = m.deferred["y"]
         sig = m.sig
-        n, y = sig.n, sig.index("y")
-        lift = x_power_bracket(sig, 2) * Polynomial.variable(sig, "y")
-        if (later.target - lift).degree() < 2 * n + 1:
-            return max(sum(exps) + 2 * n * exps[y]
-                       for exps in later.numerator.terms) - 2 * n
+        y = sig.index("y")
+        target = later.target
+        d_t, top_t = target.degree(), _top_form(target)
+        z_top = _top_of_sum([
+            (sum(exps) + exps[y] * (d_t - 1),
+             lambda exps=exps, c=c: Polynomial.monomial(
+                 sig, exps[:y] + (0,) + exps[y + 1:], c) * top_t ** exps[y])
+            for exps, c in later.z_sym.terms.items()])
+        if z_top is not None:
+            d_z, z_form = z_top
+            parts = [(d_t, lambda: top_t), (2 * d_z, lambda: -z_form() ** 2)]
+            k = later.q.degree()
+            if k >= 0:
+                parts.append((sig.n + 2 * k * d_z, lambda: (
+                    x_power_bracket(sig, 1) * z_form() ** (2 * k)
+                    * -later.q.coeffs[-1])))
+            n_top = _top_of_sum(parts)
+            if n_top is not None:
+                return n_top[0] - later.divisor.degree()
     return m.image("y").degree()
 
 
@@ -593,21 +639,23 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     Each image identity, phi(P_q) = P0 and psi(P0) = P_q, takes one of
     two routes.  The proof route is for a map as the build leaves it,
     when :func:`_quotient_proved` holds.  The map passes its
-    :class:`_SymbolGate`: with Z, W and N = S - z_part(q', Z) of
-    :func:`_cylinder_symbols`, recomputed here from q (phi: sign 1, q and
-    S -> P0; psi: sign -1, q(0) and a symbol T -> P_q), it fixes every
-    x_i and its z- and w-images are Z and W at the target.  It keeps its
-    y-image as N(target) / x^[2], unexpanded, with N the recomputed
-    symbol and the target the member of q(0) or q.  And
-    :func:`_x2_divides_at` proves that x^[2] divides N(target), so the
-    y-image is a polynomial and x^[2] times it is N(target).  The
-    substitution S -> target is a ring homomorphism and the map fixes
-    x^[2], so it sends the source x^[2]*y + z_part(q', z) to N(target) +
-    target - N(target) = target: the target itself is recorded as the
-    image, without reading the y-image.  The check shares the build's
-    homomorphism argument, not its output: of the build it reads only
-    the stored maps.  ``degree-growth-bound`` then reads the y-degree off
-    N (:func:`_y_degree`).  Every other map takes the direct route,
+    :class:`_SymbolGate`: with Z and W of :func:`_cylinder_symbols`,
+    recomputed here from r (phi: sign 1 and S -> P0; psi: sign -1 and a
+    symbol T -> P_q), it fixes every x_i and its z- and w-images are Z
+    and W at the target.  It keeps its y-image unexpanded as
+    (target - z_part(q', Z(target))) / x^[2], with Z the recomputed
+    symbol, q' the map's q (q for phi, q(0) for psi) and the target the
+    member of q(0) or q: a comparison of a few coefficients.  And
+    :func:`_x2_divides_at` proves that x^[2] divides N(target), for N =
+    S - z_part(q', Z), on truncations, so the y-image is a polynomial
+    and x^[2] times it is N(target).  The substitution S -> target is a
+    ring homomorphism and the map fixes x^[2], so it sends the source
+    x^[2]*y + z_part(q', z) to N(target) + target - N(target) = target:
+    the target itself is recorded as the image, without reading the
+    y-image or forming N.  The check shares the build's homomorphism
+    argument, not its output: of the build it reads only the stored
+    maps.  ``degree-growth-bound`` then reads the y-degree off top forms
+    (:func:`_y_degree`).  Every other map takes the direct route,
     ``apply``, so a failing identity prints the residual of direct
     substitution.  A deferred y-image that does not divide records its
     identity as not built and the degree bound as failed.
@@ -682,8 +730,8 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
          q_zero, pair.p_zero, pair.p_q))
     gates, proved, image_checks = [], [], []
     for name, _, (m, _), sign, q, source, target in table:
-        gates.append(_SymbolGate(m, sign, r, q, target))
-        proved.append(members and _quotient_proved(m, gates[-1], target))
+        gates.append(_SymbolGate(m, sign, r, target))
+        proved.append(members and _quotient_proved(m, gates[-1], q, target))
         try:
             image = target if proved[-1] else m.apply(source)
         except NotDivisible as err:

@@ -17,8 +17,9 @@ from typing import Mapping, Union
 from .errors import (NotDivisible, ParseError, ResourceLimit,
                      SignatureMismatch, StablyDistinctError, UnknownVariable)
 from .exactfield import Scalar
-from .polyring import (Polynomial, RingSignature, check_one_field,
-                       exact_divide, parse_json, parse_polynomial)
+from .polyring import (Polynomial, RingSignature, UnivariatePoly,
+                       check_one_field, exact_divide, parse_json,
+                       parse_polynomial)
 
 PolyLike = Union[Polynomial, Scalar, int]
 
@@ -129,39 +130,44 @@ class _GeneratorMap:
 
 
 class DeferredImage:
-    """A generator image kept as the data that defines it: ``numerator``
-    with its generator ``symbol`` sent to ``target``, divided exactly by
-    the monomial ``divisor`` (coefficient 1).
+    """A y-image kept as the data that defines it: the image
+    (target - z_part(q, Z(target))) / divisor of a map with z-image
+    Z(target) that sends P_q = x^[2]*y + z_part(q, z) to ``target``.
 
-    ``stage`` names the image in the :class:`ResourceLimit` that its
-    expansion raises when an intermediate passes the term limit, and in
-    the :class:`NotDivisible` it raises when the division is not exact.
+    ``z_sym`` is Z over a symbol S for the target, held in the y slot;
+    ``q`` is the map's q, ``divisor`` a monic monomial.  :meth:`expand`
+    forms N = S - z_part(q, Z) over the symbol, sends S to the target and
+    divides; nothing else forms N.  ``stage`` names the image in the
+    :class:`ResourceLimit` that the expansion raises when an intermediate
+    passes the term limit, and in the :class:`NotDivisible` it raises
+    when the division is not exact.
     """
 
-    __slots__ = ("numerator", "symbol", "target", "divisor", "stage")
+    __slots__ = ("z_sym", "q", "target", "divisor", "stage")
 
-    def __init__(self, numerator: Polynomial, symbol: str,
+    def __init__(self, z_sym: Polynomial, q: UnivariatePoly,
                  target: Polynomial, divisor: Polynomial, stage: str):
-        numerator.sig.index(symbol)
         for part in (target, divisor):
-            if part.sig != numerator.sig:
+            if part.sig != z_sym.sig:
                 raise SignatureMismatch(
-                    f"{stage}: {part.sig.names} against "
-                    f"{numerator.sig.names}")
+                    f"{stage}: {part.sig.names} against {z_sym.sig.names}")
         if list(divisor.terms.values()) != [1]:
             raise StablyDistinctError(
                 f"{stage}: the divisor must be a monomial, got {divisor}")
-        self.numerator = numerator
-        self.symbol = symbol
+        self.z_sym = z_sym
+        self.q = q
         self.target = target
         self.divisor = divisor
         self.stage = stage
 
     def expand(self) -> Polynomial:
+        # hypersurface imports this module
+        from .hypersurface import z_part
+        symbol = Polynomial.variable(self.z_sym.sig, "y")
         try:
-            return exact_divide(
-                self.numerator.substitute({self.symbol: self.target}),
-                self.divisor)
+            numerator = symbol - z_part(self.q, self.z_sym)
+            return exact_divide(numerator.substitute({"y": self.target}),
+                                self.divisor)
         except (ResourceLimit, NotDivisible) as err:
             raise type(err)(f"expanding {self.stage}: {err}") from None
 
@@ -185,7 +191,7 @@ class RingEndomorphism(_GeneratorMap):
         self.deferred = dict(deferred or {})
         for name, later in self.deferred.items():
             sig.index(name)
-            if name in self.images or later.numerator.sig != sig:
+            if name in self.images or later.target.sig != sig:
                 raise SignatureMismatch(
                     f"deferred image of {name} conflicts with the map")
 

@@ -14,7 +14,7 @@ from stably_distinct import equivalence
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
     HyperEquivWitness, PolyEquivWitness, StableEquivPair, _cylinder_symbols,
-    _euclid_on_ratios, _quotient_proved, _SymbolGate,
+    _euclid_on_ratios, _quotient_proved, _SymbolGate, _top_of_sum,
     _x2_divides_at, _x_exponents_equal, _y_degree,
     build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
@@ -23,7 +23,8 @@ from stably_distinct.equivalence import (
     verify_hyper_equivalence, verify_stable_equivalence)
 from stably_distinct.errors import (InvalidWitness, MixedDiscriminant,
                                     NotDecidableInField, NotDivisible,
-                                    ParseError, StablyDistinctError)
+                                    ParseError, ResourceLimit,
+                                    StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
 from stably_distinct.hypersurface import PqSpec, build_Pq
 from stably_distinct.morphisms import DeferredImage, RingEndomorphism
@@ -690,10 +691,13 @@ SYMBOL_QS = {"(t-1)^3": dense_power([-1, 1], 3), "1+2t-t^3": [1, 2, 0, -1],
              "sqrt2": [Fraction(1, 3), 2, quadext(0, 1, 2), -1]}
 
 
-def _gates(pair: StableEquivPair):
+def _sides(pair: StableEquivPair):
+    """(map, gate, q, target) for phi and for psi."""
     q_zero = UnivariatePoly([pair.q(0)])
-    return (_SymbolGate(pair.phi, 1, pair.r, pair.q, pair.p_zero),
-            _SymbolGate(pair.psi, -1, pair.r, q_zero, pair.p_q))
+    return ((pair.phi, _SymbolGate(pair.phi, 1, pair.r, pair.p_zero), pair.q,
+             pair.p_zero),
+            (pair.psi, _SymbolGate(pair.psi, -1, pair.r, pair.p_q), q_zero,
+             pair.p_q))
 
 
 class TestSymbolicTargets:
@@ -717,9 +721,9 @@ class TestSymbolicTargets:
         pair = build_stable_equivalence(coeffs, n)
         if corruption is not None:
             pair = _corrupt(pair, "phi", "y", corruption)
-        gate = _gates(pair)[0]
+        m, gate, q, target = _sides(pair)[0]
         assert gate.holds
-        assert (_quotient_proved(pair.phi, gate, pair.p_zero)
+        assert (_quotient_proved(m, gate, q, target)
                 == (corruption is None))
         check = verify_stable_equivalence(pair).checks[0]
         assert check.name == "phi-sends-family-to-constant"
@@ -732,7 +736,7 @@ class TestSymbolicTargets:
     def test_corrupted_image_trips_its_gate(self, side, gen, corruption):
         pair = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), side,
                         gen, corruption)
-        gate = _gates(pair)[side == "psi"]
+        gate = _sides(pair)[side == "psi"][1]
         assert not gate.holds
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
@@ -832,28 +836,46 @@ class TestSymbolicTargets:
         assert [m for m, p in applied if p is bad.p_q] == [bad.phi]
 
 
-class TestDeferredYImage:
-    """The build keeps each y-image as N, S -> target and x^[2]; the
-    verifier proves x^[2] | N(target) by a truncated test and reads the
-    degree off N, so no verdict expands a y-image it can prove."""
+# (t - 1)^8 at n = 1: its build, verify and 25-point re-check pass from a
+# term limit of 5,953 (psi(w)) up; forming N of phi needs 15,645
+TERM_LIMIT_K8 = 10_000
 
-    @staticmethod
-    def symbols(coeffs, n):
-        pair = build_stable_equivalence(coeffs, n)
-        return pair, _gates(pair)[0].n_sym
+
+class TestDeferredYImage:
+    """The build keeps each y-image as Z over the symbol S, q, the target
+    and x^[2]; the verifier proves x^[2] | N(target), for N = S -
+    z_part(q, Z), by a truncated test and reads the degree off top
+    forms, so no verdict expands a y-image it can prove or forms N."""
 
     @pytest.mark.parametrize("n, coeffs", [
         *[(1, dense_power([-1, 1], k)) for k in range(1, 7)],
         *[(2, dense_power([-1, 1], k)) for k in range(1, 5)],
         *[(n, SYMBOL_QS[name]) for n in (1, 2)
-          for name in ("1+2t-t^3", "sqrt2")]])
+          for name in ("1+2t-t^3", "sqrt2")],
+        (1, dense_power([-1, 1], 7))])
     def test_degree_formula_matches_the_expansion(self, n, coeffs):
         pair = build_stable_equivalence(coeffs, n)
-        for m, gate, target in zip((pair.phi, pair.psi), _gates(pair),
-                                   (pair.p_zero, pair.p_q)):
-            proved = _quotient_proved(m, gate, target)
+        for m, gate, q, target in _sides(pair):
+            proved = _quotient_proved(m, gate, q, target)
             assert proved
             assert _y_degree(m, proved) == m.image("y").degree()
+
+    def test_top_of_a_sum_adds_tied_forms_and_refuses_a_cancellation(self):
+        sig = RingSignature(1, has_w=True)
+        x1, z, w = (Polynomial.variable(sig, name) for name in ("x1", "z",
+                                                                "w"))
+        called = []
+
+        def form(p):
+            return lambda: called.append(p) or p
+
+        degree, top = _top_of_sum([(1, form(z)), (2, form(x1 * w))])
+        assert (degree, top()) == (2, x1 * w) and called == [x1 * w]
+        degree, top = _top_of_sum([(2, form(x1 * w)), (2, form(z * w)),
+                                   (1, form(z))])
+        assert (degree, top()) == (2, x1 * w + z * w)
+        assert _top_of_sum([(2, form(z * w)), (2, form(-z * w)),
+                            (1, form(z))]) is None
 
     def test_phi_y_stays_unexpanded_through_verify_and_recheck(self):
         pair = build_stable_equivalence(dense_power([-1, 1], 4), 2)
@@ -862,8 +884,11 @@ class TestDeferredYImage:
         assert cert.passed
         assert "y" not in pair.phi.images
 
-    def test_k8_passes_with_its_recheck(self):
-        # the expanded phi(y) would pass the default 10^6-term limit
+    def test_k8_passes_with_its_recheck(self, monkeypatch):
+        # N of phi has 15,669 terms and the largest stored image, psi(w),
+        # 5,953; under this term limit forming N stops with ResourceLimit,
+        # so the build, the verifier and the re-check never form it
+        monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", str(TERM_LIMIT_K8))
         pair = build_stable_equivalence(dense_power([-1, 1], 8), 1)
         cert = verify_stable_equivalence(pair)
         run_schwartz_zippel(cert, random.Random(0), points=25)
@@ -871,57 +896,69 @@ class TestDeferredYImage:
         checks = {c.name: c for c in cert.checks}
         assert checks["degree-growth-bound"].details \
             == "max y-image degree 367, bound 386"
-        assert "y" not in pair.phi.images
+        assert "y" not in pair.phi.images and "y" not in pair.psi.images
+        with pytest.raises(ResourceLimit, match="expanding phi"):
+            pair.phi.image("y")
 
-    @pytest.mark.parametrize("control", ["N + x^[1]*z", "N + z^2*w",
-                                         "q(0) + 1 in B", "r halved"])
+    @staticmethod
+    def _control(pair, n, control):
+        """Deferred data of phi, (Z, q, target), with one control off the
+        pair's; each leaves N(target) not divisible by x^[2]."""
+        sig = pair.phi.sig
+        later = pair.phi.deferred["y"]
+        z, w = (Polynomial.variable(sig, name) for name in "zw")
+        q = pair.q
+        return {
+            "Z + x^[1]*w": (later.z_sym + x_power_bracket(sig, 1) * w, q,
+                            pair.p_zero),
+            "Z + w": (later.z_sym + w, q, pair.p_zero),
+            "q(0) + 1 in B": (later.z_sym, q, build_Pq(
+                PqSpec(n, [q(0) + 1], 0), has_w=True)),
+            "r halved": (_cylinder_symbols(1, UnivariatePoly(
+                [c / 2 for c in pair.r.coeffs]), sig)[0], q, pair.p_zero),
+            "q leading + 1": (later.z_sym, UnivariatePoly(
+                [*q.coeffs[:-1], q.coeffs[-1] + 1]), pair.p_zero),
+        }[control]
+
+    @pytest.mark.parametrize("control", ["Z + x^[1]*w", "Z + w",
+                                         "q(0) + 1 in B", "r halved",
+                                         "q leading + 1"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_negative_controls_fail_the_truncated_test(self, n, control):
-        q = UnivariatePoly(dense_power([-1, 1], 3))
-        pair, n_sym = self.symbols(q, n)
-        sig = n_sym.sig
-        lift = x_power_bracket(sig, 2)
-        z, w = (Polynomial.variable(sig, name) for name in "zw")
-        assert _x2_divides_at(n_sym, pair.p_zero)
-        numerator, target = {
-            "N + x^[1]*z": (n_sym + x_power_bracket(sig, 1) * z,
-                            pair.p_zero),
-            "N + z^2*w": (n_sym + z * z * w, pair.p_zero),
-            "q(0) + 1 in B": (n_sym, build_Pq(PqSpec(n, [q(0) + 1], 0),
-                                              has_w=True)),
-            "r halved": (_cylinder_symbols(
-                1, UnivariatePoly([c / 2 for c in pair.r.coeffs]), q,
-                sig)[2], pair.p_zero),
-        }[control]
-        assert not _x2_divides_at(numerator, target)
+        pair = build_stable_equivalence(dense_power([-1, 1], 3), n)
+        later = pair.phi.deferred["y"]
+        assert _x2_divides_at(later.z_sym, later.q, later.target)
+        z_sym, q, target = self._control(pair, n, control)
+        assert not _x2_divides_at(z_sym, q, target)
         with pytest.raises(NotDivisible):
-            exact_divide(numerator.substitute({"y": target}), lift)
+            DeferredImage(z_sym, q, target, later.divisor, "control").expand()
 
     @pytest.mark.parametrize("stray", ["x1*z", "x1^4*z"])
     def test_equal_exponent_gate_refuses_a_stray_x1_term(self, stray):
-        pair, n_sym = self.symbols(dense_power([-1, 1], 3), 2)
-        sig = n_sym.sig
-        lift = x_power_bracket(sig, 2)
-        bad = n_sym + parse_polynomial(sig, stray)
-        assert _x_exponents_equal(n_sym) and not _x_exponents_equal(bad)
-        assert not _x2_divides_at(bad, pair.p_zero)
+        pair = build_stable_equivalence(dense_power([-1, 1], 3), 2)
+        later = pair.phi.deferred["y"]
+        sig = pair.phi.sig
+        bad = later.z_sym + parse_polynomial(sig, stray)
+        assert _x_exponents_equal(later.z_sym) and not _x_exponents_equal(bad)
+        assert not _x2_divides_at(bad, later.q, later.target)
         with pytest.raises(NotDivisible):
-            exact_divide(bad.substitute({"y": pair.p_zero}), lift)
-        # x1^4*z has x-degree 2n = 4, so truncation alone would pass it
-        base = pair.p_zero - lift * Polynomial.variable(sig, "y")
-        low = truncate(truncate(bad, 3).substitute({"y": base}), 3)
-        assert low.is_zero() == (stray == "x1^4*z")
+            DeferredImage(bad, later.q, later.target, later.divisor,
+                          "stray").expand()
+        # x1^4*z has x-degree 2n = 4: the truncated N, built from the
+        # truncated Z alone, would pass it
+        assert (truncate(bad, 3) == truncate(later.z_sym, 3)) \
+            == (stray == "x1^4*z")
 
     def test_deferred_image_that_does_not_divide_fails_its_certificate(
             self):
-        # N + x^[1]*z at (t - 1)^3: reading phi(y) raises NotDivisible
+        # Z + x^[1]*w at (t - 1)^3: reading phi(y) raises NotDivisible
         pair = build_stable_equivalence(dense_power([-1, 1], 3), 1)
         sig = pair.phi.sig
         later = pair.phi.deferred["y"]
         phi = RingEndomorphism(sig, {g: pair.phi.image(g) for g in "zw"},
                                deferred={"y": DeferredImage(
-                                   later.numerator + x_power_bracket(sig, 1)
-                                   * Polynomial.variable(sig, "z"), "y",
+                                   later.z_sym + x_power_bracket(sig, 1)
+                                   * Polynomial.variable(sig, "w"), later.q,
                                    later.target, later.divisor, later.stage)})
         bad = StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
                               pair.p_q, pair.p_zero)
@@ -936,24 +973,69 @@ class TestDeferredYImage:
         assert run_schwartz_zippel(cert, random.Random(0), points=3) == 10
         assert not cert.passed
 
+    @staticmethod
+    def _with_deferred(pair, **change):
+        """The pair with phi's deferred data changed as given."""
+        later = pair.phi.deferred["y"]
+        data = {"z_sym": later.z_sym, "q": later.q, "target": later.target,
+                **change}
+        phi = RingEndomorphism(pair.phi.sig,
+                               {g: pair.phi.image(g) for g in "zw"},
+                               deferred={"y": DeferredImage(
+                                   data["z_sym"], data["q"], data["target"],
+                                   later.divisor, "phi(y)")})
+        return StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
+                               pair.p_q, pair.p_zero)
+
     def test_deferred_data_off_the_symbol_takes_the_direct_route(self):
-        # N + x^[2]*z still divides, but phi(y) gains z and phi(P_q) != P0
+        # Z + x^[2]*z still divides, but phi(y) gains z and phi(P_q) != P0
         pair = build_stable_equivalence([1, 2, 0, -1], 2)
         sig = pair.phi.sig
-        later = pair.phi.deferred["y"]
-        shifted = later.numerator + x_power_bracket(sig, 2) \
+        z_sym = pair.phi.deferred["y"].z_sym + x_power_bracket(sig, 2) \
             * Polynomial.variable(sig, "z")
-        phi = RingEndomorphism(sig, {g: pair.phi.image(g) for g in "zw"},
-                               deferred={"y": DeferredImage(
-                                   shifted, "y", later.target,
-                                   later.divisor, "phi(y)")})
-        bad = StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
-                              pair.p_q, pair.p_zero)
-        assert not _quotient_proved(phi, _gates(bad)[0], bad.p_zero)
+        bad = self._with_deferred(pair, z_sym=z_sym)
+        assert _x2_divides_at(z_sym, pair.q, pair.p_zero)
+        phi, gate, q, target = _sides(bad)[0]
+        assert gate.holds and not _quotient_proved(phi, gate, q, target)
         checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
         check = checks["phi-sends-family-to-constant"]
         assert not check.passed
         assert check.residual == str(phi.apply(bad.p_q) - bad.p_zero)
+
+    @pytest.mark.parametrize("change", ["target + x^[2]*z", "q(0) + 1",
+                                        "q leading + 1"])
+    def test_stored_y_image_with_a_changed_q_or_target_takes_apply(
+            self, monkeypatch, change):
+        # the gate holds, but the stored q or target is not the pair's: the
+        # identity is computed by apply and fails, with the residual of
+        # apply where the changed data still divides
+        pair = build_stable_equivalence(dense_power([-1, 1], 3), 2)
+        sig = pair.phi.sig
+        q = pair.q
+        bad = self._with_deferred(pair, **{
+            "target + x^[2]*z": {"target": pair.p_zero + x_power_bracket(
+                sig, 2) * Polynomial.variable(sig, "z")},
+            "q(0) + 1": {"q": UnivariatePoly([q(0) + 1, *q.coeffs[1:]])},
+            "q leading + 1": {"q": UnivariatePoly(
+                [*q.coeffs[:-1], q.coeffs[-1] + 1])},
+        }[change])
+        phi, gate, q, target = _sides(bad)[0]
+        assert gate.holds and not _quotient_proved(phi, gate, q, target)
+        applied = []
+        apply = RingEndomorphism.apply
+        monkeypatch.setattr(RingEndomorphism, "apply", lambda m, p: (
+            applied.append((m, p)), apply(m, p))[1])
+        check = verify_stable_equivalence(bad).checks[0]
+        assert check.name == "phi-sends-family-to-constant"
+        assert not check.passed
+        assert applied[0] == (phi, bad.p_q)
+        try:
+            residual = str(apply(phi, bad.p_q) - bad.p_zero)
+        except NotDivisible as err:
+            assert change != "target + x^[2]*z"
+            assert check.details == f"not built: {err}"
+        else:
+            assert check.residual == residual
 
 
 class TestTheoremCertificate:

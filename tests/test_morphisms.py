@@ -16,7 +16,7 @@ from stably_distinct.hypersurface import PqSpec
 from stably_distinct.morphisms import (DeferredImage, Derivation,
                                       RingEndomorphism)
 from stably_distinct.polyring import (Polynomial, RingSignature,
-                                      parse_polynomial)
+                                      UnivariatePoly, parse_polynomial)
 
 
 def sig1():
@@ -140,12 +140,15 @@ class TestEndomorphism:
 
 
 class TestDeferredImage:
-    """y -> (x1^2*y + x1^2*z^2)(y -> y + 1) / x1^2 = y + 1 + z^2."""
+    """Z = z and q = 1, so N = S - z^2 - x1, and the target
+    x1^2*y + x1^2*z^2 + x1^2 + z^2 + x1 gives y -> y + z^2 + 1."""
 
-    def deferred(self, s=None, numerator="x1^2*y + x1^2*z^2"):
+    TARGET = "x1^2*y + x1^2*z^2 + x1^2 + z^2 + x1"
+
+    def deferred(self, s=None, target=TARGET):
         s = s or sig1()
-        return DeferredImage(parse_polynomial(s, numerator), "y",
-                             parse_polynomial(s, "y + 1"),
+        return DeferredImage(Polynomial.variable(s, "z"), UnivariatePoly([1]),
+                             parse_polynomial(s, target),
                              parse_polynomial(s, "x1^2"), "y of the test map")
 
     def lazy(self):
@@ -209,12 +212,13 @@ class TestDeferredImage:
         with pytest.raises(UnknownVariable):
             RingEndomorphism(s, deferred={"w": self.deferred(s)})
         with pytest.raises(SignatureMismatch):
-            DeferredImage(Polynomial.variable(s, "y"), "y",
+            DeferredImage(Polynomial.variable(s, "z"), UnivariatePoly([1]),
                           Polynomial.variable(sig2(), "y"),
                           Polynomial.constant(s, 1), "mixed")
         for divisor in ("2*x1^2", "x1 + 1", "0"):
             with pytest.raises(StablyDistinctError, match="monomial"):
-                DeferredImage(Polynomial.variable(s, "y"), "y",
+                DeferredImage(Polynomial.variable(s, "z"),
+                              UnivariatePoly([1]),
                               Polynomial.variable(s, "y"),
                               parse_polynomial(s, divisor), "not monic")
 

@@ -51,6 +51,9 @@ DELETED = (
     "equivalence._cylinder_y",
     "equivalence._phi_of_family",
     "equivalence._SymbolGate.fixes_z",
+    "equivalence._SymbolGate.n_sym",
+    "morphisms.DeferredImage.numerator",
+    "morphisms.DeferredImage.symbol",
 )
 
 

@@ -528,8 +528,9 @@ class _ZeroAt(random.Random):
 
 
 class TestDeferredImages:
-    """A deferred y-image is re-checked as N(x, S = target(pt), z, w) times
-    x^[2](pt)^-1, and from its expansion where x^[2](pt) = 0."""
+    """A deferred y-image is re-checked as (t - Z^2 - s*q(Z^2)) times
+    x^[2](pt)^-1, with Z at S = t = target(pt), and from its expansion
+    where x^[2](pt) = 0."""
 
     @staticmethod
     def moved(m, rng) -> list:
@@ -545,11 +546,13 @@ class TestDeferredImages:
                                         for name in m.sig.names})
 
     @pytest.mark.parametrize("coeffs", [
-        [-1, 3, -3, 1], [Fraction(1, 3), 2, quadext(0, 1, 2), -1]],
-        ids=["(t-1)^3", "sqrt2"])
+        [-1, 3, -3, 1], [Fraction(1, 3), 2, quadext(0, 1, 2), -1],
+        [Fraction(1, 3), 2, 0, -1], [-1, 5, -10, 10, -5, 1]],
+        ids=["(t-1)^3", "sqrt2", "1/3+2t-t^3", "(t-1)^5"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("side", ["phi", "psi"])
-    def test_lazy_values_match_the_expanded_map(self, side, coeffs):
-        m = getattr(build_stable_equivalence(coeffs, 2), side)
+    def test_lazy_values_match_the_expanded_map(self, side, n, coeffs):
+        m = getattr(build_stable_equivalence(coeffs, n), side)
         lazy = self.moved(m, random.Random(4))
         assert "y" not in m.images
         assert self.moved(self.expanded(m), random.Random(4)) == lazy
