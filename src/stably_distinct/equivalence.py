@@ -601,31 +601,29 @@ def _y_degree(m: RingEndomorphism, proved: bool) -> int:
 
     Q[x, y, z, w] is a domain, so the top form of a product is the
     product of the top forms, and its degree the sum.  With T the target:
-    a term c*u*S^e of Z (u free of y) gives c*u*top(T)^e in Z(T); Z's
-    terms all hold z or w, so deg Z(T) >= 1 and the top form of
-    q(Z(T)^2) is q's leading coefficient times top(Z(T))^(2 deg q).  Then
-    N(T) = T - Z(T)^2 - s*q(Z(T)^2) is x^[2] times the y-image.  Where
-    summands tie at the highest degree their top forms are added; if
-    they cancel, the y-image is expanded instead.
+    a term c*u*S^e of Z (u free of y) has the top form c*u*top(T)^e in
+    Z(T), so Z(top(T)) is a sum of forms whose highest part is the top
+    form of Z(T), unless that part cancels.  Z's terms all hold z or w,
+    so deg Z(T) >= 1 and the top form of q(Z(T)^2) is q's leading
+    coefficient times top(Z(T))^(2 deg q).  Then N(T) = T - Z(T)^2 -
+    s*q(Z(T)^2) is x^[2] times the y-image.  Where summands tie at the
+    highest degree their top forms are added; where tied forms cancel,
+    the y-image is expanded instead.
     """
     if proved:
         later = m.deferred["y"]
-        sig = m.sig
+        sig, target, z_sym = m.sig, later.target, later.z_sym
         y = sig.index("y")
-        target = later.target
         d_t, top_t = target.degree(), _top_form(target)
-        z_top = _top_of_sum([
-            (sum(exps) + exps[y] * (d_t - 1),
-             lambda exps=exps, c=c: Polynomial.monomial(
-                 sig, exps[:y] + (0,) + exps[y + 1:], c) * top_t ** exps[y])
-            for exps, c in later.z_sym.terms.items()])
-        if z_top is not None:
-            d_z, z_form = z_top
-            parts = [(d_t, lambda: top_t), (2 * d_z, lambda: -z_form() ** 2)]
+        d_z = max(sum(exps) + exps[y] * (d_t - 1) for exps in z_sym.terms)
+        z_at_top = z_sym.substitute({"y": top_t})
+        if z_at_top.degree() == d_z:
+            top_z = _top_form(z_at_top)
+            parts = [(d_t, lambda: top_t), (2 * d_z, lambda: -top_z ** 2)]
             k = later.q.degree()
             if k >= 0:
                 parts.append((sig.n + 2 * k * d_z, lambda: (
-                    x_power_bracket(sig, 1) * z_form() ** (2 * k)
+                    x_power_bracket(sig, 1) * top_z ** (2 * k)
                     * -later.q.coeffs[-1])))
             n_top = _top_of_sum(parts)
             if n_top is not None:

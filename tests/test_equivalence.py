@@ -949,30 +949,6 @@ class TestDeferredYImage:
         assert (truncate(bad, 3) == truncate(later.z_sym, 3)) \
             == (stray == "x1^4*z")
 
-    def test_deferred_image_that_does_not_divide_fails_its_certificate(
-            self):
-        # Z + x^[1]*w at (t - 1)^3: reading phi(y) raises NotDivisible
-        pair = build_stable_equivalence(dense_power([-1, 1], 3), 1)
-        sig = pair.phi.sig
-        later = pair.phi.deferred["y"]
-        phi = RingEndomorphism(sig, {g: pair.phi.image(g) for g in "zw"},
-                               deferred={"y": DeferredImage(
-                                   later.z_sym + x_power_bracket(sig, 1)
-                                   * Polynomial.variable(sig, "w"), later.q,
-                                   later.target, later.divisor, later.stage)})
-        bad = StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
-                              pair.p_q, pair.p_zero)
-        cert = verify_stable_equivalence(bad)
-        checks = {c.name: c for c in cert.checks}
-        for name in ("phi-sends-family-to-constant", "degree-growth-bound"):
-            assert not checks[name].passed
-            assert "phi(y) of the stable pair" in checks[name].details
-        for gen in "zwy":
-            assert checks[f"phi-after-psi-fixes-{gen}"].details \
-                == "not built: phi-sends-family-to-constant failed"
-        assert run_schwartz_zippel(cert, random.Random(0), points=3) == 10
-        assert not cert.passed
-
     @staticmethod
     def _with_deferred(pair, **change):
         """The pair with phi's deferred data changed as given."""
@@ -983,9 +959,28 @@ class TestDeferredYImage:
                                {g: pair.phi.image(g) for g in "zw"},
                                deferred={"y": DeferredImage(
                                    data["z_sym"], data["q"], data["target"],
-                                   later.divisor, "phi(y)")})
+                                   later.divisor, later.stage)})
         return StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
                                pair.p_q, pair.p_zero)
+
+    def test_deferred_image_that_does_not_divide_fails_its_certificate(
+            self):
+        # Z + x^[1]*w at (t - 1)^3: reading phi(y) raises NotDivisible
+        pair = build_stable_equivalence(dense_power([-1, 1], 3), 1)
+        sig = pair.phi.sig
+        bad = self._with_deferred(pair, z_sym=pair.phi.deferred["y"].z_sym
+                                  + x_power_bracket(sig, 1)
+                                  * Polynomial.variable(sig, "w"))
+        cert = verify_stable_equivalence(bad)
+        checks = {c.name: c for c in cert.checks}
+        for name in ("phi-sends-family-to-constant", "degree-growth-bound"):
+            assert not checks[name].passed
+            assert "phi(y) of the stable pair" in checks[name].details
+        for gen in "zwy":
+            assert checks[f"phi-after-psi-fixes-{gen}"].details \
+                == "not built: phi-sends-family-to-constant failed"
+        assert run_schwartz_zippel(cert, random.Random(0), points=3) == 10
+        assert not cert.passed
 
     def test_deferred_data_off_the_symbol_takes_the_direct_route(self):
         # Z + x^[2]*z still divides, but phi(y) gains z and phi(P_q) != P0
