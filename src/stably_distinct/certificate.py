@@ -43,7 +43,7 @@ from functools import lru_cache
 from operator import add, lshift, mul
 from typing import Sequence
 
-from .errors import StablyDistinctError
+from .errors import NotDivisible, StablyDistinctError
 from .exactfield import QuadExt
 from .polyring import Polynomial, check_one_field, random_point
 
@@ -261,16 +261,18 @@ class _Recheck:
     expected side once per chain.  All of it goes when the object does,
     at the end of the call.
 
-    A map's deferred y-image (``morphisms.DeferredImage``) is evaluated
-    from its data, in O(deg q) operations per point and with no table for
-    N: Z at the point with S = t, the target's value, then y' = (t - Z^2 -
-    s*q(Z^2)) * x^[2]^(-1), with s = x^[1] and q by Horner on the
-    residues of its coefficients.  Where the divisor vanishes mod p, it is
-    evaluated from the expanded image instead, so every image is valued
-    at the same points.  The divisor is a monic monomial, so the expanded
-    image's coefficients are sums of products of the coefficients of Z,
-    q and the target, and p, picked with q's coefficients among the
-    rest, divides none of their denominators.
+    A map's record of its z-, w- and y-images (``morphisms.DeferredImage``)
+    is evaluated from its data, once per chain prefix, in O(deg q)
+    operations per point and with no table for an expanded image: the
+    target's value t, then Z and W at the point with S = t, which are z'
+    and w', and y' = (t - Z^2 - s*q(Z^2)) * x^[2]^(-1), with s = x^[1]
+    and q by Horner on the residues of its coefficients.  Where the
+    divisor vanishes mod p, y' is evaluated from the expanded y-image
+    instead, so every image is valued at the same points.  The divisor
+    is a monic monomial, so the expanded images' coefficients are sums of
+    products of the coefficients of Z, W, q and the target, and p, picked
+    with q's coefficients among the rest, divides none of their
+    denominators.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],
@@ -285,14 +287,15 @@ class _Recheck:
         for hook in hooks:
             for m in hook.maps:
                 if id(m) not in self.maps:
-                    self.maps[id(m)] = m, [m.deferred.get(name)
-                                           or self._entry(m.image(name))[0]
-                                           for name in m.sig.names]
-                    for later in m.deferred.values():
-                        for part in (later.z_sym, later.target,
-                                     later.divisor):
+                    self.maps[id(m)] = m, [
+                        None if name in m.deferred
+                        else self._entry(m.image(name))[0]
+                        for name in m.sig.names]
+                    for record in dict.fromkeys(m.deferred.values()):
+                        for part in (record.z_sym, record.w_sym,
+                                     record.target, record.divisor):
                             self._entry(part)
-                        scalars.extend(later.q.coeffs)
+                        scalars.extend(record.q.coeffs)
             self._entry(hook.source)
             self._entry(hook.expected)
         self.p, self.root = _modulus(
@@ -320,40 +323,40 @@ class _Recheck:
                                       self.inverses)
         return entry[1]
 
-    def _image_at(self, m, name: str, image, columns: list) -> list:
-        """m's image of ``name`` at every point of ``columns``; ``image``
-        is a polynomial or a deferred image."""
+    def _record_at(self, m, record, columns: list) -> dict:
+        """The z-, w- and y-images of ``record``, the y-image only when m
+        keeps it there, at every point of ``columns``."""
         p = self.p
-        if isinstance(image, Polynomial):
-            return _evaluate_mod(self._table(image), columns, p)
-        sig = m.sig
-        divisor = _evaluate_mod(self._table(image.divisor), columns, p)
         at_target = list(columns)
-        target = at_target[sig.index("y")] = _evaluate_mod(
-            self._table(image.target), columns, p)
-        z = _evaluate_mod(self._table(image.z_sym), at_target, p)
-        z_sq = [v * v % p for v in z]
+        target = at_target[m.sig.index("y")] = _evaluate_mod(
+            self._table(record.target), columns, p)
+        out = {"z": _evaluate_mod(self._table(record.z_sym), at_target, p),
+               "w": _evaluate_mod(self._table(record.w_sym), at_target, p)}
+        if m.deferred.get("y") is not record:
+            return out
+        z_sq = [v * v % p for v in out["z"]]
         s = columns[0]
-        for column in columns[1:sig.n]:
+        for column in columns[1:m.sig.n]:
             s = [a * b % p for a, b in zip(s, column)]
-        q_at = [0] * len(z)
-        for c in reversed(image.q.coeffs):
+        q_at = [0] * len(z_sq)
+        for c in reversed(record.q.coeffs):
             c = _residue(c, p, self.root, self.inverses)
             q_at = [(a * b + c) % p for a, b in zip(q_at, z_sq)]
         values = [t - a - b * c for t, a, b, c in zip(target, z_sq, s, q_at)]
+        divisor = _evaluate_mod(self._table(record.divisor), columns, p)
         inverses = self.inverses
         for d in divisor:
             if d and d not in inverses:
                 inverses[d] = pow(d, -1, p)
-        out = [v * inverses[d] % p if d else None
-               for v, d in zip(values, divisor)]
+        y = out["y"] = [v * inverses[d] % p if d else None
+                        for v, d in zip(values, divisor)]
         vanish = [i for i, d in enumerate(divisor) if not d]
         if vanish:
-            expanded = _evaluate_mod(self._table(m.image(name)),
+            expanded = _evaluate_mod(self._table(m.image("y")),
                                      [[column[i] for i in vanish]
                                       for column in columns], p)
             for i, value in zip(vanish, expanded):
-                out[i] = value
+                y[i] = value
         return out
 
     def _moved(self, sig, maps: tuple) -> list:
@@ -365,7 +368,10 @@ class _Recheck:
             if maps:
                 before = self._moved(sig, maps[:-1])
                 m, images = self.maps[id(maps[-1])]
-                got = [self._image_at(m, name, image, before)
+                kept = {record: self._record_at(m, record, before)
+                        for record in dict.fromkeys(m.deferred.values())}
+                got = [kept[m.deferred[name]][name] if image is None
+                       else _evaluate_mod(self._table(image), before, self.p)
                        for name, image in zip(m.sig.names, images)]
             else:
                 got = [[point[name] for point in self.samples[sig]]
@@ -577,10 +583,12 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
     at most deg/p, so agreement at every point gives strong evidence,
     independent of the symbolic comparison, that the identity holds.  A
     residual whose coefficients all map to zero in F_p would pass; the
-    exact symbolic check rules that out.  The points, the reduced
-    coefficients and the transported points are shared by all checks of
-    the call and dropped when it returns.  With ``points`` = 0 nothing is
-    added; a negative count or one that is not an int raises
+    exact symbolic check rules that out.  A sibling whose map keeps a
+    y-image that does not divide, read at a point where its divisor
+    vanishes, fails with the error in its details.  The points, the
+    reduced coefficients and the transported points are shared by all
+    checks of the call and dropped when it returns.  With ``points`` = 0
+    nothing is added; a negative count or one that is not an int raises
     :class:`StablyDistinctError`.
     """
     if isinstance(points, bool) or not isinstance(points, int) \
@@ -593,9 +601,13 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
     targets = [check for check in cert.checks if check.sz_fn is not None]
     recheck = _Recheck([check.sz_fn for check in targets], rng, points)
     for check in targets:
-        ok, details = recheck.run(check.sz_fn)
-        cert.checks.append(CheckResult(
-            f"{check.name}/sz", ok,
-            residual="0" if ok else "nonzero at sampled point",
-            details=details))
+        try:
+            ok, details = recheck.run(check.sz_fn)
+            residual = "0" if ok else "nonzero at sampled point"
+        except NotDivisible as err:
+            # a deferred y-image that does not divide, read where its
+            # divisor vanishes
+            ok, residual, details = False, "not computed", f"not built: {err}"
+        cert.checks.append(CheckResult(f"{check.name}/sz", ok,
+                                       residual=residual, details=details))
     return len(targets)

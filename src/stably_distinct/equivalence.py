@@ -428,22 +428,17 @@ def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
     """The cylinder map with twist ``sign`` that sends P_q to ``target``.
 
     Its z- and w-images are :func:`_cylinder_zw`'s at rho = r(target),
-    expanded through :func:`_cylinder_symbols`: the substitution
-    S -> target gives the same polynomials as the direct expansions at
-    r(target).  Its y-image y' = (target - z_part(q, z')) / x^[2] solves
-    the image identity whatever z' is; it is kept as that data, Z over
-    the symbol, q, the target and x^[2] (:class:`DeferredImage`), and
-    expanded on first read.  ``label`` names the map in the errors of
-    that expansion.
+    that is Z(target) and W(target) for :func:`_cylinder_symbols`' Z and
+    W.  Its y-image y' = (target - z_part(q, z')) / x^[2] solves the image
+    identity whatever z' is.  All three are kept as one record of that
+    data, Z and W over the symbol, q, the target and x^[2]
+    (:class:`DeferredImage`), and each is expanded on its first read.
+    ``label`` names the map in the errors of those expansions.
     """
     sig = target.sig
-    z_sym, w_sym = _cylinder_symbols(sign, r, sig)
-    at_target = {"y": target}
-    y_img = DeferredImage(z_sym, q, target, x_power_bracket(sig, 2),
-                          f"{label}(y) of the stable pair")
-    return RingEndomorphism(sig, {"z": z_sym.substitute(at_target),
-                                  "w": w_sym.substitute(at_target)},
-                            deferred={"y": y_img})
+    record = DeferredImage(*_cylinder_symbols(sign, r, sig), q, target,
+                           x_power_bracket(sig, 2), label)
+    return RingEndomorphism(sig, deferred=dict.fromkeys("zwy", record))
 
 
 def build_stable_equivalence(q, n: int) -> StableEquivPair:
@@ -460,7 +455,7 @@ def build_stable_equivalence(q, n: int) -> StableEquivPair:
     and the y-images are the unique solutions of phi(P_q) = P0 and
     psi(P0) = P_q.  Both maps come from :func:`_cylinder_map`: phi with
     sign 1, q and target P0, psi with sign -1, q(0) and target P_q.  Their
-    y-images stay unexpanded until read.
+    images stay unexpanded until read.
     """
     q = _as_q(q)
     sig = RingSignature(n, has_w=True)
@@ -489,28 +484,6 @@ def stable_equivalence_degree_bound(pair: StableEquivPair) -> int:
     """
     k = max(pair.q.degree(), 1)
     return 2 * k * k * pair.p_zero.degree() + 2
-
-
-class _SymbolGate:
-    """A stored map of the pair held against the symbols of its build.
-
-    ``z_sym`` and ``w_sym`` are :func:`_cylinder_symbols` for twist
-    ``sign`` and ``r``, recomputed here, with S in the y slot.  ``holds``:
-    the map fixes every x_i, and its stored z- and w-images are Z(target)
-    and W(target).
-    """
-
-    __slots__ = ("z_sym", "w_sym", "holds")
-
-    def __init__(self, m: RingEndomorphism, sign: int, r: UnivariatePoly,
-                 target: Polynomial):
-        sig = m.sig
-        self.z_sym, self.w_sym = _cylinder_symbols(sign, r, sig)
-        at_target = {"y": target}
-        self.holds = (all(m.image(name) == Polynomial.variable(sig, name)
-                          for name in sig.names if name.startswith("x"))
-                      and self.z_sym.substitute(at_target) == m.image("z")
-                      and self.w_sym.substitute(at_target) == m.image("w"))
 
 
 def _x_exponents_equal(p: Polynomial) -> bool:
@@ -551,26 +524,32 @@ def _x2_divides_at(z_sym: Polynomial, q: UnivariatePoly,
     return truncate(n_low.substitute({"y": base}), below).is_zero()
 
 
-def _quotient_proved(m: RingEndomorphism, gate: _SymbolGate,
+def _quotient_proved(m: RingEndomorphism, sign: int, r: UnivariatePoly,
                      q: UnivariatePoly, target: Polynomial) -> bool:
-    """Whether ``m`` passes its gate and keeps its y-image as N(target)
-    / x^[2], for N = S - z_part(q, Z) with the gate's recomputed Z, and
-    x^[2] | N(target) holds by :func:`_x2_divides_at`.
+    """Whether ``m`` is the cylinder map of twist ``sign`` that the build
+    makes for ``q`` and ``target``, with x^[2] | N(target) proved by
+    :func:`_x2_divides_at`, for N = S - z_part(q, Z).
 
-    The deferred data is compared with the pair's, a few coefficients:
-    its Z with the gate's, its q with ``q`` and its target with the
-    member ``target``.  Then the y-image is a polynomial, and m fixes
-    x^[2] and sends z to Z(target).  S -> target is a ring homomorphism,
-    so z_part(q, m(z)) = target - N(target), and m(x^[2]*y + z_part(q,
-    z)) = N(target) + target - N(target) = target, without expanding the
-    y-image.
+    It holds when m fixes every x_i and keeps its z-, w- and y-images as
+    one record whose Z and W are :func:`_cylinder_symbols`' for ``sign``
+    and ``r``, recomputed here, and whose q, target and divisor are ``q``,
+    the member ``target`` and x^[2]: a comparison of a few coefficients.
+    Then the y-image is a polynomial, and m fixes x^[2] and sends z to
+    Z(target).  S -> target is a ring homomorphism, so z_part(q, m(z)) =
+    target - N(target), and m(x^[2]*y + z_part(q, z)) = N(target) +
+    target - N(target) = target, without expanding an image.
     """
-    later = m.deferred.get("y")
-    return (gate.holds and later is not None
-            and later.divisor == x_power_bracket(m.sig, 2)
-            and later.target == target and later.q == q
-            and later.z_sym == gate.z_sym
-            and _x2_divides_at(later.z_sym, q, target))
+    sig = m.sig
+    record = m.deferred.get("y")
+    return (record is not None
+            and all(m.deferred.get(name) is record for name in "zw")
+            and all(m.image(name) == Polynomial.variable(sig, name)
+                    for name in sig.names if name.startswith("x"))
+            and (record.z_sym, record.w_sym) == _cylinder_symbols(sign, r,
+                                                                  sig)
+            and record.q == q and record.target == target
+            and record.divisor == x_power_bracket(sig, 2)
+            and _x2_divides_at(record.z_sym, q, target))
 
 
 def _top_form(p: Polynomial) -> Polynomial:
@@ -582,17 +561,12 @@ def _top_form(p: Polynomial) -> Polynomial:
 
 def _top_of_sum(parts: list):
     """The degree and top form of a sum, from each nonzero summand's
-    degree and a thunk that gives its top form; None when the top forms
-    of the highest degree cancel, since the degree then rests on lower
-    forms.  A thunk is called only where degrees tie."""
+    degree and top form; None when the top forms of the highest degree
+    cancel, since the degree then rests on lower forms."""
     top = max(degree for degree, _ in parts)
     tied = [form for degree, form in parts if degree == top]
-    if len(tied) == 1:
-        return top, tied[0]
-    total = tied[0]()
-    for form in tied[1:]:
-        total = total + form()
-    return None if total.is_zero() else (top, lambda: total)
+    total = sum(tied[1:], tied[0])
+    return None if total.is_zero() else (top, total)
 
 
 def _y_degree(m: RingEndomorphism, proved: bool) -> int:
@@ -611,74 +585,64 @@ def _y_degree(m: RingEndomorphism, proved: bool) -> int:
     the y-image is expanded instead.
     """
     if proved:
-        later = m.deferred["y"]
-        sig, target, z_sym = m.sig, later.target, later.z_sym
+        record = m.deferred["y"]
+        sig, target, z_sym = m.sig, record.target, record.z_sym
         y = sig.index("y")
         d_t, top_t = target.degree(), _top_form(target)
         d_z = max(sum(exps) + exps[y] * (d_t - 1) for exps in z_sym.terms)
         z_at_top = z_sym.substitute({"y": top_t})
         if z_at_top.degree() == d_z:
             top_z = _top_form(z_at_top)
-            parts = [(d_t, lambda: top_t), (2 * d_z, lambda: -top_z ** 2)]
-            k = later.q.degree()
+            parts = [(d_t, top_t), (2 * d_z, -top_z ** 2)]
+            k = record.q.degree()
             if k >= 0:
-                parts.append((sig.n + 2 * k * d_z, lambda: (
-                    x_power_bracket(sig, 1) * top_z ** (2 * k)
-                    * -later.q.coeffs[-1])))
+                parts.append((sig.n + 2 * k * d_z, x_power_bracket(sig, 1)
+                              * top_z ** (2 * k) * -record.q.coeffs[-1]))
             n_top = _top_of_sum(parts)
             if n_top is not None:
-                return n_top[0] - later.divisor.degree()
+                return n_top[0] - record.divisor.degree()
     return m.image("y").degree()
 
 
 def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     """Certify the pair: exact images and identity round trips.
 
-    Each image identity, phi(P_q) = P0 and psi(P0) = P_q, takes one of
-    two routes.  The proof route is for a map as the build leaves it,
-    when :func:`_quotient_proved` holds.  The map passes its
-    :class:`_SymbolGate`: with Z and W of :func:`_cylinder_symbols`,
-    recomputed here from r (phi: sign 1 and S -> P0; psi: sign -1 and a
-    symbol T -> P_q), it fixes every x_i and its z- and w-images are Z
-    and W at the target.  It keeps its y-image unexpanded as
-    (target - z_part(q', Z(target))) / x^[2], with Z the recomputed
-    symbol, q' the map's q (q for phi, q(0) for psi) and the target the
-    member of q(0) or q: a comparison of a few coefficients.  And
-    :func:`_x2_divides_at` proves that x^[2] divides N(target), for N =
-    S - z_part(q', Z), on truncations, so the y-image is a polynomial
-    and x^[2] times it is N(target).  The substitution S -> target is a
-    ring homomorphism and the map fixes x^[2], so it sends the source
-    x^[2]*y + z_part(q', z) to N(target) + target - N(target) = target:
-    the target itself is recorded as the image, without reading the
-    y-image or forming N.  The check shares the build's homomorphism
-    argument, not its output: of the build it reads only the stored
-    maps.  ``degree-growth-bound`` then reads the y-degree off top forms
-    (:func:`_y_degree`).  Every other map takes the direct route,
-    ``apply``, so a failing identity prints the residual of direct
-    substitution.  A deferred y-image that does not divide records its
-    identity as not built and the degree bound as failed.
+    One predicate per map, :func:`_quotient_proved` (phi: sign 1, q and
+    S -> P0; psi: sign -1, q(0) and a symbol T -> P_q), picks the routes
+    of its image identity, its y-degree and the round trip it is the
+    outer map of.  It holds for a map as the build leaves it.  Then its
+    image identity, phi(P_q) = P0 or psi(P0) = P_q, takes the proof
+    route: the target itself is recorded as the image, without expanding
+    an image or forming N, and ``degree-growth-bound`` reads the y-degree
+    off top forms (:func:`_y_degree`).  The check shares the build's
+    homomorphism argument, not its output: of the build it reads only the
+    stored maps.  Every other map takes the direct route, ``apply``, so a
+    failing identity prints the residual of direct substitution.  A
+    deferred y-image that does not divide records its identity as not
+    built and the degree bound as failed.
 
     The round trips use the formulas of :func:`_cylinder_map` without its
     symbol, since the outer images hold y, by the substitution
     homomorphism property: phi(psi(v)) is psi's formula with z, w, r(P_q)
     and P_q replaced by phi(z), phi(w), r(P0) and P0, and symmetrically
     for psi(phi(v)); a round trip runs only once its outer map's image
-    identity holds, so P0 is phi(P_q).  When the outer map passes its
-    gate, the inner formula is applied to Z and W over the outer map's
+    identity holds, so P0 is phi(P_q).  When the outer map's predicate
+    holds, the inner formula is applied to Z and W over the outer map's
     symbol instead, and the symbol then sent to the target.  That gives
-    the same polynomials as the stored images would, and they are z and
+    the same polynomials as the expanded images would, and they are z and
     w identically: with x^[2] = s^2, (1 - s*rho)((1 + s*rho)z - s^2 w) +
     s^2((1 - s*rho)w + rho^2 z) = z, and likewise for w.  Their y-image,
-    (target - z_part(q', z)) / x^[2], is then a few terms.  When a gate
-    fails, the check takes the formula at the stored images, so a failing
-    check prints the same residual either way.
+    (target - z_part(q', z)) / x^[2], is then a few terms.  Otherwise the
+    check takes the formula at the stored images, so a failing check
+    prints the same residual either way.
 
     Each composite check also carries a numeric hook that re-verifies it
-    from the stored generator images alone: the ``/sz`` siblings evaluate
-    the stored maps and never see S or T.  A round trip whose outer map
-    fails its image identity is not built: its three checks are recorded
-    as failed, naming that identity.  Likewise its y-image is not built
-    when its z or w check fails.
+    from the stored maps alone: the ``/sz`` siblings evaluate each map's
+    images, a record's from its data at the point, and never see the
+    recomputed symbols.  A round trip whose outer map fails its image
+    identity is not built: its three checks are recorded as failed,
+    naming that identity.  Likewise its y-image is not built when its z
+    or w check fails.
 
     The exact round trips read only the outer map's stored images; the
     inner map enters through its formula.  So ``phi-after-psi-fixes-v``
@@ -726,10 +690,9 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
          q_poly, pair.p_q, pair.p_zero),
         ("psi-sends-constant-to-family", "psi-after-phi", [psi, phi], -1,
          q_zero, pair.p_zero, pair.p_q))
-    gates, proved, image_checks = [], [], []
+    proved, image_checks = [], []
     for name, _, (m, _), sign, q, source, target in table:
-        gates.append(_SymbolGate(m, sign, r, target))
-        proved.append(members and _quotient_proved(m, gates[-1], q, target))
+        proved.append(members and _quotient_proved(m, sign, r, q, target))
         try:
             image = target if proved[-1] else m.apply(source)
         except NotDivisible as err:
@@ -744,20 +707,21 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     # image identity fails, r of it is large and squaring it in the
     # builder can take minutes, so the round trip is recorded as failed;
     # the inner map's formula has twist -sign and the other map's q
-    for (_, stem, maps, sign, _, _, target), gate, image_check, inner_q in \
-            zip(table, gates, image_checks, (q_zero, q_poly)):
+    for (_, stem, maps, sign, _, _, target), outer_proved, image_check, \
+            inner_q in zip(table, proved, image_checks, (q_zero, q_poly)):
         if not image_check.passed:
             for name in "zwy":
                 _record_fixes(cert, stem, maps, name, blocker=image_check)
             continue
-        if gate.holds:
+        outer = maps[0]
+        if outer_proved:
             # the inner formula over the outer map's symbol: z and w
+            record = outer.deferred["y"]
             sym = Polynomial.variable(sig, "y")
             z_img, w_img = (img.substitute({"y": target}) for img in
                             _cylinder_zw(-sign, r.subs_into(sym),
-                                         gate.z_sym, gate.w_sym))
+                                         record.z_sym, record.w_sym))
         else:
-            outer = maps[0]
             z_img, w_img = _cylinder_zw(-sign, r.subs_into(target),
                                         outer.image("z"), outer.image("w"))
         # psi(P0) sees psi(z) only through its square, so a wrong psi(z)

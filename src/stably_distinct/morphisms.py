@@ -130,55 +130,66 @@ class _GeneratorMap:
 
 
 class DeferredImage:
-    """A y-image kept as the data that defines it: the image
-    (target - z_part(q, Z(target))) / divisor of a map with z-image
-    Z(target) that sends P_q = x^[2]*y + z_part(q, z) to ``target``.
+    """The z-, w- and y-images of a map kept as the data that defines
+    them: the map sends z to Z(target), w to W(target) and y to
+    (target - z_part(q, Z(target))) / divisor, so it sends P_q =
+    x^[2]*y + z_part(q, z) to ``target``.
 
-    ``z_sym`` is Z over a symbol S for the target, held in the y slot;
-    ``q`` is the map's q, ``divisor`` a monic monomial.  :meth:`expand`
-    forms N = S - z_part(q, Z) over the symbol, sends S to the target and
-    divides; nothing else forms N.  ``stage`` names the image in the
-    :class:`ResourceLimit` that the expansion raises when an intermediate
+    ``z_sym`` and ``w_sym`` are Z and W over a symbol S for the target,
+    held in the y slot; ``q`` is the map's q, ``divisor`` a monic
+    monomial.  :meth:`expand` sends S to the target in Z or W, or forms
+    N = S - z_part(q, Z) over the symbol, sends S to the target and
+    divides; nothing else forms N.  ``label`` names the map in the
+    :class:`ResourceLimit` that an expansion raises when an intermediate
     passes the term limit, and in the :class:`NotDivisible` it raises
     when the division is not exact.
     """
 
-    __slots__ = ("z_sym", "q", "target", "divisor", "stage")
+    __slots__ = ("z_sym", "w_sym", "q", "target", "divisor", "label")
 
-    def __init__(self, z_sym: Polynomial, q: UnivariatePoly,
-                 target: Polynomial, divisor: Polynomial, stage: str):
-        for part in (target, divisor):
+    def __init__(self, z_sym: Polynomial, w_sym: Polynomial,
+                 q: UnivariatePoly, target: Polynomial, divisor: Polynomial,
+                 label: str):
+        for part in (w_sym, target, divisor):
             if part.sig != z_sym.sig:
                 raise SignatureMismatch(
-                    f"{stage}: {part.sig.names} against {z_sym.sig.names}")
+                    f"{label}: {part.sig.names} against {z_sym.sig.names}")
         if list(divisor.terms.values()) != [1]:
             raise StablyDistinctError(
-                f"{stage}: the divisor must be a monomial, got {divisor}")
+                f"{label}: the divisor must be a monomial, got {divisor}")
         self.z_sym = z_sym
+        self.w_sym = w_sym
         self.q = q
         self.target = target
         self.divisor = divisor
-        self.stage = stage
+        self.label = label
 
-    def expand(self) -> Polynomial:
+    def expand(self, name: str) -> Polynomial:
+        """The image of generator ``name``: z, w or y."""
         # hypersurface imports this module
         from .hypersurface import z_part
-        symbol = Polynomial.variable(self.z_sym.sig, "y")
+        at_target = {"y": self.target}
         try:
-            numerator = symbol - z_part(self.q, self.z_sym)
-            return exact_divide(numerator.substitute({"y": self.target}),
-                                self.divisor)
+            if name == "y":
+                numerator = (Polynomial.variable(self.z_sym.sig, "y")
+                             - z_part(self.q, self.z_sym))
+                return exact_divide(numerator.substitute(at_target),
+                                    self.divisor)
+            return {"z": self.z_sym, "w": self.w_sym}[name].substitute(
+                at_target)
         except (ResourceLimit, NotDivisible) as err:
-            raise type(err)(f"expanding {self.stage}: {err}") from None
+            raise type(err)(f"expanding {self.label}({name}) of the stable "
+                            f"pair: {err}") from None
 
 
 class RingEndomorphism(_GeneratorMap):
     """A ring map determined by where it sends each generator.
 
-    ``deferred`` holds the images kept as :class:`DeferredImage`; each is
-    expanded on its first read, through :meth:`image` or any method that
-    reads every image, and the expansion is then stored with the others.
-    The defining data stays, so a verifier can still read it.
+    ``deferred`` maps generators to the :class:`DeferredImage` that
+    defines their images; the build gives z, w and y one record.  Each
+    image is expanded on its first read, through :meth:`image` or any
+    method that reads every image, and the expansion is then stored with
+    the others.  The record stays, so a verifier can still read it.
     """
 
     __slots__ = ("deferred",)
@@ -191,7 +202,8 @@ class RingEndomorphism(_GeneratorMap):
         self.deferred = dict(deferred or {})
         for name, later in self.deferred.items():
             sig.index(name)
-            if name in self.images or later.target.sig != sig:
+            if name in self.images or name not in ("y", "z", "w") \
+                    or later.target.sig != sig:
                 raise SignatureMismatch(
                     f"deferred image of {name} conflicts with the map")
 
@@ -200,7 +212,7 @@ class RingEndomorphism(_GeneratorMap):
 
     def image(self, name: str) -> Polynomial:
         if name in self.deferred and name not in self.images:
-            self.images[name] = self.deferred[name].expand()
+            self.images[name] = self.deferred[name].expand(name)
         return super().image(name)
 
     @classmethod

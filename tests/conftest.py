@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from stably_distinct.errors import NotDivisible
 from stably_distinct.exactfield import QuadExt, as_scalar, scalar_to_text
+from stably_distinct.morphisms import DeferredImage, RingEndomorphism
 from stably_distinct.polyring import Polynomial, RingSignature, UnivariatePoly
 
 
@@ -248,6 +249,18 @@ def brute_force_hyper_mu(q1, c1, q2, c2):
 
 
 # -- random object builders ----------------------------------------------
+
+def with_record(m: RingEndomorphism, **change) -> RingEndomorphism:
+    """A map of the stable pair whose z-, w- and y-images are one record,
+    ``m``'s with the fields in ``change`` (z_sym, w_sym, q, target)
+    replaced."""
+    record = m.deferred["y"]
+    data = {"z_sym": record.z_sym, "w_sym": record.w_sym, "q": record.q,
+            "target": record.target, **change}
+    return RingEndomorphism(m.sig, deferred=dict.fromkeys(
+        "zwy", DeferredImage(data["z_sym"], data["w_sym"], data["q"],
+                             data["target"], record.divisor, record.label)))
+
 
 def from_terms(sig: RingSignature, terms: dict) -> Polynomial:
     """The polynomial of an exponent-tuple -> scalar dict, zeros dropped."""

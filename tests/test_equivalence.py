@@ -14,7 +14,7 @@ from stably_distinct import equivalence
 from stably_distinct.certificate import run_schwartz_zippel
 from stably_distinct.equivalence import (
     HyperEquivWitness, PolyEquivWitness, StableEquivPair, _cylinder_symbols,
-    _euclid_on_ratios, _quotient_proved, _SymbolGate, _top_of_sum,
+    _euclid_on_ratios, _quotient_proved, _top_of_sum,
     _x2_divides_at, _x_exponents_equal, _y_degree,
     build_hyper_equiv_automorphism,
     build_poly_equiv_automorphism, build_stable_equivalence,
@@ -34,7 +34,7 @@ from stably_distinct.polyring import (Polynomial, RingSignature,
                                       x_power_bracket)
 
 from conftest import (brute_force_hyper_mu, dense_mul, dense_power,
-                      random_univariate, small_fraction)
+                      random_univariate, small_fraction, with_record)
 
 
 def _scaled(q, lam):
@@ -504,8 +504,9 @@ def test_maps_match_the_direct_expansion(coeffs, n, side):
     expected = (_direct_cylinder_map(1, r, q, p_zero) if side == "phi"
                 else _direct_cylinder_map(-1, r, q_zero, p_q))
     got = getattr(build_stable_equivalence(q, n), side)
-    # the y-image is kept as N, S -> target and x^[2] until read
-    assert "y" in got.deferred and "y" not in got.images
+    # the z-, w- and y-images are kept as one record until read
+    assert all(name in got.deferred and name not in got.images
+               for name in "zwy")
     assert got.image("y").terms == expected.image("y").terms
     assert got == expected
 
@@ -692,20 +693,19 @@ SYMBOL_QS = {"(t-1)^3": dense_power([-1, 1], 3), "1+2t-t^3": [1, 2, 0, -1],
 
 
 def _sides(pair: StableEquivPair):
-    """(map, gate, q, target) for phi and for psi."""
+    """The arguments of ``_quotient_proved`` for phi and for psi: (map,
+    twist, r, q, target)."""
     q_zero = UnivariatePoly([pair.q(0)])
-    return ((pair.phi, _SymbolGate(pair.phi, 1, pair.r, pair.p_zero), pair.q,
-             pair.p_zero),
-            (pair.psi, _SymbolGate(pair.psi, -1, pair.r, pair.p_q), q_zero,
-             pair.p_q))
+    return ((pair.phi, 1, pair.r, pair.q, pair.p_zero),
+            (pair.psi, -1, pair.r, q_zero, pair.p_q))
 
 
 class TestSymbolicTargets:
     """The image identities phi(P_q) = P0 and psi(P0) = P_q are certified
     by the quotient proof, and the round trips through the symbols of the
-    build, when the stored maps pass their gates; otherwise the direct
-    route, the fallback, runs.  The fallback guards an image identity for
-    any map that is not as the build leaves it, and the
+    build, when the stored maps pass ``_quotient_proved``; otherwise the
+    direct route, the fallback, runs.  The fallback guards an image
+    identity for any map that is not as the build leaves it, and the
     ``*-after-*-fixes-*`` round trips when the outer map has a wrong z- or
     w-image."""
 
@@ -721,10 +721,7 @@ class TestSymbolicTargets:
         pair = build_stable_equivalence(coeffs, n)
         if corruption is not None:
             pair = _corrupt(pair, "phi", "y", corruption)
-        m, gate, q, target = _sides(pair)[0]
-        assert gate.holds
-        assert (_quotient_proved(m, gate, q, target)
-                == (corruption is None))
+        assert _quotient_proved(*_sides(pair)[0]) == (corruption is None)
         check = verify_stable_equivalence(pair).checks[0]
         assert check.name == "phi-sends-family-to-constant"
         assert check.passed == (corruption is None)
@@ -734,10 +731,16 @@ class TestSymbolicTargets:
     @pytest.mark.parametrize("gen", ["x1", "z", "w"])
     @pytest.mark.parametrize("side", ["phi", "psi"])
     def test_corrupted_image_trips_its_gate(self, side, gen, corruption):
-        pair = _corrupt(build_stable_equivalence([1, 2, 0, -1], 2), side,
-                        gen, corruption)
-        gate = _sides(pair)[side == "psi"][1]
-        assert not gate.holds
+        # the map keeps the build's record for every other image, so only
+        # the corrupted one is off the record
+        m, *rest = _sides(build_stable_equivalence([1, 2, 0, -1], 2))[
+            side == "psi"]
+        record = m.deferred["y"]
+        bad = RingEndomorphism(
+            m.sig, {gen: CORRUPTIONS[corruption](m.image(gen))},
+            deferred={name: record for name in "zwy" if name != gen})
+        assert _quotient_proved(m, *rest)
+        assert not _quotient_proved(bad, *rest)
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("gen", ["y", "z"])
@@ -824,9 +827,10 @@ class TestSymbolicTargets:
         applied, zw_args = self._spy(monkeypatch)
         assert verify_stable_equivalence(pair).passed
         assert not [m for m, p in applied if p is pair.p_q]
-        stored = [m.image(g) for m in (pair.phi, pair.psi) for g in "zw"]
-        assert not [a for args in zw_args for a in args
-                    if any(a is img for img in stored)]
+        # the round trips ran over the records' symbols
+        for m in (pair.phi, pair.psi):
+            assert any(z is m.deferred["y"].z_sym for z, _ in zw_args)
+        assert not pair.phi.images and not pair.psi.images
 
     def test_spy_sees_the_fallback(self, monkeypatch):
         bad = _corrupt(build_stable_equivalence([1, 2, 0, -1], 1), "phi",
@@ -837,15 +841,17 @@ class TestSymbolicTargets:
 
 
 # (t - 1)^8 at n = 1: its build, verify and 25-point re-check pass from a
-# term limit of 5,953 (psi(w)) up; forming N of phi needs 15,645
-TERM_LIMIT_K8 = 10_000
+# term limit of 252 up; expanding psi(w) needs 5,953 and forming N of phi
+# 15,645
+TERM_LIMIT_K8 = 300
 
 
 class TestDeferredYImage:
-    """The build keeps each y-image as Z over the symbol S, q, the target
-    and x^[2]; the verifier proves x^[2] | N(target), for N = S -
-    z_part(q, Z), by a truncated test and reads the degree off top
-    forms, so no verdict expands a y-image it can prove or forms N."""
+    """The build keeps the z-, w- and y-images of each map as one record
+    of Z and W over the symbol S, q, the target and x^[2]; the verifier
+    proves x^[2] | N(target), for N = S - z_part(q, Z), by a truncated
+    test and reads the degree off top forms, so no verdict expands an
+    image it can prove or forms N."""
 
     @pytest.mark.parametrize("n, coeffs", [
         *[(1, dense_power([-1, 1], k)) for k in range(1, 7)],
@@ -855,39 +861,31 @@ class TestDeferredYImage:
         (1, dense_power([-1, 1], 7))])
     def test_degree_formula_matches_the_expansion(self, n, coeffs):
         pair = build_stable_equivalence(coeffs, n)
-        for m, gate, q, target in _sides(pair):
-            proved = _quotient_proved(m, gate, q, target)
-            assert proved
-            assert _y_degree(m, proved) == m.image("y").degree()
+        for side in _sides(pair):
+            m = side[0]
+            assert _quotient_proved(*side)
+            assert _y_degree(m, True) == m.image("y").degree()
 
     def test_top_of_a_sum_adds_tied_forms_and_refuses_a_cancellation(self):
         sig = RingSignature(1, has_w=True)
         x1, z, w = (Polynomial.variable(sig, name) for name in ("x1", "z",
                                                                 "w"))
-        called = []
-
-        def form(p):
-            return lambda: called.append(p) or p
-
-        degree, top = _top_of_sum([(1, form(z)), (2, form(x1 * w))])
-        assert (degree, top()) == (2, x1 * w) and called == [x1 * w]
-        degree, top = _top_of_sum([(2, form(x1 * w)), (2, form(z * w)),
-                                   (1, form(z))])
-        assert (degree, top()) == (2, x1 * w + z * w)
-        assert _top_of_sum([(2, form(z * w)), (2, form(-z * w)),
-                            (1, form(z))]) is None
+        assert _top_of_sum([(1, z), (2, x1 * w)]) == (2, x1 * w)
+        assert _top_of_sum([(2, x1 * w), (2, z * w), (1, z)]) \
+            == (2, x1 * w + z * w)
+        assert _top_of_sum([(2, z * w), (2, -z * w), (1, z)]) is None
 
     def test_phi_y_stays_unexpanded_through_verify_and_recheck(self):
         pair = build_stable_equivalence(dense_power([-1, 1], 4), 2)
         cert = verify_stable_equivalence(pair)
         run_schwartz_zippel(cert, random.Random(0), points=25)
         assert cert.passed
-        assert "y" not in pair.phi.images
+        assert not pair.phi.images
 
     def test_k8_passes_with_its_recheck(self, monkeypatch):
-        # N of phi has 15,669 terms and the largest stored image, psi(w),
-        # 5,953; under this term limit forming N stops with ResourceLimit,
-        # so the build, the verifier and the re-check never form it
+        # N of phi has 15,669 terms and psi(w) 5,953; under this term
+        # limit forming N or expanding psi(w) stops with ResourceLimit,
+        # so the build, the verifier and the re-check expand no image
         monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", str(TERM_LIMIT_K8))
         pair = build_stable_equivalence(dense_power([-1, 1], 8), 1)
         cert = verify_stable_equivalence(pair)
@@ -896,27 +894,30 @@ class TestDeferredYImage:
         checks = {c.name: c for c in cert.checks}
         assert checks["degree-growth-bound"].details \
             == "max y-image degree 367, bound 386"
-        assert "y" not in pair.phi.images and "y" not in pair.psi.images
+        for m in (pair.phi, pair.psi):
+            assert not {"z", "w", "y"} & set(m.images)
         with pytest.raises(ResourceLimit, match="expanding phi"):
             pair.phi.image("y")
+        with pytest.raises(ResourceLimit, match=r"expanding psi\(w\)"):
+            pair.psi.image("w")
 
     @staticmethod
     def _control(pair, n, control):
-        """Deferred data of phi, (Z, q, target), with one control off the
+        """Data of phi's record, (Z, q, target), with one control off the
         pair's; each leaves N(target) not divisible by x^[2]."""
         sig = pair.phi.sig
-        later = pair.phi.deferred["y"]
+        record = pair.phi.deferred["y"]
         z, w = (Polynomial.variable(sig, name) for name in "zw")
         q = pair.q
         return {
-            "Z + x^[1]*w": (later.z_sym + x_power_bracket(sig, 1) * w, q,
+            "Z + x^[1]*w": (record.z_sym + x_power_bracket(sig, 1) * w, q,
                             pair.p_zero),
-            "Z + w": (later.z_sym + w, q, pair.p_zero),
-            "q(0) + 1 in B": (later.z_sym, q, build_Pq(
+            "Z + w": (record.z_sym + w, q, pair.p_zero),
+            "q(0) + 1 in B": (record.z_sym, q, build_Pq(
                 PqSpec(n, [q(0) + 1], 0), has_w=True)),
             "r halved": (_cylinder_symbols(1, UnivariatePoly(
                 [c / 2 for c in pair.r.coeffs]), sig)[0], q, pair.p_zero),
-            "q leading + 1": (later.z_sym, UnivariatePoly(
+            "q leading + 1": (record.z_sym, UnivariatePoly(
                 [*q.coeffs[:-1], q.coeffs[-1] + 1]), pair.p_zero),
         }[control]
 
@@ -926,41 +927,36 @@ class TestDeferredYImage:
     @pytest.mark.parametrize("n", [1, 2])
     def test_negative_controls_fail_the_truncated_test(self, n, control):
         pair = build_stable_equivalence(dense_power([-1, 1], 3), n)
-        later = pair.phi.deferred["y"]
-        assert _x2_divides_at(later.z_sym, later.q, later.target)
+        record = pair.phi.deferred["y"]
+        assert _x2_divides_at(record.z_sym, record.q, record.target)
         z_sym, q, target = self._control(pair, n, control)
         assert not _x2_divides_at(z_sym, q, target)
         with pytest.raises(NotDivisible):
-            DeferredImage(z_sym, q, target, later.divisor, "control").expand()
+            DeferredImage(z_sym, record.w_sym, q, target, record.divisor,
+                          "control").expand("y")
 
     @pytest.mark.parametrize("stray", ["x1*z", "x1^4*z"])
     def test_equal_exponent_gate_refuses_a_stray_x1_term(self, stray):
         pair = build_stable_equivalence(dense_power([-1, 1], 3), 2)
-        later = pair.phi.deferred["y"]
+        record = pair.phi.deferred["y"]
         sig = pair.phi.sig
-        bad = later.z_sym + parse_polynomial(sig, stray)
-        assert _x_exponents_equal(later.z_sym) and not _x_exponents_equal(bad)
-        assert not _x2_divides_at(bad, later.q, later.target)
+        bad = record.z_sym + parse_polynomial(sig, stray)
+        assert _x_exponents_equal(record.z_sym) \
+            and not _x_exponents_equal(bad)
+        assert not _x2_divides_at(bad, record.q, record.target)
         with pytest.raises(NotDivisible):
-            DeferredImage(bad, later.q, later.target, later.divisor,
-                          "stray").expand()
+            DeferredImage(bad, record.w_sym, record.q, record.target,
+                          record.divisor, "stray").expand("y")
         # x1^4*z has x-degree 2n = 4: the truncated N, built from the
         # truncated Z alone, would pass it
-        assert (truncate(bad, 3) == truncate(later.z_sym, 3)) \
+        assert (truncate(bad, 3) == truncate(record.z_sym, 3)) \
             == (stray == "x1^4*z")
 
     @staticmethod
     def _with_deferred(pair, **change):
-        """The pair with phi's deferred data changed as given."""
-        later = pair.phi.deferred["y"]
-        data = {"z_sym": later.z_sym, "q": later.q, "target": later.target,
-                **change}
-        phi = RingEndomorphism(pair.phi.sig,
-                               {g: pair.phi.image(g) for g in "zw"},
-                               deferred={"y": DeferredImage(
-                                   data["z_sym"], data["q"], data["target"],
-                                   later.divisor, later.stage)})
-        return StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
+        """The pair with phi's record changed as given."""
+        return StableEquivPair(pair.n, pair.q, pair.r,
+                               with_record(pair.phi, **change), pair.psi,
                                pair.p_q, pair.p_zero)
 
     def test_deferred_image_that_does_not_divide_fails_its_certificate(
@@ -971,6 +967,7 @@ class TestDeferredYImage:
         bad = self._with_deferred(pair, z_sym=pair.phi.deferred["y"].z_sym
                                   + x_power_bracket(sig, 1)
                                   * Polynomial.variable(sig, "w"))
+        assert not _quotient_proved(*_sides(bad)[0])
         cert = verify_stable_equivalence(bad)
         checks = {c.name: c for c in cert.checks}
         for name in ("phi-sends-family-to-constant", "degree-growth-bound"):
@@ -982,28 +979,64 @@ class TestDeferredYImage:
         assert run_schwartz_zippel(cert, random.Random(0), points=3) == 10
         assert not cert.passed
 
-    def test_deferred_data_off_the_symbol_takes_the_direct_route(self):
-        # Z + x^[2]*z still divides, but phi(y) gains z and phi(P_q) != P0
+    @staticmethod
+    def _direct_route(monkeypatch, bad):
+        """Verify ``bad`` and return its checks by name, after asserting
+        that phi took the direct route and that the certificate is the
+        one of phi with every image expanded."""
+        phi = bad.phi
+        plain = RingEndomorphism(phi.sig, {g: phi.image(g)
+                                           for g in phi.sig.names})
+        direct = StableEquivPair(bad.n, bad.q, bad.r, plain, bad.psi,
+                                 bad.p_q, bad.p_zero)
+        applied = []
+        apply = RingEndomorphism.apply
+        monkeypatch.setattr(RingEndomorphism, "apply", lambda m, p: (
+            applied.append((m, p)), apply(m, p))[1])
+        cert = verify_stable_equivalence(bad)
+        assert applied[0] == (phi, bad.p_q)
+        assert cert.to_json() == verify_stable_equivalence(direct).to_json()
+        return {c.name: c for c in cert.checks}
+
+    def test_deferred_data_off_the_symbol_takes_the_direct_route(
+            self, monkeypatch):
+        # Z + x^[2]*z still divides, and phi(y) solves the image identity
+        # with the changed phi(z), so only the round trip sees it
         pair = build_stable_equivalence([1, 2, 0, -1], 2)
         sig = pair.phi.sig
         z_sym = pair.phi.deferred["y"].z_sym + x_power_bracket(sig, 2) \
             * Polynomial.variable(sig, "z")
         bad = self._with_deferred(pair, z_sym=z_sym)
         assert _x2_divides_at(z_sym, pair.q, pair.p_zero)
-        phi, gate, q, target = _sides(bad)[0]
-        assert gate.holds and not _quotient_proved(phi, gate, q, target)
-        checks = {c.name: c for c in verify_stable_equivalence(bad).checks}
+        assert _quotient_proved(*_sides(pair)[0])
+        assert not _quotient_proved(*_sides(bad)[0])
+        checks = self._direct_route(monkeypatch, bad)
         check = checks["phi-sends-family-to-constant"]
-        assert not check.passed
-        assert check.residual == str(phi.apply(bad.p_q) - bad.p_zero)
+        assert check.residual == str(bad.phi.apply(bad.p_q) - bad.p_zero)
+        assert not checks["phi-after-psi-fixes-z"].passed
+
+    def test_record_with_a_changed_w_takes_the_direct_route(self,
+                                                           monkeypatch):
+        # W + x^[2]*z with Z kept: the truncated test, q, the target and
+        # the divisor all pass, and only the comparison of W refuses it
+        pair = build_stable_equivalence([1, 2, 0, -1], 2)
+        sig = pair.phi.sig
+        record = pair.phi.deferred["y"]
+        bad = self._with_deferred(pair, w_sym=record.w_sym + x_power_bracket(
+            sig, 2) * Polynomial.variable(sig, "z"))
+        assert _x2_divides_at(record.z_sym, pair.q, pair.p_zero)
+        assert not _quotient_proved(*_sides(bad)[0])
+        checks = self._direct_route(monkeypatch, bad)
+        assert checks["phi-sends-family-to-constant"].passed
+        assert not checks["phi-after-psi-fixes-w"].passed
 
     @pytest.mark.parametrize("change", ["target + x^[2]*z", "q(0) + 1",
                                         "q leading + 1"])
     def test_stored_y_image_with_a_changed_q_or_target_takes_apply(
             self, monkeypatch, change):
-        # the gate holds, but the stored q or target is not the pair's: the
-        # identity is computed by apply and fails, with the residual of
-        # apply where the changed data still divides
+        # Z and W are the build's, but the record's q or target is not the
+        # pair's: the identity is computed by apply and fails, with the
+        # residual of apply where the changed data still divides
         pair = build_stable_equivalence(dense_power([-1, 1], 3), 2)
         sig = pair.phi.sig
         q = pair.q
@@ -1014,8 +1047,8 @@ class TestDeferredYImage:
             "q leading + 1": {"q": UnivariatePoly(
                 [*q.coeffs[:-1], q.coeffs[-1] + 1])},
         }[change])
-        phi, gate, q, target = _sides(bad)[0]
-        assert gate.holds and not _quotient_proved(phi, gate, q, target)
+        phi = bad.phi
+        assert not _quotient_proved(*_sides(bad)[0])
         applied = []
         apply = RingEndomorphism.apply
         monkeypatch.setattr(RingEndomorphism, "apply", lambda m, p: (

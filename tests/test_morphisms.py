@@ -140,16 +140,17 @@ class TestEndomorphism:
 
 
 class TestDeferredImage:
-    """Z = z and q = 1, so N = S - z^2 - x1, and the target
+    """Z = z, W = y*z and q = 1, so N = S - z^2 - x1, and the target
     x1^2*y + x1^2*z^2 + x1^2 + z^2 + x1 gives y -> y + z^2 + 1."""
 
     TARGET = "x1^2*y + x1^2*z^2 + x1^2 + z^2 + x1"
 
     def deferred(self, s=None, target=TARGET):
         s = s or sig1()
-        return DeferredImage(Polynomial.variable(s, "z"), UnivariatePoly([1]),
+        return DeferredImage(Polynomial.variable(s, "z"),
+                             parse_polynomial(s, "y*z"), UnivariatePoly([1]),
                              parse_polynomial(s, target),
-                             parse_polynomial(s, "x1^2"), "y of the test map")
+                             parse_polynomial(s, "x1^2"), "test")
 
     def lazy(self):
         s = sig1()
@@ -164,6 +165,17 @@ class TestDeferredImage:
         assert got == parse_polynomial(m.sig, "y + z^2 + 1")
         assert m.image("y") is got
         assert "y" in m.deferred
+
+    def test_z_and_w_images_send_the_symbol_to_the_target(self):
+        s = sig1()
+        record = self.deferred(s)
+        m = RingEndomorphism(s, deferred=dict.fromkeys("yz", record))
+        assert repr(m) == "RingEndomorphism({'y': 'deferred', " \
+            "'z': 'deferred'})"
+        assert m.image("z") == Polynomial.variable(s, "z")
+        assert record.expand("w") \
+            == parse_polynomial(s, self.TARGET) * Polynomial.variable(s, "z")
+        assert "y" not in m.images
 
     @pytest.mark.parametrize("read", [
         lambda m: m.apply(Polynomial.variable(m.sig, "y")),
@@ -188,17 +200,21 @@ class TestDeferredImage:
     def test_inexact_division_raises_on_read(self):
         s = sig1()
         m = RingEndomorphism(s, deferred={"y": self.deferred(s, "y + z")})
-        with pytest.raises(NotDivisible):
+        with pytest.raises(NotDivisible,
+                           match=r"^expanding test\(y\) of the stable pair"):
             m.image("y")
 
     def test_limit_names_the_stage_and_keeps_the_data(self, monkeypatch):
-        m = self.lazy()
+        record = self.deferred()
         monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "1")
-        for _ in range(2):
+        for name in ("y", "y", "w"):
             with pytest.raises(ResourceLimit,
-                               match=r"^expanding y of the test map: "
-                                     r"substitution of y"):
-                m.image("y")
+                               match=rf"^expanding test\({name}\) of the "
+                                     r"stable pair: substitution of y"):
+                record.expand(name)
+        m = self.lazy()
+        with pytest.raises(ResourceLimit):
+            m.image("y")
         monkeypatch.delenv("STABLY_DISTINCT_TERM_LIMIT")
         assert m.image("y") == parse_polynomial(m.sig, "y + z^2 + 1")
 
@@ -211,14 +227,21 @@ class TestDeferredImage:
             RingEndomorphism(sig2(), deferred={"y": self.deferred(s)})
         with pytest.raises(UnknownVariable):
             RingEndomorphism(s, deferred={"w": self.deferred(s)})
+        # a record holds z-, w- and y-images only
         with pytest.raises(SignatureMismatch):
-            DeferredImage(Polynomial.variable(s, "z"), UnivariatePoly([1]),
+            RingEndomorphism(s, deferred={"x1": self.deferred(s)})
+        z = Polynomial.variable(s, "z")
+        with pytest.raises(SignatureMismatch):
+            DeferredImage(z, z, UnivariatePoly([1]),
                           Polynomial.variable(sig2(), "y"),
+                          Polynomial.constant(s, 1), "mixed")
+        with pytest.raises(SignatureMismatch):
+            DeferredImage(z, Polynomial.variable(sig2(), "z"),
+                          UnivariatePoly([1]), Polynomial.variable(s, "y"),
                           Polynomial.constant(s, 1), "mixed")
         for divisor in ("2*x1^2", "x1 + 1", "0"):
             with pytest.raises(StablyDistinctError, match="monomial"):
-                DeferredImage(Polynomial.variable(s, "z"),
-                              UnivariatePoly([1]),
+                DeferredImage(z, z, UnivariatePoly([1]),
                               Polynomial.variable(s, "y"),
                               parse_polynomial(s, divisor), "not monic")
 

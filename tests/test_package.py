@@ -50,10 +50,10 @@ DELETED = (
     "certificate.MODULI",
     "equivalence._cylinder_y",
     "equivalence._phi_of_family",
-    "equivalence._SymbolGate.fixes_z",
-    "equivalence._SymbolGate.n_sym",
+    "equivalence._SymbolGate",
     "morphisms.DeferredImage.numerator",
     "morphisms.DeferredImage.symbol",
+    "morphisms.DeferredImage.stage",
 )
 
 

@@ -51,6 +51,8 @@ from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, parse_polynomial,
                                       random_point)
 
+from conftest import with_record
+
 SIG = RingSignature(2, has_w=True)
 # 2^61 - 1 and the next two primes below it
 P, P31, P45 = 2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45
@@ -528,9 +530,9 @@ class _ZeroAt(random.Random):
 
 
 class TestDeferredImages:
-    """A deferred y-image is re-checked as (t - Z^2 - s*q(Z^2)) times
-    x^[2](pt)^-1, with Z at S = t = target(pt), and from its expansion
-    where x^[2](pt) = 0."""
+    """A map's record is re-checked from its data: z' and w' are Z and W
+    at S = t = target(pt), and y' is (t - Z^2 - s*q(Z^2)) times
+    x^[2](pt)^-1, or its expansion where x^[2](pt) = 0."""
 
     @staticmethod
     def moved(m, rng) -> list:
@@ -554,14 +556,14 @@ class TestDeferredImages:
     def test_lazy_values_match_the_expanded_map(self, side, n, coeffs):
         m = getattr(build_stable_equivalence(coeffs, n), side)
         lazy = self.moved(m, random.Random(4))
-        assert "y" not in m.images
+        assert not {"z", "w", "y"} & set(m.images)
         assert self.moved(self.expanded(m), random.Random(4)) == lazy
 
     def test_point_with_a_zero_x_takes_the_expanded_route(self):
         # SIG draws x1, x2, y, z, w per point: draw 16 is x2 of point 3
         m = build_stable_equivalence([-1, 3, -3, 1], 2).phi
         lazy = self.moved(m, _ZeroAt(4, {16}))
-        assert "y" in m.images
+        assert set(m.images) == {"y"}
         assert self.moved(self.expanded(m), _ZeroAt(4, {16})) == lazy
 
     def test_stable_recheck_is_unchanged_by_a_zero_x(self):
@@ -570,6 +572,31 @@ class TestDeferredImages:
         run_schwartz_zippel(cert, _ZeroAt(2, {0, 6}), points=5)
         assert cert.passed
         assert "y" in pair.phi.images
+
+    def test_record_that_does_not_divide_fails_at_a_zero_x(self):
+        # Z + x^[1]*w at (t - 1)^3: at point 0, x1 = 0, phi(y) is read
+        # from its expansion, which raises NotDivisible; every /sz sibling
+        # whose chain holds phi fails with that error instead
+        pair = build_stable_equivalence([-1, 3, -3, 1], 1)
+        sig = pair.phi.sig
+        phi = with_record(pair.phi, z_sym=pair.phi.deferred["y"].z_sym
+                          + Polynomial.variable(sig, "x1")
+                          * Polynomial.variable(sig, "w"))
+        bad = StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
+                              pair.p_q, pair.p_zero)
+        cert = verify_stable_equivalence(bad)
+        assert run_schwartz_zippel(cert, _ZeroAt(2, {0}), points=3) == 10
+        checks = {c.name: c for c in cert.checks}
+        holds_phi = {name: any(m is phi for m in c.sz_fn.maps)
+                     for name, c in checks.items() if c.sz_fn}
+        assert sum(holds_phi.values()) == 7
+        for name, affected in holds_phi.items():
+            check = checks[f"{name}/sz"]
+            assert check.passed != affected, name
+            if affected:
+                assert check.residual == "not computed"
+                assert check.details.startswith(
+                    "not built: expanding phi(y) of the stable pair: ")
 
 
 class TestTablesByValue:
