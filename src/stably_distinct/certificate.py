@@ -261,18 +261,18 @@ class _Recheck:
     expected side once per chain.  All of it goes when the object does,
     at the end of the call.
 
-    A map's record of its z-, w- and y-images (``morphisms.DeferredImage``)
-    is evaluated from its data, once per chain prefix, in O(deg q)
-    operations per point and with no table for an expanded image: the
-    target's value t, then Z and W at the point with S = t, which are z'
-    and w', and y' = (t - Z^2 - s*q(Z^2)) * x^[2]^(-1), with s = x^[1]
-    and q by Horner on the residues of its coefficients.  Where the
-    divisor vanishes mod p, y' is evaluated from the expanded y-image
-    instead, so every image is valued at the same points.  The divisor
-    is a monic monomial, so the expanded images' coefficients are sums of
-    products of the coefficients of Z, W, q and the target, and p, picked
-    with q's coefficients among the rest, divides none of their
-    denominators.
+    A map with a record (``morphisms.DeferredImage``) fixes every x_i, so
+    its x columns pass through unevaluated, and its z-, w- and y-images
+    are evaluated from the record's data, once per chain prefix, in
+    O(deg q) operations per point and with no table for an expanded
+    image: the target's value t, then Z and W at the point with S = t,
+    which are z' and w', and y' = (t - Z^2 - s*q(Z^2)) * s^(-2), with
+    s = x^[1] and q by Horner on the residues of its coefficients.  Where
+    s vanishes mod p, y' is evaluated from the expanded y-image instead,
+    so every image is valued at the same points.  The divisor x^[2] is
+    monic, so the expanded images' coefficients are sums of products of
+    the coefficients of Z, W, q and the target, and p, picked with q's
+    coefficients among the rest, divides none of their denominators.
     """
 
     def __init__(self, hooks: Sequence["_CompositionSz"],
@@ -286,16 +286,15 @@ class _Recheck:
         scalars: list = []
         for hook in hooks:
             for m in hook.maps:
-                if id(m) not in self.maps:
-                    self.maps[id(m)] = m, [
-                        None if name in m.deferred
-                        else self._entry(m.image(name))[0]
-                        for name in m.sig.names]
-                    for record in dict.fromkeys(m.deferred.values()):
-                        for part in (record.z_sym, record.w_sym,
-                                     record.target, record.divisor):
-                            self._entry(part)
-                        scalars.extend(record.q.coeffs)
+                if id(m) in self.maps:
+                    continue
+                record = m.record
+                self.maps[id(m)] = m, None if record else [
+                    self._entry(m.image(name))[0] for name in m.sig.names]
+                if record:
+                    for part in (record.z_sym, record.w_sym, record.target):
+                        self._entry(part)
+                    scalars.extend(record.q.coeffs)
             self._entry(hook.source)
             self._entry(hook.expected)
         self.p, self.root = _modulus(
@@ -323,27 +322,25 @@ class _Recheck:
                                       self.inverses)
         return entry[1]
 
-    def _record_at(self, m, record, columns: list) -> dict:
-        """The z-, w- and y-images of ``record``, the y-image only when m
-        keeps it there, at every point of ``columns``."""
-        p = self.p
+    def _record_at(self, m, columns: list) -> list:
+        """Each variable's residues at every point of ``columns`` pushed
+        through m, a map with a record: the x_i's pass through."""
+        p, record, n = self.p, m.record, m.sig.n
         at_target = list(columns)
-        target = at_target[m.sig.index("y")] = _evaluate_mod(
+        target = at_target[n] = _evaluate_mod(
             self._table(record.target), columns, p)
         out = {"z": _evaluate_mod(self._table(record.z_sym), at_target, p),
                "w": _evaluate_mod(self._table(record.w_sym), at_target, p)}
-        if m.deferred.get("y") is not record:
-            return out
         z_sq = [v * v % p for v in out["z"]]
         s = columns[0]
-        for column in columns[1:m.sig.n]:
+        for column in columns[1:n]:
             s = [a * b % p for a, b in zip(s, column)]
         q_at = [0] * len(z_sq)
         for c in reversed(record.q.coeffs):
             c = _residue(c, p, self.root, self.inverses)
             q_at = [(a * b + c) % p for a, b in zip(q_at, z_sq)]
         values = [t - a - b * c for t, a, b, c in zip(target, z_sq, s, q_at)]
-        divisor = _evaluate_mod(self._table(record.divisor), columns, p)
+        divisor = [v * v % p for v in s]
         inverses = self.inverses
         for d in divisor:
             if d and d not in inverses:
@@ -357,7 +354,7 @@ class _Recheck:
                                       for column in columns], p)
             for i, value in zip(vanish, expanded):
                 y[i] = value
-        return out
+        return [*columns[:n], *map(out.get, m.sig.names[n:])]
 
     def _moved(self, sig, maps: tuple) -> list:
         """Each variable's residues at every sample of ``sig``, pushed
@@ -368,11 +365,9 @@ class _Recheck:
             if maps:
                 before = self._moved(sig, maps[:-1])
                 m, images = self.maps[id(maps[-1])]
-                kept = {record: self._record_at(m, record, before)
-                        for record in dict.fromkeys(m.deferred.values())}
-                got = [kept[m.deferred[name]][name] if image is None
-                       else _evaluate_mod(self._table(image), before, self.p)
-                       for name, image in zip(m.sig.names, images)]
+                got = self._record_at(m, before) if images is None else [
+                    _evaluate_mod(self._table(image), before, self.p)
+                    for image in images]
             else:
                 got = [[point[name] for point in self.samples[sig]]
                        for name in sig.names]

@@ -430,15 +430,15 @@ def _cylinder_map(sign: int, r: UnivariatePoly, q: UnivariatePoly,
     Its z- and w-images are :func:`_cylinder_zw`'s at rho = r(target),
     that is Z(target) and W(target) for :func:`_cylinder_symbols`' Z and
     W.  Its y-image y' = (target - z_part(q, z')) / x^[2] solves the image
-    identity whatever z' is.  All three are kept as one record of that
-    data, Z and W over the symbol, q, the target and x^[2]
-    (:class:`DeferredImage`), and each is expanded on its first read.
-    ``label`` names the map in the errors of those expansions.
+    identity whatever z' is.  The map is its record of that data, Z and W
+    over the symbol, q and the target (:class:`DeferredImage`); it fixes
+    every x_i, and each of its z-, w- and y-images is expanded on its
+    first read.  ``label`` names the map in the errors of those
+    expansions.
     """
     sig = target.sig
-    record = DeferredImage(*_cylinder_symbols(sign, r, sig), q, target,
-                           x_power_bracket(sig, 2), label)
-    return RingEndomorphism(sig, deferred=dict.fromkeys("zwy", record))
+    return RingEndomorphism(sig, record=DeferredImage(
+        *_cylinder_symbols(sign, r, sig), q, target, label))
 
 
 def build_stable_equivalence(q, n: int) -> StableEquivPair:
@@ -530,25 +530,21 @@ def _quotient_proved(m: RingEndomorphism, sign: int, r: UnivariatePoly,
     makes for ``q`` and ``target``, with x^[2] | N(target) proved by
     :func:`_x2_divides_at`, for N = S - z_part(q, Z).
 
-    It holds when m fixes every x_i and keeps its z-, w- and y-images as
-    one record whose Z and W are :func:`_cylinder_symbols`' for ``sign``
-    and ``r``, recomputed here, and whose q, target and divisor are ``q``,
-    the member ``target`` and x^[2]: a comparison of a few coefficients.
-    Then the y-image is a polynomial, and m fixes x^[2] and sends z to
-    Z(target).  S -> target is a ring homomorphism, so z_part(q, m(z)) =
-    target - N(target), and m(x^[2]*y + z_part(q, z)) = N(target) +
-    target - N(target) = target, without expanding an image.
+    It holds when m has a record whose Z and W are
+    :func:`_cylinder_symbols`' for ``sign`` and ``r``, recomputed here,
+    and whose q and target are ``q`` and the member ``target``: a
+    comparison of a few coefficients.  A map with a record fixes every
+    x_i and divides by x^[2], so the y-image is then a polynomial, and m
+    fixes x^[2] and sends z to Z(target).  S -> target is a ring
+    homomorphism, so z_part(q, m(z)) = target - N(target), and
+    m(x^[2]*y + z_part(q, z)) = N(target) + target - N(target) = target,
+    without expanding an image.
     """
-    sig = m.sig
-    record = m.deferred.get("y")
+    record = m.record
     return (record is not None
-            and all(m.deferred.get(name) is record for name in "zw")
-            and all(m.image(name) == Polynomial.variable(sig, name)
-                    for name in sig.names if name.startswith("x"))
             and (record.z_sym, record.w_sym) == _cylinder_symbols(sign, r,
-                                                                  sig)
+                                                                  m.sig)
             and record.q == q and record.target == target
-            and record.divisor == x_power_bracket(sig, 2)
             and _x2_divides_at(record.z_sym, q, target))
 
 
@@ -585,7 +581,7 @@ def _y_degree(m: RingEndomorphism, proved: bool) -> int:
     the y-image is expanded instead.
     """
     if proved:
-        record = m.deferred["y"]
+        record = m.record
         sig, target, z_sym = m.sig, record.target, record.z_sym
         y = sig.index("y")
         d_t, top_t = target.degree(), _top_form(target)
@@ -600,7 +596,7 @@ def _y_degree(m: RingEndomorphism, proved: bool) -> int:
                               * top_z ** (2 * k) * -record.q.coeffs[-1]))
             n_top = _top_of_sum(parts)
             if n_top is not None:
-                return n_top[0] - record.divisor.degree()
+                return n_top[0] - 2 * sig.n
     return m.image("y").degree()
 
 
@@ -716,7 +712,7 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
         outer = maps[0]
         if outer_proved:
             # the inner formula over the outer map's symbol: z and w
-            record = outer.deferred["y"]
+            record = outer.record
             sym = Polynomial.variable(sig, "y")
             z_img, w_img = (img.substitute({"y": target}) for img in
                             _cylinder_zw(-sign, r.subs_into(sym),

@@ -1,8 +1,9 @@
 """Ring endomorphisms and derivations of the polynomial rings.
 
 An endomorphism is stored by its images on the generators; applying it is
-simultaneous substitution.  An image may also be kept as the data that
-defines it, a :class:`DeferredImage`, and expanded on first read.  A
+simultaneous substitution.  A map of the stable pair may instead keep its
+z-, w- and y-images as one record of the data that defines them, a
+:class:`DeferredImage`, and expand each on first read.  A
 derivation is likewise stored by its values on the generators and extended
 to the whole ring by the Leibniz rule.  Both serialize to JSON as
 ``{generator name: polynomial text}`` so that every witness map produced by
@@ -15,11 +16,11 @@ import json
 from typing import Mapping, Union
 
 from .errors import (NotDivisible, ParseError, ResourceLimit,
-                     SignatureMismatch, StablyDistinctError, UnknownVariable)
+                     SignatureMismatch, UnknownVariable)
 from .exactfield import Scalar
 from .polyring import (Polynomial, RingSignature, UnivariatePoly,
                        check_one_field, exact_divide, parse_json,
-                       parse_polynomial)
+                       parse_polynomial, x_power_bracket)
 
 PolyLike = Union[Polynomial, Scalar, int]
 
@@ -124,44 +125,41 @@ class _GeneratorMap:
     def __repr__(self) -> str:
         moved = {name: str(img) for name, img in self.images.items()
                  if img != self._default_image(name)}
-        for name in getattr(self, "deferred", ()):
-            moved.setdefault(name, "deferred")
+        if getattr(self, "record", None) is not None:
+            for name in self.sig.names[self.sig.n:]:
+                moved.setdefault(name, "deferred")
         return f"{type(self).__name__}({moved or self._unmoved})"
 
 
 class DeferredImage:
     """The z-, w- and y-images of a map kept as the data that defines
     them: the map sends z to Z(target), w to W(target) and y to
-    (target - z_part(q, Z(target))) / divisor, so it sends P_q =
+    (target - z_part(q, Z(target))) / x^[2], so it sends P_q =
     x^[2]*y + z_part(q, z) to ``target``.
 
     ``z_sym`` and ``w_sym`` are Z and W over a symbol S for the target,
-    held in the y slot; ``q`` is the map's q, ``divisor`` a monic
-    monomial.  :meth:`expand` sends S to the target in Z or W, or forms
-    N = S - z_part(q, Z) over the symbol, sends S to the target and
-    divides; nothing else forms N.  ``label`` names the map in the
+    held in the y slot, and ``q`` is the map's q.  The family fixes the
+    divisor x^[2], as ``hypersurface.z_part`` fixes x^[1].
+    :meth:`expand` sends S to the target in Z or W, or forms N = S -
+    z_part(q, Z) over the symbol, sends S to the target and divides;
+    nothing else forms N.  ``label`` names the map in the
     :class:`ResourceLimit` that an expansion raises when an intermediate
     passes the term limit, and in the :class:`NotDivisible` it raises
     when the division is not exact.
     """
 
-    __slots__ = ("z_sym", "w_sym", "q", "target", "divisor", "label")
+    __slots__ = ("z_sym", "w_sym", "q", "target", "label")
 
     def __init__(self, z_sym: Polynomial, w_sym: Polynomial,
-                 q: UnivariatePoly, target: Polynomial, divisor: Polynomial,
-                 label: str):
-        for part in (w_sym, target, divisor):
+                 q: UnivariatePoly, target: Polynomial, label: str):
+        for part in (w_sym, target):
             if part.sig != z_sym.sig:
                 raise SignatureMismatch(
                     f"{label}: {part.sig.names} against {z_sym.sig.names}")
-        if list(divisor.terms.values()) != [1]:
-            raise StablyDistinctError(
-                f"{label}: the divisor must be a monomial, got {divisor}")
         self.z_sym = z_sym
         self.w_sym = w_sym
         self.q = q
         self.target = target
-        self.divisor = divisor
         self.label = label
 
     def expand(self, name: str) -> Polynomial:
@@ -174,7 +172,7 @@ class DeferredImage:
                 numerator = (Polynomial.variable(self.z_sym.sig, "y")
                              - z_part(self.q, self.z_sym))
                 return exact_divide(numerator.substitute(at_target),
-                                    self.divisor)
+                                    x_power_bracket(self.target.sig, 2))
             return {"z": self.z_sym, "w": self.w_sym}[name].substitute(
                 at_target)
         except (ResourceLimit, NotDivisible) as err:
@@ -185,34 +183,33 @@ class DeferredImage:
 class RingEndomorphism(_GeneratorMap):
     """A ring map determined by where it sends each generator.
 
-    ``deferred`` maps generators to the :class:`DeferredImage` that
-    defines their images; the build gives z, w and y one record.  Each
-    image is expanded on its first read, through :meth:`image` or any
-    method that reads every image, and the expansion is then stored with
-    the others.  The record stays, so a verifier can still read it.
+    A map is given either by ``images`` or by a ``record``, a
+    :class:`DeferredImage` of its ring.  A map with a record fixes every
+    x_i and takes its z-, w- and y-images from the record.  Each is
+    expanded on its first read, through :meth:`image` or any method that
+    reads every image, and the expansion is then stored with the others.
+    The record stays, so a verifier can still read it.
     """
 
-    __slots__ = ("deferred",)
+    __slots__ = ("record",)
     _unmoved = "identity"
 
     def __init__(self, sig: RingSignature,
                  images: Mapping[str, PolyLike] | None = None,
-                 deferred: Mapping[str, DeferredImage] | None = None):
+                 record: DeferredImage | None = None):
         super().__init__(sig, images)
-        self.deferred = dict(deferred or {})
-        for name, later in self.deferred.items():
-            sig.index(name)
-            if name in self.images or name not in ("y", "z", "w") \
-                    or later.target.sig != sig:
-                raise SignatureMismatch(
-                    f"deferred image of {name} conflicts with the map")
+        if record is not None and (self.images or record.target.sig != sig):
+            raise SignatureMismatch(
+                "a map takes its images or a record of its ring, not both")
+        self.record = record
 
     def _default_image(self, name: str) -> Polynomial:
         return Polynomial.variable(self.sig, name)
 
     def image(self, name: str) -> Polynomial:
-        if name in self.deferred and name not in self.images:
-            self.images[name] = self.deferred[name].expand(name)
+        if self.record is not None and name not in self.images \
+                and self.sig.index(name) >= self.sig.n:
+            self.images[name] = self.record.expand(name)
         return super().image(name)
 
     @classmethod
@@ -221,8 +218,9 @@ class RingEndomorphism(_GeneratorMap):
 
     def apply(self, p: Polynomial) -> Polynomial:
         self._check_argument(p)
-        for name in self.deferred:
-            self.image(name)
+        if self.record is not None:
+            for name in self.sig.names[self.sig.n:]:
+                self.image(name)
         return p.substitute(self.images)
 
     def compose(self, other: "RingEndomorphism") -> "RingEndomorphism":

@@ -254,12 +254,12 @@ def with_record(m: RingEndomorphism, **change) -> RingEndomorphism:
     """A map of the stable pair whose z-, w- and y-images are one record,
     ``m``'s with the fields in ``change`` (z_sym, w_sym, q, target)
     replaced."""
-    record = m.deferred["y"]
+    record = m.record
     data = {"z_sym": record.z_sym, "w_sym": record.w_sym, "q": record.q,
             "target": record.target, **change}
-    return RingEndomorphism(m.sig, deferred=dict.fromkeys(
-        "zwy", DeferredImage(data["z_sym"], data["w_sym"], data["q"],
-                             data["target"], record.divisor, record.label)))
+    return RingEndomorphism(m.sig, record=DeferredImage(
+        data["z_sym"], data["w_sym"], data["q"], data["target"],
+        record.label))
 
 
 def from_terms(sig: RingSignature, terms: dict) -> Polynomial:

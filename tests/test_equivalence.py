@@ -26,7 +26,7 @@ from stably_distinct.errors import (InvalidWitness, MixedDiscriminant,
                                     ParseError, ResourceLimit,
                                     StablyDistinctError)
 from stably_distinct.exactfield import QuadExt, quadext
-from stably_distinct.hypersurface import PqSpec, build_Pq
+from stably_distinct.hypersurface import PqSpec, build_Pq, z_part
 from stably_distinct.morphisms import DeferredImage, RingEndomorphism
 from stably_distinct.polyring import (Polynomial, RingSignature,
                                       UnivariatePoly, exact_divide,
@@ -505,8 +505,7 @@ def test_maps_match_the_direct_expansion(coeffs, n, side):
                 else _direct_cylinder_map(-1, r, q_zero, p_q))
     got = getattr(build_stable_equivalence(q, n), side)
     # the z-, w- and y-images are kept as one record until read
-    assert all(name in got.deferred and name not in got.images
-               for name in "zwy")
+    assert got.record is not None and not got.images
     assert got.image("y").terms == expected.image("y").terms
     assert got == expected
 
@@ -731,14 +730,10 @@ class TestSymbolicTargets:
     @pytest.mark.parametrize("gen", ["x1", "z", "w"])
     @pytest.mark.parametrize("side", ["phi", "psi"])
     def test_corrupted_image_trips_its_gate(self, side, gen, corruption):
-        # the map keeps the build's record for every other image, so only
-        # the corrupted one is off the record
-        m, *rest = _sides(build_stable_equivalence([1, 2, 0, -1], 2))[
-            side == "psi"]
-        record = m.deferred["y"]
-        bad = RingEndomorphism(
-            m.sig, {gen: CORRUPTIONS[corruption](m.image(gen))},
-            deferred={name: record for name in "zwy" if name != gen})
+        # a corrupted map keeps explicit images and no record
+        pair = build_stable_equivalence([1, 2, 0, -1], 2)
+        m, *rest = _sides(pair)[side == "psi"]
+        bad = getattr(_corrupt(pair, side, gen, corruption), side)
         assert _quotient_proved(m, *rest)
         assert not _quotient_proved(bad, *rest)
 
@@ -756,7 +751,7 @@ class TestSymbolicTargets:
                 (bad.phi, bad.p_q, bad.p_zero, "phi-sends-family-to-constant")
                 if side == "phi" else
                 (bad.psi, bad.p_zero, bad.p_q, "psi-sends-constant-to-family"))
-            assert not m.deferred
+            assert m.record is None
             checks = {c.name: c
                       for c in verify_stable_equivalence(bad).checks}
             check = checks[name]
@@ -829,7 +824,7 @@ class TestSymbolicTargets:
         assert not [m for m, p in applied if p is pair.p_q]
         # the round trips ran over the records' symbols
         for m in (pair.phi, pair.psi):
-            assert any(z is m.deferred["y"].z_sym for z, _ in zw_args)
+            assert any(z is m.record.z_sym for z, _ in zw_args)
         assert not pair.phi.images and not pair.psi.images
 
     def test_spy_sees_the_fallback(self, monkeypatch):
@@ -901,44 +896,45 @@ class TestDeferredYImage:
         with pytest.raises(ResourceLimit, match=r"expanding psi\(w\)"):
             pair.psi.image("w")
 
+    CONTROLS = ["Z + x^[1]*w", "Z + w", "q(0) + 1 in B", "r halved",
+                "q leading + 1"]
+
     @staticmethod
-    def _control(pair, n, control):
-        """Data of phi's record, (Z, q, target), with one control off the
-        pair's; each leaves N(target) not divisible by x^[2]."""
-        sig = pair.phi.sig
-        record = pair.phi.deferred["y"]
-        z, w = (Polynomial.variable(sig, name) for name in "zw")
-        q = pair.q
+    def _control(side, control):
+        """Data of the record of ``side``'s map, (Z, q, target), with one
+        control off the pair's; each leaves N(target) not divisible by
+        x^[2].  Adding x^[1] to the target adds 1 to the q(0) of B."""
+        m, sign, r, q, target = side
+        sig, z_sym = m.sig, m.record.z_sym
+        s1 = x_power_bracket(sig, 1)
+        w = Polynomial.variable(sig, "w")
         return {
-            "Z + x^[1]*w": (record.z_sym + x_power_bracket(sig, 1) * w, q,
-                            pair.p_zero),
-            "Z + w": (record.z_sym + w, q, pair.p_zero),
-            "q(0) + 1 in B": (record.z_sym, q, build_Pq(
-                PqSpec(n, [q(0) + 1], 0), has_w=True)),
-            "r halved": (_cylinder_symbols(1, UnivariatePoly(
-                [c / 2 for c in pair.r.coeffs]), sig)[0], q, pair.p_zero),
-            "q leading + 1": (record.z_sym, UnivariatePoly(
-                [*q.coeffs[:-1], q.coeffs[-1] + 1]), pair.p_zero),
+            "Z + x^[1]*w": (z_sym + s1 * w, q, target),
+            "Z + w": (z_sym + w, q, target),
+            "q(0) + 1 in B": (z_sym, q, target + s1),
+            "r halved": (_cylinder_symbols(sign, UnivariatePoly(
+                [c / 2 for c in r.coeffs]), sig)[0], q, target),
+            "q leading + 1": (z_sym, UnivariatePoly(
+                [*q.coeffs[:-1], q.coeffs[-1] + 1]), target),
         }[control]
 
-    @pytest.mark.parametrize("control", ["Z + x^[1]*w", "Z + w",
-                                         "q(0) + 1 in B", "r halved",
-                                         "q leading + 1"])
+    @pytest.mark.parametrize("control", CONTROLS)
     @pytest.mark.parametrize("n", [1, 2])
     def test_negative_controls_fail_the_truncated_test(self, n, control):
         pair = build_stable_equivalence(dense_power([-1, 1], 3), n)
-        record = pair.phi.deferred["y"]
-        assert _x2_divides_at(record.z_sym, record.q, record.target)
-        z_sym, q, target = self._control(pair, n, control)
-        assert not _x2_divides_at(z_sym, q, target)
-        with pytest.raises(NotDivisible):
-            DeferredImage(z_sym, record.w_sym, q, target, record.divisor,
-                          "control").expand("y")
+        for side in _sides(pair):
+            record = side[0].record
+            assert _x2_divides_at(record.z_sym, record.q, record.target)
+            z_sym, q, target = self._control(side, control)
+            assert not _x2_divides_at(z_sym, q, target)
+            with pytest.raises(NotDivisible):
+                DeferredImage(z_sym, record.w_sym, q, target,
+                              "control").expand("y")
 
     @pytest.mark.parametrize("stray", ["x1*z", "x1^4*z"])
     def test_equal_exponent_gate_refuses_a_stray_x1_term(self, stray):
         pair = build_stable_equivalence(dense_power([-1, 1], 3), 2)
-        record = pair.phi.deferred["y"]
+        record = pair.phi.record
         sig = pair.phi.sig
         bad = record.z_sym + parse_polynomial(sig, stray)
         assert _x_exponents_equal(record.z_sym) \
@@ -946,7 +942,7 @@ class TestDeferredYImage:
         assert not _x2_divides_at(bad, record.q, record.target)
         with pytest.raises(NotDivisible):
             DeferredImage(bad, record.w_sym, record.q, record.target,
-                          record.divisor, "stray").expand("y")
+                          "stray").expand("y")
         # x1^4*z has x-degree 2n = 4: the truncated N, built from the
         # truncated Z alone, would pass it
         assert (truncate(bad, 3) == truncate(record.z_sym, 3)) \
@@ -964,7 +960,7 @@ class TestDeferredYImage:
         # Z + x^[1]*w at (t - 1)^3: reading phi(y) raises NotDivisible
         pair = build_stable_equivalence(dense_power([-1, 1], 3), 1)
         sig = pair.phi.sig
-        bad = self._with_deferred(pair, z_sym=pair.phi.deferred["y"].z_sym
+        bad = self._with_deferred(pair, z_sym=pair.phi.record.z_sym
                                   + x_power_bracket(sig, 1)
                                   * Polynomial.variable(sig, "w"))
         assert not _quotient_proved(*_sides(bad)[0])
@@ -1004,7 +1000,7 @@ class TestDeferredYImage:
         # with the changed phi(z), so only the round trip sees it
         pair = build_stable_equivalence([1, 2, 0, -1], 2)
         sig = pair.phi.sig
-        z_sym = pair.phi.deferred["y"].z_sym + x_power_bracket(sig, 2) \
+        z_sym = pair.phi.record.z_sym + x_power_bracket(sig, 2) \
             * Polynomial.variable(sig, "z")
         bad = self._with_deferred(pair, z_sym=z_sym)
         assert _x2_divides_at(z_sym, pair.q, pair.p_zero)
@@ -1017,11 +1013,11 @@ class TestDeferredYImage:
 
     def test_record_with_a_changed_w_takes_the_direct_route(self,
                                                            monkeypatch):
-        # W + x^[2]*z with Z kept: the truncated test, q, the target and
-        # the divisor all pass, and only the comparison of W refuses it
+        # W + x^[2]*z with Z kept: the truncated test, q and the target
+        # all pass, and only the comparison of W refuses it
         pair = build_stable_equivalence([1, 2, 0, -1], 2)
         sig = pair.phi.sig
-        record = pair.phi.deferred["y"]
+        record = pair.phi.record
         bad = self._with_deferred(pair, w_sym=record.w_sym + x_power_bracket(
             sig, 2) * Polynomial.variable(sig, "z"))
         assert _x2_divides_at(record.z_sym, pair.q, pair.p_zero)

@@ -9,8 +9,7 @@ from conftest import random_polynomial
 
 from stably_distinct.errors import (MixedDiscriminant, NotDivisible,
                                     ParseError, ResourceLimit,
-                                    SignatureMismatch, StablyDistinctError,
-                                    UnknownVariable)
+                                    SignatureMismatch, UnknownVariable)
 from stably_distinct.exactfield import parse_scalar, quadext
 from stably_distinct.hypersurface import PqSpec
 from stably_distinct.morphisms import (DeferredImage, Derivation,
@@ -141,41 +140,48 @@ class TestEndomorphism:
 
 class TestDeferredImage:
     """Z = z, W = y*z and q = 1, so N = S - z^2 - x1, and the target
-    x1^2*y + x1^2*z^2 + x1^2 + z^2 + x1 gives y -> y + z^2 + 1."""
+    T = x1^2*y + x1^2*z^2 + x1^2 + z^2 + x1 gives y -> y + z^2 + 1,
+    z -> z and w -> T*z."""
 
     TARGET = "x1^2*y + x1^2*z^2 + x1^2 + z^2 + x1"
+    SIG = RingSignature(1, has_w=True)
 
-    def deferred(self, s=None, target=TARGET):
-        s = s or sig1()
+    def record(self, target=TARGET, label="test"):
+        s = self.SIG
         return DeferredImage(Polynomial.variable(s, "z"),
                              parse_polynomial(s, "y*z"), UnivariatePoly([1]),
-                             parse_polynomial(s, target),
-                             parse_polynomial(s, "x1^2"), "test")
+                             parse_polynomial(s, target), label)
 
-    def lazy(self):
-        s = sig1()
-        return RingEndomorphism(s, {"z": parse_polynomial(s, "2*z")},
-                                deferred={"y": self.deferred(s)})
+    def mapped(self, target=TARGET):
+        return RingEndomorphism(self.SIG, record=self.record(target))
+
+    def expanded(self):
+        s = self.SIG
+        return RingEndomorphism(s, {
+            "y": parse_polynomial(s, "y + z^2 + 1"),
+            "w": parse_polynomial(s, self.TARGET) * Polynomial.variable(
+                s, "z")})
 
     def test_first_read_expands_once_and_keeps_the_data(self):
-        m = self.lazy()
-        assert "y" not in m.images
-        assert repr(m) == "RingEndomorphism({'z': '2*z', 'y': 'deferred'})"
+        m = self.mapped()
+        assert not m.images
+        assert repr(m) == "RingEndomorphism({'y': 'deferred', " \
+            "'z': 'deferred', 'w': 'deferred'})"
         got = m.image("y")
         assert got == parse_polynomial(m.sig, "y + z^2 + 1")
         assert m.image("y") is got
-        assert "y" in m.deferred
+        assert set(m.images) == {"y"}
+        assert m.record is not None
 
     def test_z_and_w_images_send_the_symbol_to_the_target(self):
-        s = sig1()
-        record = self.deferred(s)
-        m = RingEndomorphism(s, deferred=dict.fromkeys("yz", record))
-        assert repr(m) == "RingEndomorphism({'y': 'deferred', " \
-            "'z': 'deferred'})"
-        assert m.image("z") == Polynomial.variable(s, "z")
-        assert record.expand("w") \
-            == parse_polynomial(s, self.TARGET) * Polynomial.variable(s, "z")
+        m = self.mapped()
+        assert m.image("z") == Polynomial.variable(m.sig, "z")
+        assert m.image("w") == m.record.expand("w") \
+            == self.expanded().image("w")
         assert "y" not in m.images
+        # a map with a record fixes every x_i
+        assert m.image("x1") == Polynomial.variable(m.sig, "x1")
+        assert "x1" not in m.images
 
     @pytest.mark.parametrize("read", [
         lambda m: m.apply(Polynomial.variable(m.sig, "y")),
@@ -184,66 +190,57 @@ class TestDeferredImage:
         lambda m: m == RingEndomorphism.identity(m.sig),
     ], ids=["apply", "compose", "to_dict", "eq"])
     def test_every_reader_expands(self, read):
-        m = self.lazy()
+        m = self.mapped()
         read(m)
         assert m.images["y"] == parse_polynomial(m.sig, "y + z^2 + 1")
 
     def test_equal_to_the_expanded_map(self):
-        m = self.lazy()
-        plain = RingEndomorphism(m.sig, {
-            "y": parse_polynomial(m.sig, "y + z^2 + 1"),
-            "z": parse_polynomial(m.sig, "2*z")})
+        m = self.mapped()
+        plain = self.expanded()
+        assert m == plain and plain == m
         assert m.to_dict() == plain.to_dict()
-        assert m.apply(parse_polynomial(m.sig, "y*z")) \
-            == plain.apply(parse_polynomial(m.sig, "y*z"))
+        assert m.apply(parse_polynomial(m.sig, "y*z*w")) \
+            == plain.apply(parse_polynomial(m.sig, "y*z*w"))
 
     def test_inexact_division_raises_on_read(self):
-        s = sig1()
-        m = RingEndomorphism(s, deferred={"y": self.deferred(s, "y + z")})
+        m = self.mapped("y + z")
         with pytest.raises(NotDivisible,
                            match=r"^expanding test\(y\) of the stable pair"):
             m.image("y")
 
     def test_limit_names_the_stage_and_keeps_the_data(self, monkeypatch):
-        record = self.deferred()
+        record = self.record()
         monkeypatch.setenv("STABLY_DISTINCT_TERM_LIMIT", "1")
         for name in ("y", "y", "w"):
             with pytest.raises(ResourceLimit,
                                match=rf"^expanding test\({name}\) of the "
                                      r"stable pair: substitution of y"):
                 record.expand(name)
-        m = self.lazy()
+        m = self.mapped()
         with pytest.raises(ResourceLimit):
             m.image("y")
         monkeypatch.delenv("STABLY_DISTINCT_TERM_LIMIT")
         assert m.image("y") == parse_polynomial(m.sig, "y + z^2 + 1")
 
+    def test_images_and_record_together_are_refused(self):
+        s = self.SIG
+        for images in ({"y": Polynomial.variable(s, "y")},
+                       {"x1": Polynomial.variable(s, "x1")}):
+            with pytest.raises(SignatureMismatch):
+                RingEndomorphism(s, images, record=self.record())
+
     def test_conflicts_are_refused(self):
-        s = sig1()
+        s = self.SIG
         with pytest.raises(SignatureMismatch):
-            RingEndomorphism(s, {"y": Polynomial.variable(s, "y")},
-                             deferred={"y": self.deferred(s)})
-        with pytest.raises(SignatureMismatch):
-            RingEndomorphism(sig2(), deferred={"y": self.deferred(s)})
-        with pytest.raises(UnknownVariable):
-            RingEndomorphism(s, deferred={"w": self.deferred(s)})
-        # a record holds z-, w- and y-images only
-        with pytest.raises(SignatureMismatch):
-            RingEndomorphism(s, deferred={"x1": self.deferred(s)})
+            RingEndomorphism(sig2(), record=self.record())
         z = Polynomial.variable(s, "z")
         with pytest.raises(SignatureMismatch):
             DeferredImage(z, z, UnivariatePoly([1]),
-                          Polynomial.variable(sig2(), "y"),
-                          Polynomial.constant(s, 1), "mixed")
+                          Polynomial.variable(sig2(), "y"), "mixed")
         with pytest.raises(SignatureMismatch):
             DeferredImage(z, Polynomial.variable(sig2(), "z"),
                           UnivariatePoly([1]), Polynomial.variable(s, "y"),
-                          Polynomial.constant(s, 1), "mixed")
-        for divisor in ("2*x1^2", "x1 + 1", "0"):
-            with pytest.raises(StablyDistinctError, match="monomial"):
-                DeferredImage(z, z, UnivariatePoly([1]),
-                              Polynomial.variable(s, "y"),
-                              parse_polynomial(s, divisor), "not monic")
+                          "mixed")
 
 
 class TestDerivation:

@@ -54,6 +54,8 @@ DELETED = (
     "morphisms.DeferredImage.numerator",
     "morphisms.DeferredImage.symbol",
     "morphisms.DeferredImage.stage",
+    "morphisms.DeferredImage.divisor",
+    "morphisms.RingEndomorphism.deferred",
 )
 
 

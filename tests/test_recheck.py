@@ -579,7 +579,7 @@ class TestDeferredImages:
         # whose chain holds phi fails with that error instead
         pair = build_stable_equivalence([-1, 3, -3, 1], 1)
         sig = pair.phi.sig
-        phi = with_record(pair.phi, z_sym=pair.phi.deferred["y"].z_sym
+        phi = with_record(pair.phi, z_sym=pair.phi.record.z_sym
                           + Polynomial.variable(sig, "x1")
                           * Polynomial.variable(sig, "w"))
         bad = StableEquivPair(pair.n, pair.q, pair.r, phi, pair.psi,
