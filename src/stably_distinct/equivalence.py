@@ -506,8 +506,9 @@ def _x2_divides_at(z_sym: Polynomial, q: UnivariatePoly,
     truncating to x-degree below 2n is a ring homomorphism, and S -> B
     maps the ideal into itself.  So the truncation of N is built from the
     truncation of Z, z_part's z^2 + s*q(z^2) with q by Horner and a
-    truncation after each product; after S -> B, x^[2] divides N(B) iff
-    nothing below 2n is left.
+    truncation after each product, and S -> B runs by Horner in S, with a
+    truncation after each product too; x^[2] divides N(B) iff nothing
+    below 2n is left.
     """
     sig = target.sig
     base = target - x_power_bracket(sig, 2) * Polynomial.variable(sig, "y")
@@ -521,7 +522,13 @@ def _x2_divides_at(z_sym: Polynomial, q: UnivariatePoly,
         q_low = truncate(q_low * z_sq, below) + c
     n_low = (Polynomial.variable(sig, "y") - z_sq
              - truncate(x_power_bracket(sig, 1) * q_low, below))
-    return truncate(n_low.substitute({"y": base}), below).is_zero()
+    y = sig.index("y")
+    acc = Polynomial.zero(sig)
+    for e in range(n_low.degree_in("y"), -1, -1):
+        acc = truncate(acc * base, below) + Polynomial(sig, {
+            exps[:y] + (0,) + exps[y + 1:]: c
+            for exps, c in n_low.terms.items() if exps[y] == e})
+    return acc.is_zero()
 
 
 def _quotient_proved(m: RingEndomorphism, sign: int, r: UnivariatePoly,

@@ -931,6 +931,28 @@ class TestDeferredYImage:
                 DeferredImage(z_sym, record.w_sym, q, target,
                               "control").expand("y")
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_truncated_test_matches_the_whole_substitution(self, k, n):
+        # the reference forms N over the symbol at the truncated Z,
+        # truncates it once and substitutes B into it in one step
+        pair = build_stable_equivalence(dense_power([-1, 1], k), n)
+        sig = pair.phi.sig
+        below = 2 * n - 1
+        y = Polynomial.variable(sig, "y")
+        for side in _sides(pair):
+            for control in [None, *self.CONTROLS]:
+                z_sym, q, target = ((side[0].record.z_sym, side[3], side[4])
+                                    if control is None
+                                    else self._control(side, control))
+                base = target - x_power_bracket(sig, 2) * y
+                n_low = truncate(y - z_part(q, truncate(z_sym, below)),
+                                 below)
+                want = truncate(n_low.substitute({"y": base}),
+                                below).is_zero()
+                assert want == (control is None)
+                assert _x2_divides_at(z_sym, q, target) == want
+
     @pytest.mark.parametrize("stray", ["x1*z", "x1^4*z"])
     def test_equal_exponent_gate_refuses_a_stray_x1_term(self, stray):
         pair = build_stable_equivalence(dense_power([-1, 1], 3), 2)
