@@ -145,7 +145,8 @@ class DeferredImage:
     nothing else forms N.  ``label`` names the map in the
     :class:`ResourceLimit` that an expansion raises when an intermediate
     passes the term limit, and in the :class:`NotDivisible` it raises
-    when the division is not exact.
+    when the division is not exact.  Two records are equal when their
+    data are; the label plays no part.
     """
 
     __slots__ = ("z_sym", "w_sym", "q", "target", "label")
@@ -161,6 +162,12 @@ class DeferredImage:
         self.q = q
         self.target = target
         self.label = label
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeferredImage):
+            return NotImplemented
+        return (self.z_sym, self.w_sym, self.q, self.target) \
+            == (other.z_sym, other.w_sym, other.q, other.target)
 
     def expand(self, name: str) -> Polynomial:
         """The image of generator ``name``: z, w or y."""
@@ -188,7 +195,8 @@ class RingEndomorphism(_GeneratorMap):
     x_i and takes its z-, w- and y-images from the record.  Each is
     expanded on its first read, through :meth:`image` or any method that
     reads every image, and the expansion is then stored with the others.
-    The record stays, so a verifier can still read it.
+    The record stays, so a verifier can still read it, and two maps with
+    equal records are equal without expanding either.
     """
 
     __slots__ = ("record",)
@@ -211,6 +219,17 @@ class RingEndomorphism(_GeneratorMap):
                 and self.sig.index(name) >= self.sig.n:
             self.images[name] = self.record.expand(name)
         return super().image(name)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other or (isinstance(other, RingEndomorphism)
+                             and self.record is not None
+                             and self.record == other.record):
+            return True
+        try:
+            return super().__eq__(other)
+        except NotDivisible:
+            # a record whose y-image does not divide is no polynomial map
+            return False
 
     @classmethod
     def identity(cls, sig: RingSignature) -> "RingEndomorphism":

@@ -997,6 +997,23 @@ class TestDeferredYImage:
         assert run_schwartz_zippel(cert, random.Random(0), points=3) == 10
         assert not cert.passed
 
+    def test_map_that_does_not_divide_compares_without_raising(self):
+        # the same record as above: == holds for the same object and for
+        # an equal record without expanding, and reads as unequal where
+        # the expansion raises
+        pair = build_stable_equivalence(dense_power([-1, 1], 3), 1)
+        sig = pair.phi.sig
+        bad = with_record(pair.phi, z_sym=pair.phi.record.z_sym
+                          + x_power_bracket(sig, 1)
+                          * Polynomial.variable(sig, "w"))
+        assert bad == with_record(bad)
+        assert pair.phi == with_record(pair.phi)
+        assert not pair.phi.images
+        assert bad in [pair.psi, bad]
+        assert bad != pair.phi and pair.phi != bad
+        with pytest.raises(NotDivisible):
+            bad.image("y")
+
     @staticmethod
     def _direct_route(monkeypatch, bad):
         """Verify ``bad`` and return its checks by name, after asserting

@@ -202,11 +202,26 @@ class TestDeferredImage:
         assert m.apply(parse_polynomial(m.sig, "y*z*w")) \
             == plain.apply(parse_polynomial(m.sig, "y*z*w"))
 
+    def test_equal_records_compare_without_expanding(self):
+        m, other = self.mapped(), RingEndomorphism(
+            self.SIG, record=self.record(label="other"))
+        assert m == m and m == other
+        assert not m.images and not other.images
+        changed = self.mapped(self.TARGET + " + x1^2*z")
+        assert m != changed
+        assert set(changed.images) == {"y"}
+
     def test_inexact_division_raises_on_read(self):
         m = self.mapped("y + z")
         with pytest.raises(NotDivisible,
                            match=r"^expanding test\(y\) of the stable pair"):
             m.image("y")
+
+    def test_record_that_does_not_divide_reads_as_unequal(self):
+        m = self.mapped("y + z")
+        assert m == m and m == self.mapped("y + z")
+        assert m != self.expanded() and self.expanded() != m
+        assert m not in [self.expanded()] and m in [self.expanded(), m]
 
     def test_limit_names_the_stage_and_keeps_the_data(self, monkeypatch):
         record = self.record()
