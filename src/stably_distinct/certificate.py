@@ -579,8 +579,8 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
     independent of the symbolic comparison, that the identity holds.  A
     residual whose coefficients all map to zero in F_p would pass; the
     exact symbolic check rules that out.  A sibling whose map keeps a
-    y-image that does not divide, read at a point where its divisor
-    vanishes, fails with the error in its details.  The points, the
+    y-image that does not divide, read at a point where x^[2] vanishes,
+    fails with the error in its details.  The points, the
     reduced coefficients and the transported points are shared by all
     checks of the call and dropped when it returns.  With ``points`` = 0
     nothing is added; a negative count or one that is not an int raises
@@ -600,8 +600,8 @@ def run_schwartz_zippel(cert: Certificate, rng: random.Random,
             ok, details = recheck.run(check.sz_fn)
             residual = "0" if ok else "nonzero at sampled point"
         except NotDivisible as err:
-            # a deferred y-image that does not divide, read where its
-            # divisor vanishes
+            # a record's y-image that does not divide, read where x^[2]
+            # vanishes
             ok, residual, details = False, "not computed", f"not built: {err}"
         cert.checks.append(CheckResult(f"{check.name}/sz", ok,
                                        residual=residual, details=details))

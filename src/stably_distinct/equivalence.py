@@ -621,7 +621,7 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
     homomorphism argument, not its output: of the build it reads only the
     stored maps.  Every other map takes the direct route, ``apply``, so a
     failing identity prints the residual of direct substitution.  A
-    deferred y-image that does not divide records its identity as not
+    record whose y-image does not divide records its identity as not
     built and the degree bound as failed.
 
     The round trips use the formulas of :func:`_cylinder_map` without its
@@ -699,7 +699,7 @@ def verify_stable_equivalence(pair: StableEquivPair) -> Certificate:
         try:
             image = target if proved[-1] else m.apply(source)
         except NotDivisible as err:
-            # a deferred image that does not divide
+            # a record whose y-image does not divide
             image_checks.append(cert.record_not_built(name, [m], source,
                                                       target, str(err)))
             continue
